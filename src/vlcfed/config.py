@@ -9,6 +9,7 @@ physical parameters by field name.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,27 +169,31 @@ class SimConfig:
         return dataclasses.replace(self, **overrides).validate()
 
 
-def _coerce(field: dataclasses.Field, raw: str):
+def _coerce(hint, raw: str):
     text = raw.strip()
-    type_name = str(field.type)
-    if "Optional" in type_name and text.lower() in ("none", ""):
-        return None
-    if "tuple" in type_name:
+    args = typing.get_args(hint)
+    if type(None) in args:  # Optional[X]
+        if text.lower() in ("none", ""):
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if typing.get_origin(hint) is tuple:
         return tuple(float(p) for p in text.replace(",", " ").split())
-    if "int" in type_name:
-        return int(float(text))
-    if "float" in type_name:
-        return float(text)
-    return text
+    if hint is int:
+        value = float(text)  # accepts "1e1"
+        if not value.is_integer():
+            raise ValueError(f"expected an integer, got {text!r}")
+        return int(value)
+    return float(text)
 
 
 def load_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` config file into an override mapping.
 
     Lines starting with ``#`` and blank lines are ignored. Unknown keys are
-    rejected so typos do not silently fall back to defaults.
+    rejected so typos do not silently fall back to defaults, and so are
+    non-integral values of integer fields.
     """
-    by_name = {f.name: f for f in dataclasses.fields(SimConfig)}
+    hints = typing.get_type_hints(SimConfig)
     overrides: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -199,10 +204,10 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in by_name:
+            if key not in hints:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                overrides[key] = _coerce(by_name[key], value)
+                overrides[key] = _coerce(hints[key], value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return overrides

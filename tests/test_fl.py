@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vlcfed import (
     DataShard,
+    Dataset,
     MlpModel,
     NoParticipantsError,
     Selection,
@@ -23,6 +24,7 @@ from vlcfed import (
     run_federated_training,
     split_and_partition,
 )
+from vlcfed import fl
 
 
 def random_model(seed):
@@ -256,3 +258,160 @@ class TestRunFederatedTraining:
             full_r2.append(run_federated_training(full, shards, test, cfg, seed).final_r2)
             sub_r2.append(run_federated_training(sub, shards, test, cfg, seed).final_r2)
         assert np.mean(full_r2) >= np.mean(sub_r2)
+
+
+def two_branch_sigmoid(z):
+    """The sign-split sigmoid that fl._sigmoid replaced, kept as its reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def gradients_2d(model, x, y):
+    """loss_gradients as plain 2-D numpy on one shard, the pre-batching code."""
+    n = x.shape[0]
+    hidden = two_branch_sigmoid(x @ model.w1 + model.b1)
+    pred = (hidden @ model.w2)[:, 0] + model.b2[0]
+    err = (pred - y) / n
+    gw2 = (hidden.T @ err)[:, None]
+    gb2 = np.array([err.sum()])
+    dhidden = np.outer(err, model.w2[:, 0])
+    dz = dhidden * hidden * (1.0 - hidden)
+    return x.T @ dz, dz.sum(axis=0), gw2, gb2
+
+
+def per_user_descent(model, x, y, epochs, lr):
+    out = model.copy()
+    for _ in range(epochs):
+        for param, grad in zip(out.params(), loss_gradients(out, x, y)):
+            param -= lr * grad
+    return out
+
+
+def sequential_average(models, sizes):
+    """Weighted average accumulated from zeros, one participant at a time."""
+    total = float(sum(sizes))
+    out = MlpModel.zeros()
+    for model, size in zip(models, sizes):
+        for acc, param in zip(out.params(), model.params()):
+            acc += (size / total) * param
+    return out
+
+
+def reference_fedavg(shards, test, cfg, seed):
+    """Per-user FedAvg loop: the loss and R^2 trace run_federated_training must match."""
+    scaler = fl.Standardizer.fit(
+        np.concatenate([s.x for s in shards]), np.concatenate([s.y for s in shards])
+    )
+    xs = [scaler.transform_x(s.x) for s in shards]
+    ys = [scaler.transform_y(s.y) for s in shards]
+    sizes = [len(y) for y in ys]
+    model = MlpModel.init_random(seed)
+    losses, r2s = [], []
+    for _ in range(cfg.global_rounds):
+        trained = [
+            per_user_descent(model, x, y, cfg.local_epochs, cfg.learning_rate)
+            for x, y in zip(xs, ys)
+        ]
+        model = sequential_average(trained, sizes)
+        losses.append(mse_loss(model, np.concatenate(xs), np.concatenate(ys)))
+        pred = scaler.inverse_y(forward_batch(model, scaler.transform_x(test.features)))
+        r2s.append(r_squared(pred, test.targets))
+    return losses, r2s
+
+
+def assert_same_model(a, b):
+    for p, q in zip(a.params(), b.params()):
+        assert p.shape == q.shape
+        assert np.array_equal(p, q)
+
+
+class TestBatchedKernel:
+    """The stacked kernel must reproduce per-user training bit for bit."""
+
+    def test_sigmoid_matches_two_branch_form_bitwise(self):
+        edges = np.array([0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0, 1e4, -1e4])
+        assert fl._sigmoid(edges).tobytes() == two_branch_sigmoid(edges).tobytes()
+        z = np.random.default_rng(10).normal(scale=30.0, size=(48, 9, 10))
+        assert fl._sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 9, 24])
+    def test_loss_gradients_keep_2d_arithmetic(self, n):
+        rng = np.random.default_rng(n)
+        for case in range(5):
+            model = random_model(300 + case)
+            x, y = random_batch(rng, n)
+            for got, want in zip(loss_gradients(model, x, y), gradients_2d(model, x, y)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("epochs", [1, 5])
+    @pytest.mark.parametrize("k", [1, 7, 48])
+    def test_stacked_round_equals_per_user_loop(self, k, epochs):
+        rng = np.random.default_rng(k * 10 + epochs)
+        model = random_model(k)
+        x = rng.normal(size=(k, 9, 13))
+        y = rng.normal(size=(k, 9))
+        sizes = [9] * k
+        stack = fl._local_descent(model, x, y, epochs, 0.6)
+        singles = [per_user_descent(model, x[i], y[i], epochs, 0.6) for i in range(k)]
+        for row, single in zip(stack, singles):
+            assert_same_model(fl._from_flat(row), single)
+        assert_same_model(fl._from_flat(fl._weighted_sum(stack, sizes)), sequential_average(singles, sizes))
+
+    def test_average_adds_in_participant_order(self):
+        # numpy sums a (K, 1) column pairwise; for these b2 values that keeps
+        # the ones that in-order addition rounds away against 1e16.
+        models = [MlpModel.zeros() for _ in range(16)]
+        for i, model in enumerate(models):
+            model.b2 = np.array([1e16 if i == 0 else 1.0])
+        sizes = [1] * 16
+        column = np.array([[(1 / 16) * m.b2[0]] for m in models])
+        expected = sequential_average(models, sizes).b2
+        assert column.sum(axis=0) != expected  # the case tells the two orders apart
+        assert np.array_equal(aggregate(models, sizes).b2, expected)
+
+    def test_stacked_gradients_match_central_finite_differences(self):
+        rng = np.random.default_rng(13)
+        models = [random_model(400 + i) for i in range(3)]
+        x = rng.normal(size=(3, 6, 13))
+        y = rng.normal(size=(3, 6))
+        stacked_params = [np.stack(group) for group in zip(*(m.params() for m in models))]
+        stacked = fl._stacked_gradients(*stacked_params, x, y)
+        eps = 1e-5
+        for i, model in enumerate(models):
+            for p_idx, param in enumerate(model.params()):
+                flat = param.ravel()
+                for j in range(flat.size):
+                    orig = flat[j]
+                    flat[j] = orig + eps
+                    up = mse_loss(model, x[i], y[i])
+                    flat[j] = orig - eps
+                    down = mse_loss(model, x[i], y[i])
+                    flat[j] = orig
+                    numeric = (up - down) / (2 * eps)
+                    assert stacked[p_idx][i].ravel()[j] == pytest.approx(numeric, rel=1e-4, abs=1e-10)
+
+    @pytest.mark.parametrize("epochs", [1, 5])
+    @pytest.mark.parametrize(
+        "sizes",
+        [[9] * 7, [9, 12, 9, 7, 12, 9, 10], [9, 10, 12] * 16],
+        ids=["equal7", "mixed7", "mixed48"],
+    )
+    def test_training_equals_reference_fedavg(self, sizes, epochs):
+        data = make_synthetic(sum(sizes) + 15, seed=len(sizes))
+        bounds = np.cumsum([0] + sizes)
+        shards = [
+            DataShard(owner=i, x=data.features[a:b], y=data.targets[a:b])
+            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
+        test = Dataset(data.features[bounds[-1]:], data.targets[bounds[-1]:], "test")
+        cfg = SimConfig(global_rounds=3, learning_rate=0.6, local_epochs=epochs)
+        selection = Selection(frozenset(range(len(sizes))), frozenset())
+        report = run_federated_training(selection, shards, test, cfg, seed=7)
+        losses, r2s = reference_fedavg(shards, test, cfg, seed=7)
+        assert report.loss_per_round == losses
+        assert report.r2_per_round == r2s

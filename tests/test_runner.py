@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from vlcfed import (
     SimConfig,
     build_config,
     generate_topology,
+    load_bundled_dataset,
     load_config_file,
     make_synthetic,
     run_rf_only,
@@ -82,6 +86,43 @@ class TestRunExperiment:
         cfg, data = small_setup
         with pytest.raises(ValueError):
             run_experiment(cfg, [], data)
+
+    def test_divergence_names_seed_mode_and_round(self, small_setup):
+        cfg, data = small_setup
+        with np.errstate(all="ignore"):
+            with pytest.raises(ExperimentError, match=r"seed 0, mode hybrid: round \d+: training diverged"):
+                run_experiment(
+                    cfg.replace(learning_rate=1e6, global_rounds=20), [0], data, modes=("hybrid",)
+                )
+
+
+REFERENCE_RECORDS = Path(__file__).parent / "data" / "reference_records.csv"
+# A systematic 1-ulp error in every sigmoid output moves these 60-round R^2
+# traces by at most 2.3e-11, so 1e-9 absorbs the last-bit differences that
+# numpy's SIMD exp may show on another CPU and still catches any real change.
+R2_TOLERANCE = 1e-9
+
+
+class TestReferenceRun:
+    """records.csv of run_experiment(SimConfig(n_users=20, global_rounds=60),
+    [0, 1], load_bundled_dataset()), as written by the per-user training code
+    before the batched kernel; the file is stored in tests/data."""
+
+    def test_matches_stored_records(self, tmp_path):
+        report = run_experiment(SimConfig(n_users=20, global_rounds=60), [0, 1], load_bundled_dataset())
+        with open(emit_report(report, str(tmp_path))["records"], newline="") as fh:
+            got = list(csv.DictReader(fh))
+        with open(REFERENCE_RECORDS, newline="") as fh:
+            expected = list(csv.DictReader(fh))
+        assert len(got) == len(expected) == 4
+        for row, ref in zip(got, expected):
+            assert row.keys() == ref.keys()
+            for col in ref.keys() - {"final_r2", "r2_trace"}:
+                assert row[col] == ref[col], col
+            trace = [float(v) for v in row["r2_trace"].split(";")]
+            ref_trace = [float(v) for v in ref["r2_trace"].split(";")]
+            assert trace == pytest.approx(ref_trace, rel=0, abs=R2_TOLERANCE)
+            assert float(row["final_r2"]) == trace[-1]
 
 
 class TestSweeps:
@@ -196,3 +237,36 @@ class TestConfigResolution:
         path.write_text("frequencyy = 3\n")
         with pytest.raises(ConfigError, match="frequencyy"):
             load_config_file(str(path))
+
+    def test_non_integral_int_rejected_with_line(self, tmp_path):
+        for bad in ("2.7", "inf", "nan"):
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"n_users = 12\nglobal_rounds = {bad}\n")
+            with pytest.raises(ConfigError, match=r"bad.cfg:2: bad value for 'global_rounds'"):
+                load_config_file(str(path))
+
+    def test_integral_float_notation_accepted_for_int(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("global_rounds = 1e1\nlocal_epochs = 3.0\n")
+        overrides = load_config_file(str(path))
+        assert overrides == {"global_rounds": 10, "local_epochs": 3}
+        assert all(type(v) is int for v in overrides.values())
+
+    def test_every_field_round_trips_with_its_type(self, tmp_path):
+        cfg = SimConfig(n_users=12, ap_ring_radii_m=(10.0, 20.0), learning_rate=0.3)
+        lines = []
+        for f in dataclasses.fields(SimConfig):
+            value = getattr(cfg, f.name)
+            if value is None:
+                text = "none"
+            elif isinstance(value, tuple):
+                text = ", ".join(repr(v) for v in value)
+            else:
+                text = repr(value)
+            lines.append(f"{f.name} = {text}\n")
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(lines))
+        loaded = build_config(str(path))
+        assert loaded == cfg
+        for f in dataclasses.fields(SimConfig):
+            assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
