@@ -70,9 +70,7 @@ from .runner import (
     ExperimentRecord,
     ExperimentReport,
     emit_report,
-    quick_validate,
     run_experiment,
-    run_rf_only,
     sweep_bandwidth,
     sweep_users,
 )

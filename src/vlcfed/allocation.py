@@ -9,11 +9,12 @@ solutions when the other side is fixed:
   is separable per user, so the sample-size objective is maximized by taking
   every feasible user.
 * ``get_b`` (bandwidth at fixed selection): the rate of every selected user
-  grows with its block width, so both band budgets are saturated exactly:
-  uplink/downlink blocks get B_rf / (|S| + |S2|) each (uplink for everyone,
-  RF downlink for outdoor users only) and VLC blocks get B_vlc / |S1|.
+  grows with its block width, so both band budgets are saturated exactly by
+  ``block_widths``: uplink/downlink blocks get B_rf / (|S| + |S2|) each
+  (uplink for everyone, RF downlink for outdoor users only) and VLC blocks
+  get B_vlc / |S1|.
 
-``usba`` alternates the two from a conservative start until the pair is a
+``usba`` alternates the two from the full-selection widths until the pair is a
 fixed point. The alternation can oscillate between an optimistic and a
 pessimistic state, so revisited selections are detected and the best visited
 state is returned flagged non-converged. ``oracle_enumerate`` exhaustively
@@ -70,9 +71,6 @@ class Selection:
     def size(self) -> int:
         return len(self.indoor_ids) + len(self.outdoor_ids)
 
-    def key(self) -> tuple:
-        return (tuple(sorted(self.indoor_ids)), tuple(sorted(self.outdoor_ids)))
-
     def __bool__(self) -> bool:
         return self.size > 0
 
@@ -94,18 +92,20 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def link_rates(
+def _feasible(
     user: UserNode,
     bw: BandwidthAllocation,
     topology: Topology,
+    config: SimConfig,
     rf: RfParams,
     vlc: VlcParams,
-    mode: str = "hybrid",
-) -> tuple[float, float]:
-    """(uplink, downlink) rates for one user at the given block widths.
+    mode: str,
+) -> bool:
+    """The one per-user time/energy test behind get_s, is_feasible and the oracle.
 
     Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
-    RF otherwise. A VLC downlink out of every AP's field of view yields 0.
+    RF otherwise. A VLC downlink out of every AP's field of view has rate 0,
+    which makes the user infeasible.
     """
     d = math.hypot(
         user.position[0] - topology.bs_position[0],
@@ -113,12 +113,16 @@ def link_rates(
     )
     h = rf_channel_gain(d, user.indoor, rf)
     up = rf_rate(user.tx_power_w, h, rf.uplink_interference_w, bw.b_up_hz, rf.noise_psd)
-    if mode == "hybrid" and user.indoor:
+    via_vlc = mode == "hybrid" and user.indoor  # VLC users also pay the gateway backhaul
+    if via_vlc:
         sinr = vlc_sinr(user, topology, bw.b_vlc_hz, vlc)
         down = vlc_rate(sinr, bw.b_vlc_hz)
     else:
         down = rf_rate(rf.bs_power_w, h, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd)
-    return up, down
+    if up <= 0.0 or down <= 0.0:
+        return False
+    cost = cost_breakdown(user, up, down, config, via_vlc)
+    return cost.round_time <= config.t_round_s and cost.total_energy <= user.energy_budget_j
 
 
 def is_feasible(
@@ -132,12 +136,7 @@ def is_feasible(
     _check_mode(mode)
     rf = RfParams.from_config(config)
     vlc = VlcParams.from_config(config)
-    up, down = link_rates(user, bw, topology, rf, vlc, mode)
-    if up <= 0.0 or down <= 0.0:
-        return False
-    include_backhaul = mode == "hybrid" and user.indoor
-    cost = cost_breakdown(user, up, down, config, include_backhaul)
-    return cost.round_time <= config.t_round_s and cost.total_energy <= user.energy_budget_j
+    return _feasible(user, bw, topology, config, rf, vlc, mode)
 
 
 def get_s(
@@ -152,34 +151,32 @@ def get_s(
     vlc = VlcParams.from_config(config)
     indoor, outdoor = set(), set()
     for user in topology.users:
-        up, down = link_rates(user, bw, topology, rf, vlc, mode)
-        if up <= 0.0 or down <= 0.0:
-            continue
-        include_backhaul = mode == "hybrid" and user.indoor
-        cost = cost_breakdown(user, up, down, config, include_backhaul)
-        if cost.round_time <= config.t_round_s and cost.total_energy <= user.energy_budget_j:
+        if _feasible(user, bw, topology, config, rf, vlc, mode):
             (indoor if user.indoor else outdoor).add(user.id)
     return Selection(frozenset(indoor), frozenset(outdoor))
 
 
+def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
+    """Block widths that spend both budgets on n_in indoor and n_out outdoor users.
+
+    Every user takes an RF uplink block; outdoor users, and every user in
+    ``rf_only`` mode, also take an RF downlink block. In hybrid mode the
+    indoor users split B_vlc; with no VLC block issued the width is unused
+    and reported as B_vlc.
+    """
+    _check_mode(mode)
+    n = n_in + n_out
+    rf_blocks = 2 * n if mode == "rf_only" else n + n_out
+    vlc_blocks = n_in if mode == "hybrid" and n_in > 0 else 1
+    b_rf = config.rf_total_bandwidth_hz / rf_blocks
+    return BandwidthAllocation(b_rf, b_rf, config.vlc_total_bandwidth_hz / vlc_blocks)
+
+
 def get_b(selection: Selection, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
     """Widest per-block bandwidths for a selection; both budgets saturate."""
-    _check_mode(mode)
     if not selection:
         raise EmptySelectionError("cannot allocate bandwidth to an empty selection")
-    n_sel = selection.size
-    n_out = len(selection.outdoor_ids)
-    n_in = len(selection.indoor_ids)
-    if mode == "rf_only":
-        rf_blocks = 2 * n_sel  # every selected user takes an uplink and a downlink block
-    else:
-        rf_blocks = n_sel + n_out
-    b_rf = config.rf_total_bandwidth_hz / rf_blocks
-    if mode == "hybrid" and n_in > 0:
-        b_vlc = config.vlc_total_bandwidth_hz / n_in
-    else:
-        b_vlc = config.vlc_total_bandwidth_hz  # no VLC blocks issued; width unused
-    return BandwidthAllocation(b_up_hz=b_rf, b_down_hz=b_rf, b_vlc_hz=b_vlc)
+    return block_widths(len(selection.indoor_ids), len(selection.outdoor_ids), config, mode)
 
 
 def selection_objective(selection: Selection, topology: Topology) -> float:
@@ -189,35 +186,25 @@ def selection_objective(selection: Selection, topology: Topology) -> float:
 
 
 def default_initial_bandwidth(topology: Topology, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
-    """Conservative start: block widths as if every user were selected.
+    """Start widths: the hybrid widths of selecting every user, in both modes.
 
-    Both modes start from B_rf / (N + N_outdoor) so the first selection pass
-    is an under-approximation that the iteration then grows.
+    In hybrid mode this under-approximates, and the iteration then grows it.
+    ``rf_only`` starts from the same B_rf / (N + N_out), which is wider than
+    its own full-selection B_rf / 2N whenever some user is indoor (333 kHz
+    against 200 kHz on the default 50-user topology), so its first selection
+    pass can over-approximate. An empty topology gets the solo widths B_rf
+    and B_vlc.
     """
     _check_mode(mode)
-    n = max(topology.n_users, 1)
-    rf_blocks = n + max(topology.n_outdoor, 0)
-    return BandwidthAllocation(
-        b_up_hz=config.rf_total_bandwidth_hz / rf_blocks,
-        b_down_hz=config.rf_total_bandwidth_hz / rf_blocks,
-        b_vlc_hz=config.vlc_total_bandwidth_hz / max(topology.n_indoor, 1),
-    )
-
-
-def _widest_bandwidth(config: SimConfig) -> BandwidthAllocation:
-    # Upper envelope over all solo selections; used only to restart from an
-    # empty initial selection, never reported as an allocation.
-    return BandwidthAllocation(
-        b_up_hz=config.rf_total_bandwidth_hz,
-        b_down_hz=config.rf_total_bandwidth_hz,
-        b_vlc_hz=config.vlc_total_bandwidth_hz,
-    )
+    if not topology.users:
+        return block_widths(1, 0, config)
+    return block_widths(topology.n_indoor, topology.n_outdoor, config)
 
 
 def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaResult:
     """Alternate selection and bandwidth allocation to a fixed point.
 
-    Starts from the configured (or conservative default) block widths, then
+    Starts from the configured (or default full-selection) block widths, then
     repeats B_n = get_b(S_{n-1}); S_n = get_s(B_n) until the (selection,
     bandwidth) pair repeats itself exactly. If the initial selection is empty
     the iteration restarts once from the widest solo allocation; if that is
@@ -234,7 +221,7 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
 
     selection = get_s(bw, topology, config, mode)
     if not selection:
-        widest = _widest_bandwidth(config)
+        widest = block_widths(1, 0, config)  # widest solo widths, B_rf and B_vlc
         selection = get_s(widest, topology, config, mode)
         if not selection:
             # Not even a solo allocation admits anyone: empty is a fixed point.
@@ -242,7 +229,7 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
         bw = widest
 
     history: list[tuple[Selection, BandwidthAllocation]] = [(selection, bw)]
-    seen = {selection.key()}
+    seen = {selection}
     iterations = 0
     converged = False
     for _ in range(config.max_iterations):
@@ -260,9 +247,9 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
             continue
         selection, bw = new_selection, new_bw
         history.append((selection, bw))
-        if not selection or selection.key() in seen:
+        if not selection or selection in seen:
             break  # empty states and revisits both mean the alternation cycles
-        seen.add(selection.key())
+        seen.add(selection)
 
     if not converged:
         # An oscillation visits optimistic states whose members cannot all
@@ -316,6 +303,8 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
     indoor.sort(key=lambda u: (-u.shard_size, u.id))
     outdoor.sort(key=lambda u: (-u.shard_size, u.id))
 
+    rf = RfParams.from_config(config)
+    vlc = VlcParams.from_config(config)
     best_obj = 0.0
     best_sel = EMPTY_SELECTION
     best_bw = None
@@ -323,18 +312,9 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
         for k2 in range(len(outdoor) + 1):
             if k1 + k2 == 0:
                 continue
-            if mode == "rf_only":
-                rf_blocks = 2 * (k1 + k2)
-            else:
-                rf_blocks = (k1 + k2) + k2
-            b_rf = config.rf_total_bandwidth_hz / rf_blocks
-            if mode == "hybrid" and k1 > 0:
-                b_vlc = config.vlc_total_bandwidth_hz / k1
-            else:
-                b_vlc = config.vlc_total_bandwidth_hz
-            bw = BandwidthAllocation(b_rf, b_rf, b_vlc)
-            feas_in = [u for u in indoor if is_feasible(u, bw, topology, config, mode)]
-            feas_out = [u for u in outdoor if is_feasible(u, bw, topology, config, mode)]
+            bw = block_widths(k1, k2, config, mode)
+            feas_in = [u for u in indoor if _feasible(u, bw, topology, config, rf, vlc, mode)]
+            feas_out = [u for u in outdoor if _feasible(u, bw, topology, config, rf, vlc, mode)]
             if len(feas_in) < k1 or len(feas_out) < k2:
                 continue
             chosen_in = feas_in[:k1]

@@ -133,8 +133,7 @@ def vlc_channel_gain(ap, user, p: VlcParams) -> float:
     if cos_theta < _cos_deg(p.fov_half_angle_deg):
         return 0.0
     m = lambertian_order(p.half_intensity_angle_deg)
-    s = _sin_deg(p.fov_half_angle_deg)
-    g = p.refractive_index**2 / (s * s)
+    g = concentrator_gain(0.0, p.fov_half_angle_deg, p.refractive_index)
     # Receiver faces up, LED faces down: irradiation angle equals incidence.
     return (
         (m + 1.0)

@@ -4,7 +4,6 @@ Subcommands:
   run              one experiment over the given seeds and modes
   sweep-users      repeat across total-user counts
   sweep-bandwidth  repeat across (RF, VLC) total-bandwidth pairs
-  validate         run the oracle/property self-check suite
 """
 
 from __future__ import annotations
@@ -12,16 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .allocation import MODES
 from .config import build_config
 from .dataset import load_bundled_dataset, load_dataset
-from .runner import (
-    MODES,
-    emit_report,
-    quick_validate,
-    run_experiment,
-    sweep_bandwidth,
-    sweep_users,
-)
+from .runner import emit_report, run_experiment, sweep_bandwidth, sweep_users
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -40,9 +33,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     parser.add_argument("--out", default="out", help="output directory for CSVs")
-    parser.add_argument(
-        "--mode", choices=("hybrid", "rf_only", "both"), default="both"
-    )
+    parser.add_argument("--mode", choices=(*MODES, "both"), default="both")
     parser.add_argument("--dataset", help="CSV path; defaults to the bundled corpus")
     parser.add_argument(
         "--no-train",
@@ -85,20 +76,7 @@ def main(argv=None) -> int:
         help="comma-separated rf:vlc total-bandwidth pairs in Hz",
     )
 
-    p_val = sub.add_parser("validate", help="oracle and property self-checks")
-    p_val.add_argument("--instances", type=int, default=40)
-    p_val.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
-
-    if args.command == "validate":
-        failures = 0
-        for name, ok, detail in quick_validate(args.instances, args.seed):
-            status = "PASS" if ok else "FAIL"
-            suffix = f" ({detail})" if detail else ""
-            print(f"{status} {name}{suffix}")
-            failures += 0 if ok else 1
-        return 1 if failures else 0
 
     config = build_config(args.config)
     data = _load_data(args)

@@ -114,7 +114,7 @@ class SimConfig:
 
     # --- selection/bandwidth iteration control ---
     max_iterations: int = 50
-    initial_bandwidth: Optional[tuple[float, float, float]] = None  # (up, down, vlc); None = conservative rule
+    initial_bandwidth: Optional[tuple[float, float, float]] = None  # (up, down, vlc); None = default_initial_bandwidth
 
     def validate(self) -> "SimConfig":
         for name in _POSITIVE_FIELDS:
@@ -147,7 +147,10 @@ class SimConfig:
                 f"local_accuracy must lie in (0, 1), got {self.local_accuracy!r}"
             )
         for name in ("cycles_per_sample_range", "cpu_freq_range_hz", "tx_power_range_w"):
-            lo, hi = getattr(self, name)
+            bounds = getattr(self, name)
+            if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+                raise ConfigError(f"{name} must hold exactly two values (low, high), got {bounds!r}")
+            lo, hi = bounds
             if not (0 < lo <= hi):
                 raise ConfigError(f"{name} must satisfy 0 < low <= high, got {(lo, hi)!r}")
         for name in ("samples_per_user", "local_epochs", "global_rounds", "max_iterations"):

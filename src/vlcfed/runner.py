@@ -1,4 +1,4 @@
-"""Experiment orchestration: seed sweeps, the RF-only baseline, CSV reports.
+"""Experiment orchestration: seed sweeps over both modes, CSV reports.
 
 A record is one (seed, mode, n_users) run: selection/bandwidth outcome plus
 the federated-training accuracy trace. Hybrid and RF-only runs on the same
@@ -15,30 +15,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allocation import (
-    BandwidthAllocation,
-    Selection,
-    UsbaResult,
-    get_b,
-    get_s,
-    oracle_enumerate,
-    usba,
-)
+from .allocation import MODES, usba
 from .config import SimConfig
 from .dataset import Dataset, split_and_partition
 from .fl import required_global_rounds, run_federated_training
 from .topology import Topology, generate_topology
 
-MODES = ("hybrid", "rf_only")
-
 
 class ExperimentError(RuntimeError):
     """A component failure, annotated with the (seed, mode) that hit it."""
-
-
-def run_rf_only(topology: Topology, config: SimConfig) -> UsbaResult:
-    """Baseline allocator: VLC disabled, all downlinks on RF blocks."""
-    return usba(topology, config, mode="rf_only")
 
 
 @dataclass(frozen=True)
@@ -281,77 +266,3 @@ def random_instance(rng: np.random.Generator, n_range=(4, 12)) -> tuple[Topology
     ).validate()
     topology = generate_topology(cfg, int(rng.integers(0, 2**31)))
     return topology, cfg
-
-
-def quick_validate(n_instances: int = 40, seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Fast self-check: closed-form saturation, fixed points, monotonicity,
-    and agreement with the exhaustive oracle on small instances."""
-    rng = np.random.default_rng(seed)
-    results = []
-
-    # Bandwidth saturation identities.
-    ok, detail = True, ""
-    for _ in range(200):
-        topology, cfg = random_instance(rng)
-        ids = [u.id for u in topology.users]
-        k = int(rng.integers(1, len(ids) + 1))
-        chosen = rng.choice(ids, size=k, replace=False)
-        indoor_ids = {u.id for u in topology.users if u.indoor}
-        sel = Selection(
-            frozenset(int(i) for i in chosen if i in indoor_ids),
-            frozenset(int(i) for i in chosen if i not in indoor_ids),
-        )
-        bw = get_b(sel, cfg)
-        blocks = sel.size + len(sel.outdoor_ids)
-        if abs(blocks * bw.b_up_hz - cfg.rf_total_bandwidth_hz) > 4 * np.finfo(float).eps * cfg.rf_total_bandwidth_hz:
-            ok, detail = False, f"RF budget violated for counts {sel.size}/{len(sel.outdoor_ids)}"
-            break
-        if sel.indoor_ids and abs(len(sel.indoor_ids) * bw.b_vlc_hz - cfg.vlc_total_bandwidth_hz) > 4 * np.finfo(float).eps * cfg.vlc_total_bandwidth_hz:
-            ok, detail = False, "VLC budget violated"
-            break
-    results.append(("bandwidth-saturation", ok, detail))
-
-    # Fixed-point consistency of converged runs.
-    ok, detail = True, ""
-    converged_seen = 0
-    for _ in range(n_instances):
-        topology, cfg = random_instance(rng)
-        for mode in MODES:
-            res = usba(topology, cfg, mode=mode)
-            if res.converged and res.selection:
-                converged_seen += 1
-                again = get_s(get_b(res.selection, cfg, mode), topology, cfg, mode)
-                if again != res.selection:
-                    ok, detail = False, f"fixed point violated in mode {mode}"
-    results.append(("fixed-point-consistency", ok, detail or f"{converged_seen} converged runs"))
-
-    # Selection monotone in bandwidth.
-    ok, detail = True, ""
-    for _ in range(n_instances):
-        topology, cfg = random_instance(rng)
-        base = np.array([rng.uniform(1e4, 1e6), rng.uniform(1e4, 1e6), rng.uniform(1e5, 4e7)])
-        wide = base * rng.uniform(1.0, 8.0, size=3)
-        s_small = get_s(BandwidthAllocation(*base), topology, cfg)
-        s_big = get_s(BandwidthAllocation(*wide), topology, cfg)
-        if not (s_small.indoor_ids <= s_big.indoor_ids and s_small.outdoor_ids <= s_big.outdoor_ids):
-            ok, detail = False, "selection shrank when bandwidth grew"
-            break
-    results.append(("selection-monotonicity", ok, detail))
-
-    # Oracle agreement on small instances.
-    ok, detail = True, ""
-    agree = 0
-    for _ in range(n_instances):
-        topology, cfg = random_instance(rng, n_range=(3, 10))
-        res = usba(topology, cfg)
-        ref = oracle_enumerate(topology, cfg)
-        if res.converged:
-            if res.objective != ref.objective:
-                ok, detail = False, f"converged objective {res.objective} != oracle {ref.objective}"
-                break
-            agree += 1
-        elif res.objective > ref.objective:
-            ok, detail = False, "cycled run exceeded the oracle"
-            break
-    results.append(("oracle-agreement", ok, detail or f"{agree} converged matches"))
-    return results

@@ -96,10 +96,6 @@ def generate_topology(config: SimConfig, seed: int) -> Topology:
     Exactly round(indoor_fraction * n_users) users are indoor, listed first.
     """
     config.validate()
-    if config.n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    if not 0.0 <= config.indoor_fraction <= 1.0:
-        raise ValueError("indoor_fraction must lie in [0, 1]")
 
     rng = np.random.default_rng(seed)
     n = config.n_users

@@ -17,7 +17,7 @@ from vlcfed import (
     selection_objective,
     usba,
 )
-from vlcfed.allocation import default_initial_bandwidth
+from vlcfed.allocation import MODES, default_initial_bandwidth
 from vlcfed.runner import random_instance
 from tests.conftest import make_topology, make_user
 
@@ -281,13 +281,17 @@ class TestOracle:
         res = oracle_enumerate(topo, cfg)
         assert res.objective % 7 == 0
 
-    def test_usba_never_beats_oracle_and_matches_when_converged(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_usba_never_beats_oracle_and_matches_when_converged(self, mode):
         rng = np.random.default_rng(23)
         matches = 0
         for _ in range(30):
             topo, cfg = random_instance(rng, n_range=(3, 10))
-            res = usba(topo, cfg)
-            ref = oracle_enumerate(topo, cfg)
+            res = usba(topo, cfg, mode)
+            ref = oracle_enumerate(topo, cfg, mode)
+            # The oracle's count scan and get_b share one block-width rule.
+            if ref.selection:
+                assert ref.bandwidth == get_b(ref.selection, cfg, mode)
             assert res.objective <= ref.objective + 1e-9
             if res.converged:
                 assert res.objective == pytest.approx(ref.objective)
@@ -313,3 +317,15 @@ class TestInitialBandwidth:
         bw = default_initial_bandwidth(topo, cfg, "hybrid")
         assert bw.b_up_hz == pytest.approx(20e6 / (50 + topo.n_outdoor))
         assert bw.b_vlc_hz == pytest.approx(40e6 / topo.n_indoor)
+        # rf_only starts from the hybrid widths too, which are wider than its
+        # own full-selection widths B_rf / 2N (333 kHz against 200 kHz here).
+        rf_start = default_initial_bandwidth(topo, cfg, "rf_only")
+        assert rf_start == bw
+        everyone = sel([u.id for u in topo.indoor_users()], [u.id for u in topo.outdoor_users()])
+        assert rf_start.b_up_hz > get_b(everyone, cfg, "rf_only").b_up_hz == 20e6 / 100
+
+    def test_empty_topology_starts_from_solo_widths(self, config):
+        bw = default_initial_bandwidth(make_topology([]), config)
+        assert bw == BandwidthAllocation(
+            config.rf_total_bandwidth_hz, config.rf_total_bandwidth_hz, config.vlc_total_bandwidth_hz
+        )

@@ -14,7 +14,6 @@ from vlcfed import (
     load_bundled_dataset,
     load_config_file,
     make_synthetic,
-    run_rf_only,
     usba,
 )
 from vlcfed.runner import (
@@ -38,7 +37,7 @@ class TestRunRfOnly:
         cfg = SimConfig(n_users=1, indoor_fraction=0.0)
         topo = generate_topology(cfg, seed=2)
         hy = usba(topo, cfg, "hybrid")
-        rf = run_rf_only(topo, cfg)
+        rf = usba(topo, cfg, "rf_only")
         assert hy.selection == rf.selection
         assert hy.bandwidth == rf.bandwidth
         assert hy.converged == rf.converged
@@ -47,7 +46,7 @@ class TestRunRfOnly:
         cfg = SimConfig(n_users=40)
         for seed in range(6):
             topo = generate_topology(cfg, seed)
-            assert run_rf_only(topo, cfg).selection.size <= usba(topo, cfg).selection.size
+            assert usba(topo, cfg, "rf_only").selection.size <= usba(topo, cfg).selection.size
 
 
 class TestRunExperiment:
@@ -251,6 +250,14 @@ class TestConfigResolution:
         overrides = load_config_file(str(path))
         assert overrides == {"global_rounds": 10, "local_epochs": 3}
         assert all(type(v) is int for v in overrides.values())
+
+    @pytest.mark.parametrize("value", ["1", "1, 2, 3"])
+    @pytest.mark.parametrize("field", ["cycles_per_sample_range", "cpu_freq_range_hz", "tx_power_range_w"])
+    def test_range_needs_exactly_two_values(self, tmp_path, field, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{field} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{field} must hold exactly two values"):
+            build_config(str(path))
 
     def test_every_field_round_trips_with_its_type(self, tmp_path):
         cfg = SimConfig(n_users=12, ap_ring_radii_m=(10.0, 20.0), learning_rate=0.3)
