@@ -14,6 +14,15 @@ solutions when the other side is fixed:
   (uplink for everyone, RF downlink for outdoor users only) and VLC blocks
   get B_vlc / |S1|.
 
+Feasibility runs on a link table (``_LinkTable``), built once per ``usba``,
+``oracle_enumerate``, ``get_s`` or ``is_feasible`` call. It holds what does
+not depend on bandwidth: each user's RF path gain, the per-AP optical signal
+powers of VLC-served users, the computation time and energy, the transmit
+power, the energy budget and the backhaul delay. One pass over the table at
+given block widths computes every user's up/down rates and round cost as
+arrays and yields one feasibility mask; the rate and cost formulas stay in
+``channel`` and ``compute``.
+
 ``usba`` alternates the two from the full-selection widths until the pair is a
 fixed point. The alternation can oscillate between an optimistic and a
 pessimistic state, so revisited selections are detected and the best visited
@@ -31,8 +40,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import RfParams, VlcParams, rf_channel_gain, rf_rate, vlc_rate, vlc_sinr
-from .compute import cost_breakdown
+import numpy as np
+
+# vlc_sinr and cost_breakdown are the per-user forms of a pass; they stay
+# importable from this module, where perfbench/spans.py probes them.
+from .channel import (  # noqa: F401
+    RfParams,
+    VlcParams,
+    best_ap_sinr,
+    rf_channel_gain,
+    rf_rate,
+    vlc_rate,
+    vlc_signal_powers,
+    vlc_sinr,
+)
+from .compute import computation_energy, computation_time, cost_breakdown, round_costs  # noqa: F401
 from .config import SimConfig
 from .topology import Topology, UserNode
 
@@ -92,37 +114,70 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _feasible(
-    user: UserNode,
-    bw: BandwidthAllocation,
-    topology: Topology,
-    config: SimConfig,
-    rf: RfParams,
-    vlc: VlcParams,
-    mode: str,
-) -> bool:
-    """The one per-user time/energy test behind get_s, is_feasible and the oracle.
+class _LinkTable:
+    """The bandwidth-free terms of some users, for feasibility passes.
 
     Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
     RF otherwise. A VLC downlink out of every AP's field of view has rate 0,
-    which makes the user infeasible.
+    which makes the user infeasible. Each term comes from the same scalar
+    function, in the same order, as a per-user evaluation would use, and a
+    pass only adds, multiplies, divides, compares and takes ``math.log2``
+    element by element, so the mask holds exactly the per-user answers.
     """
-    d = math.hypot(
-        user.position[0] - topology.bs_position[0],
-        user.position[1] - topology.bs_position[1],
-    )
-    h = rf_channel_gain(d, user.indoor, rf)
-    up = rf_rate(user.tx_power_w, h, rf.uplink_interference_w, bw.b_up_hz, rf.noise_psd)
-    via_vlc = mode == "hybrid" and user.indoor  # VLC users also pay the gateway backhaul
-    if via_vlc:
-        sinr = vlc_sinr(user, topology, bw.b_vlc_hz, vlc)
-        down = vlc_rate(sinr, bw.b_vlc_hz)
-    else:
-        down = rf_rate(rf.bs_power_w, h, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd)
-    if up <= 0.0 or down <= 0.0:
-        return False
-    cost = cost_breakdown(user, up, down, config, via_vlc)
-    return cost.round_time <= config.t_round_s and cost.total_energy <= user.energy_budget_j
+
+    def __init__(self, users, topology: Topology, config: SimConfig, mode: str):
+        _check_mode(mode)
+        self.config = config
+        self.rf = rf = RfParams.from_config(config)
+        vlc = VlcParams.from_config(config)
+        self.vlc_noise_psd = vlc.noise_psd
+        self.ids = np.array([u.id for u in users], dtype=int)
+        self.indoor = np.array([u.indoor for u in users], dtype=bool)
+        self.via_vlc = self.indoor & (mode == "hybrid")
+        bx, by = topology.bs_position
+        self.gain = np.array(
+            [rf_channel_gain(math.hypot(u.position[0] - bx, u.position[1] - by), u.indoor, rf) for u in users]
+        )
+        self.tx_power = np.array([u.tx_power_w for u in users])
+        self.budget = np.array([u.energy_budget_j for u in users])
+        self.t_cmp = np.array([computation_time(u, config.local_accuracy, config.nu) for u in users])
+        self.e_cmp = np.array([computation_energy(u, config.local_accuracy, config.nu) for u in users])
+        # VLC users also pay the gateway backhaul.
+        self.backhaul = np.where(self.via_vlc, config.backhaul_delay_s, 0.0)
+        self.signals = vlc_signal_powers([u for u, v in zip(users, self.via_vlc) if v], topology, vlc)
+        # Rows whose downlink is VLC, and rows whose downlink is RF.
+        self.vlc_rows = np.flatnonzero(self.via_vlc)
+        self.rf_rows = np.flatnonzero(~self.via_vlc)
+        self.rf_gain = self.gain[self.rf_rows]
+
+    def feasible(self, bw: BandwidthAllocation) -> np.ndarray:
+        """Boolean mask: which users finish a round within both budgets at ``bw``."""
+        rf = self.rf
+        up = rf_rate(self.tx_power, self.gain, rf.uplink_interference_w, bw.b_up_hz, rf.noise_psd)
+        down = np.empty_like(up)
+        if self.vlc_rows.size:
+            down[self.vlc_rows] = vlc_rate(best_ap_sinr(self.signals, bw.b_vlc_hz, self.vlc_noise_psd), bw.b_vlc_hz)
+        if self.rf_rows.size:
+            down[self.rf_rows] = rf_rate(
+                rf.bs_power_w, self.rf_gain, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd
+            )
+        # A link without rate (a VLC user out of every AP's view) fails outright.
+        linked = (up > 0.0) & (down > 0.0)
+        rows = slice(None) if linked.all() else np.flatnonzero(linked)
+        cost = round_costs(
+            self.t_cmp[rows], self.e_cmp[rows], self.tx_power[rows], up[rows], down[rows], self.backhaul[rows], self.config
+        )
+        mask = np.zeros(up.shape, dtype=bool)
+        mask[rows] = (cost.round_time <= self.config.t_round_s) & (cost.total_energy <= self.budget[rows])
+        return mask
+
+    def select(self, bw: BandwidthAllocation) -> Selection:
+        """Every feasible user at ``bw``."""
+        mask = self.feasible(bw)
+        return Selection(
+            frozenset(self.ids[mask & self.indoor].tolist()),
+            frozenset(self.ids[mask & ~self.indoor].tolist()),
+        )
 
 
 def is_feasible(
@@ -133,10 +188,7 @@ def is_feasible(
     mode: str = "hybrid",
 ) -> bool:
     """Can this user finish a round within the time budget and energy cap?"""
-    _check_mode(mode)
-    rf = RfParams.from_config(config)
-    vlc = VlcParams.from_config(config)
-    return _feasible(user, bw, topology, config, rf, vlc, mode)
+    return bool(_LinkTable((user,), topology, config, mode).feasible(bw)[0])
 
 
 def get_s(
@@ -146,14 +198,7 @@ def get_s(
     mode: str = "hybrid",
 ) -> Selection:
     """Select every user that is feasible at the given block widths."""
-    _check_mode(mode)
-    rf = RfParams.from_config(config)
-    vlc = VlcParams.from_config(config)
-    indoor, outdoor = set(), set()
-    for user in topology.users:
-        if _feasible(user, bw, topology, config, rf, vlc, mode):
-            (indoor if user.indoor else outdoor).add(user.id)
-    return Selection(frozenset(indoor), frozenset(outdoor))
+    return _LinkTable(topology.users, topology, config, mode).select(bw)
 
 
 def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
@@ -219,10 +264,11 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     if topology.n_users == 0:
         return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
 
-    selection = get_s(bw, topology, config, mode)
+    links = _LinkTable(topology.users, topology, config, mode)
+    selection = links.select(bw)
     if not selection:
         widest = block_widths(1, 0, config)  # widest solo widths, B_rf and B_vlc
-        selection = get_s(widest, topology, config, mode)
+        selection = links.select(widest)
         if not selection:
             # Not even a solo allocation admits anyone: empty is a fixed point.
             return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
@@ -235,7 +281,7 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     for _ in range(config.max_iterations):
         iterations += 1
         new_bw = get_b(selection, config, mode)
-        new_selection = get_s(new_bw, topology, config, mode)
+        new_selection = links.select(new_bw)
         if new_selection == selection:
             if new_bw == bw:
                 converged = True
@@ -262,7 +308,7 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
             if not cand:
                 continue
             cand_bw = get_b(cand, config, mode)
-            supported = get_s(cand_bw, topology, config, mode)
+            supported = links.select(cand_bw)
             if not (cand.indoor_ids <= supported.indoor_ids and cand.outdoor_ids <= supported.outdoor_ids):
                 continue
             obj = selection_objective(cand, topology)
@@ -303,8 +349,7 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
     indoor.sort(key=lambda u: (-u.shard_size, u.id))
     outdoor.sort(key=lambda u: (-u.shard_size, u.id))
 
-    rf = RfParams.from_config(config)
-    vlc = VlcParams.from_config(config)
+    links = _LinkTable(indoor + outdoor, topology, config, mode)
     best_obj = 0.0
     best_sel = EMPTY_SELECTION
     best_bw = None
@@ -313,8 +358,9 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
             if k1 + k2 == 0:
                 continue
             bw = block_widths(k1, k2, config, mode)
-            feas_in = [u for u in indoor if _feasible(u, bw, topology, config, rf, vlc, mode)]
-            feas_out = [u for u in outdoor if _feasible(u, bw, topology, config, rf, vlc, mode)]
+            mask = links.feasible(bw)
+            feas_in = [u for u, ok in zip(indoor, mask[: len(indoor)]) if ok]
+            feas_out = [u for u, ok in zip(outdoor, mask[len(indoor) :]) if ok]
             if len(feas_in) < k1 or len(feas_out) < k2:
                 continue
             chosen_in = feas_in[:k1]

@@ -13,6 +13,12 @@ RF up/downlink: deterministic log-distance path loss
     PL_dB = 128.1 + 37.6 * log10(d_km)  (+ penetration loss if indoor)
 and the Shannon rate B * log2(1 + P h / (I + B N0)). Co-channel interference
 from other cells enters as a constant power I.
+
+Gains and signal powers do not depend on bandwidth, so a caller that tests
+many block widths computes them once per user. The rate and SINR functions
+also take arrays over users; they apply ``math.log2`` element by element
+(``np.log2`` can differ in the last bit), so an array result holds the same
+bits as the scalar calls.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 from .config import SimConfig
-from .topology import Topology, UserNode, distance
+from .topology import Topology, UserNode
 
 # 2/(pi*e): peak-power penalty of the optical-OFDM capacity lower bound
 _OPTICAL_SNR_SCALE = 2.0 / (math.pi * math.e)
@@ -115,69 +122,111 @@ def concentrator_gain(incidence_deg: float, fov_half_angle_deg: float, refractiv
     return refractive_index**2 / (s * s)
 
 
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each element of ``x`` as a Python float.
+
+    Used for logarithms and powers: their numpy ufuncs can differ from the
+    scalar ``math`` and ``**`` results in the last bit.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def vlc_channel_gains(aps, receivers, p: VlcParams) -> np.ndarray:
+    """Line-of-sight optical gain of every (receiver, AP) pair, as a (receivers, APs) array.
+
+    Points are 3-D; each AP must sit strictly above every receiver plane.
+    Gains are 0 outside the receiver field of view. Distances use the BLAS
+    dot product that ``np.linalg.norm`` uses (``np.vecdot`` runs it per row)
+    and powers are taken element by element, so each gain has the bits of a
+    one-pair evaluation.
+    """
+    diff = np.asarray(aps, dtype=float).reshape(1, -1, 3) - np.asarray(receivers, dtype=float).reshape(-1, 1, 3)
+    d = np.sqrt(np.vecdot(diff, diff))
+    if (d == 0.0).any():
+        raise ValueError("AP and receiver positions coincide")
+    drop = diff[..., 2]
+    if (drop <= 0.0).any():
+        raise ValueError("AP must be strictly above the receiver plane")
+    cos_theta = drop / d
+    gains = np.zeros(d.shape)
+    # Incidence inside the field of view <=> cos(theta) >= cos(FoV); comparing
+    # cosines avoids a degree round-trip on every geometry evaluation.
+    inside = cos_theta >= _cos_deg(p.fov_half_angle_deg)
+    if inside.any():
+        m = lambertian_order(p.half_intensity_angle_deg)
+        g = concentrator_gain(0.0, p.fov_half_angle_deg, p.refractive_index)
+        c, d = cos_theta[inside], d[inside]
+        # Receiver faces up, LED faces down: irradiation angle equals incidence.
+        gains[inside] = (
+            (m + 1.0)
+            * p.pd_area_m2
+            / (2.0 * math.pi * d * d)
+            * p.filter_gain
+            * g
+            * _elementwise(lambda x: x**m, c)
+            * c
+        )
+    return gains
+
+
 def vlc_channel_gain(ap, user, p: VlcParams) -> float:
     """Line-of-sight optical channel gain between a ceiling AP and a receiver.
 
-    Both points are 3-D; the AP must sit strictly above the receiver plane.
-    Returns 0 outside the receiver field of view.
+    The one-pair case of ``vlc_channel_gains``.
     """
-    d = distance(ap, user)
-    if d == 0.0:
-        raise ValueError("AP and receiver positions coincide")
-    drop = float(ap[2]) - float(user[2])
-    if drop <= 0.0:
-        raise ValueError("AP must be strictly above the receiver plane")
-    cos_theta = drop / d
-    # Incidence inside the field of view <=> cos(theta) >= cos(FoV); comparing
-    # cosines avoids a degree round-trip on every geometry evaluation.
-    if cos_theta < _cos_deg(p.fov_half_angle_deg):
-        return 0.0
-    m = lambertian_order(p.half_intensity_angle_deg)
-    g = concentrator_gain(0.0, p.fov_half_angle_deg, p.refractive_index)
-    # Receiver faces up, LED faces down: irradiation angle equals incidence.
-    return (
-        (m + 1.0)
-        * p.pd_area_m2
-        / (2.0 * math.pi * d * d)
-        * p.filter_gain
-        * g
-        * cos_theta**m
-        * cos_theta
-    )
+    return float(vlc_channel_gains([ap], [user], p)[0, 0])
+
+
+def vlc_signal_powers(users, topology: Topology, p: VlcParams) -> np.ndarray:
+    """Electrical signal power (gamma u_k P_v)^2 of each AP k at each indoor user.
+
+    Returns a (users, APs) array; it does not depend on bandwidth.
+    """
+    for user in users:
+        if not user.indoor:
+            raise ValueError(f"user {user.id} is outdoor; VLC serves indoor users only")
+    if users and not topology.vlc_aps:
+        raise ValueError("topology has no VLC APs")
+    gains = vlc_channel_gains(topology.vlc_aps, [u.position for u in users], p)
+    return _elementwise(lambda x: x**2, p.conversion_efficiency * gains * p.optical_power_w)
+
+
+def best_ap_sinr(signals: np.ndarray, rb_bandwidth_hz: float, noise_psd: float) -> np.ndarray:
+    """Best-AP SINR of each row of a (users, APs) array of signal powers.
+
+    Each AP k is scored as s_k / (N0 B + sum_{l != k} s_l), with the row sum
+    taken left to right, and the maximum over APs with s_k > 0 is returned
+    (0 when no AP is in view); the serving AP is the best one.
+    """
+    if rb_bandwidth_hz <= 0:
+        raise ValueError("rb_bandwidth_hz must be > 0")
+    noise = noise_psd * rb_bandwidth_hz
+    total = np.cumsum(signals, axis=1)[:, -1:]  # sequential, unlike a pairwise np.sum
+    scores = signals / (noise + (total - signals))
+    return np.where(signals > 0.0, scores, 0.0).max(axis=1, initial=0.0)
 
 
 def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, p: VlcParams) -> float:
-    """Best-AP electrical SINR for an indoor user.
+    """Best-AP electrical SINR for an indoor user (see ``best_ap_sinr``)."""
+    signals = vlc_signal_powers([user], topology, p)
+    return float(best_ap_sinr(signals, rb_bandwidth_hz, p.noise_psd)[0])
 
-    Each AP k is scored as (gamma u_k P_v)^2 / (N0 B + sum_{l != k} (gamma u_l P_v)^2)
-    and the maximum over APs is returned; the serving AP is the best one.
+
+def _log2(x):
+    """math.log2 of a float, or of each element of an array."""
+    return _elementwise(math.log2, x) if isinstance(x, np.ndarray) else math.log2(x)
+
+
+def vlc_rate(sinr, rb_bandwidth_hz: float):
+    """Achievable-rate lower bound (bits/s) on one VLC resource block.
+
+    ``sinr`` may be an array over users.
     """
-    if not user.indoor:
-        raise ValueError(f"user {user.id} is outdoor; VLC serves indoor users only")
-    if rb_bandwidth_hz <= 0:
-        raise ValueError("rb_bandwidth_hz must be > 0")
-    if not topology.vlc_aps:
-        raise ValueError("topology has no VLC APs")
-    signals = []
-    for ap in topology.vlc_aps:
-        u = vlc_channel_gain(ap, user.position, p)
-        signals.append((p.conversion_efficiency * u * p.optical_power_w) ** 2)
-    noise = p.noise_psd * rb_bandwidth_hz
-    total = sum(signals)
-    best = 0.0
-    for s in signals:
-        if s > 0.0:
-            best = max(best, s / (noise + (total - s)))
-    return best
-
-
-def vlc_rate(sinr: float, rb_bandwidth_hz: float) -> float:
-    """Achievable-rate lower bound (bits/s) on one VLC resource block."""
-    if sinr < 0:
+    if np.less(sinr, 0).any():
         raise ValueError("sinr must be >= 0")
     if rb_bandwidth_hz <= 0:
         raise ValueError("rb_bandwidth_hz must be > 0")
-    return rb_bandwidth_hz / 2.0 * math.log2(1.0 + _OPTICAL_SNR_SCALE * sinr)
+    return rb_bandwidth_hz / 2.0 * _log2(1.0 + _OPTICAL_SNR_SCALE * sinr)
 
 
 def rf_channel_gain(dist_m: float, indoor: bool, p: RfParams) -> float:
@@ -191,16 +240,24 @@ def rf_channel_gain(dist_m: float, indoor: bool, p: RfParams) -> float:
 
 
 def rf_rate(
-    tx_power_w: float,
-    channel_gain: float,
+    tx_power_w,
+    channel_gain,
     interference_w: float,
     rb_bandwidth_hz: float,
     noise_psd: float,
-) -> float:
-    """Shannon rate (bits/s) on one RF resource block."""
-    if tx_power_w <= 0 or channel_gain <= 0 or rb_bandwidth_hz <= 0 or noise_psd <= 0:
+):
+    """Shannon rate (bits/s) on one RF resource block.
+
+    ``tx_power_w`` and ``channel_gain`` may be arrays over users.
+    """
+    if (
+        np.less_equal(tx_power_w, 0).any()
+        or np.less_equal(channel_gain, 0).any()
+        or rb_bandwidth_hz <= 0
+        or noise_psd <= 0
+    ):
         raise ValueError("tx power, channel gain, bandwidth and noise PSD must be > 0")
     if interference_w < 0:
         raise ValueError("interference must be >= 0")
     sinr = tx_power_w * channel_gain / (interference_w + rb_bandwidth_hz * noise_psd)
-    return rb_bandwidth_hz * math.log2(1.0 + sinr)
+    return rb_bandwidth_hz * _log2(1.0 + sinr)

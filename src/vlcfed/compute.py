@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import SimConfig
 from .topology import UserNode
 
@@ -72,11 +74,11 @@ def computation_time(user: UserNode, local_accuracy: float, nu: float) -> float:
     )
 
 
-def transmission_time(payload_bits: float, rate_bps: float) -> float:
-    """Minimal time to move a payload over a link at the given rate."""
+def transmission_time(payload_bits: float, rate_bps):
+    """Minimal time to move a payload over a link at the given rate(s)."""
     if payload_bits < 0:
         raise ValueError(f"payload must be >= 0, got {payload_bits!r}")
-    if rate_bps <= 0:
+    if np.less_equal(rate_bps, 0).any():
         raise InfeasibleLinkError(f"link rate {rate_bps!r} b/s cannot carry {payload_bits!r} bits")
     return payload_bits / rate_bps
 
@@ -93,8 +95,33 @@ def cost_breakdown(
     `include_backhaul` marks a VLC-served downlink (adds the BS-to-gateway
     fiber delay). Raises InfeasibleLinkError when a needed link has no rate.
     """
-    t_cmp = computation_time(user, config.local_accuracy, config.nu)
-    e_cmp = computation_energy(user, config.local_accuracy, config.nu)
+    return round_costs(
+        computation_time(user, config.local_accuracy, config.nu),
+        computation_energy(user, config.local_accuracy, config.nu),
+        user.tx_power_w,
+        uplink_rate_bps,
+        downlink_rate_bps,
+        config.backhaul_delay_s if include_backhaul else 0.0,
+        config,
+    )
+
+
+def round_costs(
+    t_cmp,
+    e_cmp,
+    tx_power_w,
+    uplink_rate_bps,
+    downlink_rate_bps,
+    backhaul_delay_s,
+    config: SimConfig,
+) -> CostBreakdown:
+    """``cost_breakdown`` from the bandwidth-free terms: the computation time
+    and energy, the transmit power and the backhaul delay (0 unless the
+    downlink rides VLC).
+
+    Every argument but `config` may be an array over users; the fields of the
+    result then are arrays too.
+    """
     if config.payload_bits == 0:
         t_up = 0.0
         t_down = 0.0
@@ -106,6 +133,6 @@ def cost_breakdown(
         t_up=t_up,
         t_down=t_down,
         e_cmp=e_cmp,
-        e_com=t_up * user.tx_power_w,
-        backhaul_delay=config.backhaul_delay_s if include_backhaul else 0.0,
+        e_com=t_up * tx_power_w,
+        backhaul_delay=backhaul_delay_s,
     )

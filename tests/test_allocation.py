@@ -1,21 +1,31 @@
+import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlcfed import (
     BandwidthAllocation,
     EmptySelectionError,
+    RfParams,
     Selection,
     SimConfig,
+    VlcParams,
+    cost_breakdown,
     generate_topology,
     get_b,
     get_s,
     is_feasible,
     oracle_enumerate,
+    rf_channel_gain,
+    rf_rate,
     selection_objective,
     usba,
+    vlc_rate,
+    vlc_sinr,
 )
 from vlcfed.allocation import MODES, default_initial_bandwidth
 from vlcfed.runner import random_instance
@@ -329,3 +339,161 @@ class TestInitialBandwidth:
         assert bw == BandwidthAllocation(
             config.rf_total_bandwidth_hz, config.rf_total_bandwidth_hz, config.vlc_total_bandwidth_hz
         )
+
+
+def _reference_cost(user, bw, topo, cfg, mode):
+    """One user's round cost from the public scalar functions, or None when a
+    link has no rate: the per-user evaluation that the link table replaced."""
+    rf = RfParams.from_config(cfg)
+    d = math.hypot(user.position[0] - topo.bs_position[0], user.position[1] - topo.bs_position[1])
+    h = rf_channel_gain(d, user.indoor, rf)
+    up = rf_rate(user.tx_power_w, h, rf.uplink_interference_w, bw.b_up_hz, rf.noise_psd)
+    via_vlc = mode == "hybrid" and user.indoor
+    if via_vlc:
+        down = vlc_rate(vlc_sinr(user, topo, bw.b_vlc_hz, VlcParams.from_config(cfg)), bw.b_vlc_hz)
+    else:
+        down = rf_rate(rf.bs_power_w, h, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd)
+    if up <= 0.0 or down <= 0.0:
+        return None
+    return cost_breakdown(user, up, down, cfg, via_vlc)
+
+
+def _reference_selection(bw, topo, cfg, mode):
+    indoor, outdoor = set(), set()
+    for user in topo.users:
+        cost = _reference_cost(user, bw, topo, cfg, mode)
+        if cost and cost.round_time <= cfg.t_round_s and cost.total_energy <= user.energy_budget_j:
+            (indoor if user.indoor else outdoor).add(user.id)
+    return sel(indoor, outdoor)
+
+
+log_width = st.floats(min_value=2.0, max_value=8.0)
+
+
+class TestLinkTableMatchesPerUserReference:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fov=st.sampled_from([20.0, 45.0, 90.0]),
+        widths=st.tuples(log_width, log_width, log_width),
+        mode=st.sampled_from(MODES),
+        backhaul=st.sampled_from([0.05, math.inf, math.nan]),  # validate() admits all three
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_get_s_equals_reference(self, seed, fov, widths, mode, backhaul):
+        topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, 40))
+        # Narrow views give VLC users rate 0; a non-finite backhaul delay
+        # must still cost only the VLC-served users.
+        cfg = cfg.replace(fov_half_angle_deg=fov, backhaul_delay_s=backhaul)
+        bw = BandwidthAllocation(*(10.0**w for w in widths))
+        expected = _reference_selection(bw, topo, cfg, mode)
+        assert get_s(bw, topo, cfg, mode) == expected
+        assert {u.id for u in topo.users if is_feasible(u, bw, topo, cfg, mode)} == expected.all_ids
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_round_time_equal_to_budget_is_feasible(self, mode):
+        cfg = SimConfig(n_users=12, energy_budget_j=1e9)
+        topo = generate_topology(cfg, seed=5)
+        bw = default_initial_bandwidth(topo, cfg, mode)
+        user = topo.users[3]
+        round_time = _reference_cost(user, bw, topo, cfg, mode).round_time
+        assert user.id in get_s(bw, topo, cfg.replace(t_round_s=round_time), mode).all_ids
+        below = math.nextafter(round_time, 0.0)
+        assert user.id not in get_s(bw, topo, cfg.replace(t_round_s=below), mode).all_ids
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_energy_equal_to_budget_is_feasible(self, mode):
+        cfg = SimConfig(n_users=12, t_round_s=1e9)
+        topo = generate_topology(cfg, seed=5)
+        bw = default_initial_bandwidth(topo, cfg, mode)
+        user = topo.users[3]
+        energy = _reference_cost(user, bw, topo, cfg, mode).total_energy
+
+        def with_budget(budget):
+            users = list(topo.users)
+            users[3] = dataclasses.replace(user, energy_budget_j=budget)
+            return dataclasses.replace(topo, users=tuple(users))
+
+        assert user.id in get_s(bw, with_budget(energy), cfg, mode).all_ids
+        assert user.id not in get_s(bw, with_budget(math.nextafter(energy, 0.0)), cfg, mode).all_ids
+
+
+class TestLoudFailures:
+    """A hybrid topology with indoor users but no VLC APs is a broken input."""
+
+    @staticmethod
+    def no_ap_topology(indoor=True):
+        users = [make_user(id=0, indoor=indoor, xy=(0.0, 1.0)), make_user(id=1, xy=(20.0, 0.0))]
+        return make_topology(users, aps=())
+
+    def test_get_s_names_the_missing_aps(self, config):
+        with pytest.raises(ValueError, match="no VLC APs"):
+            get_s(BandwidthAllocation(1e6, 1e6, 1e6), self.no_ap_topology(), config)
+
+    def test_usba_names_the_missing_aps(self, config):
+        with pytest.raises(ValueError, match="no VLC APs"):
+            usba(self.no_ap_topology(), config)
+
+    def test_oracle_names_the_missing_aps(self, config):
+        with pytest.raises(ValueError, match="no VLC APs"):
+            oracle_enumerate(self.no_ap_topology(), config)
+
+    def test_aps_are_not_needed_without_vlc_users(self, config):
+        bw = BandwidthAllocation(1e6, 1e6, 1e6)
+        assert get_s(bw, self.no_ap_topology(), config, "rf_only") == sel([0], [1])
+        assert get_s(bw, self.no_ap_topology(indoor=False), config) == sel(outdoor=[0, 1])
+        assert usba(self.no_ap_topology(), config, "rf_only").selection == sel([0], [1])
+
+    def test_get_s_rejects_unknown_mode(self, config):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            get_s(BandwidthAllocation(1e6, 1e6, 1e6), make_topology([make_user()]), config, mode="other")
+
+
+REFERENCE_SELECTIONS = Path(__file__).parent / "data" / "reference_selections.csv"
+REFERENCE_FIELDS = (
+    "n_users", "seed", "mode", "indoor_ids", "outdoor_ids", "b_up_hz", "b_vlc_hz", "iterations", "converged",
+)
+
+
+def _selection_rows():
+    """usba on the default config for N = 20..200 in steps of 20, seeds 0-2, both modes."""
+    for n in range(20, 201, 20):
+        cfg = SimConfig(n_users=n)
+        for seed in range(3):
+            topo = generate_topology(cfg, seed)
+            for mode in MODES:
+                res = usba(topo, cfg, mode)
+                yield {
+                    "n_users": str(n),
+                    "seed": str(seed),
+                    "mode": mode,
+                    "indoor_ids": ";".join(map(str, sorted(res.selection.indoor_ids))),
+                    "outdoor_ids": ";".join(map(str, sorted(res.selection.outdoor_ids))),
+                    "b_up_hz": res.bandwidth.b_up_hz.hex(),
+                    "b_vlc_hz": res.bandwidth.b_vlc_hz.hex(),
+                    "iterations": str(res.iterations),
+                    "converged": str(res.converged).lower(),
+                }
+
+
+def write_reference_selections(path=REFERENCE_SELECTIONS):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, REFERENCE_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_selection_rows())
+
+
+class TestReferenceSelections:
+    """tests/data/reference_selections.csv was written by
+    ``write_reference_selections()`` with the per-user feasibility loop that
+    preceded the link table; widths are stored as float.hex, so the match is
+    exact to the bit. Half the rows are non-converged, which covers the
+    oscillating path that the N=20 reference run never reaches."""
+
+    def test_matches_stored_selections(self):
+        with open(REFERENCE_SELECTIONS, newline="") as fh:
+            expected = list(csv.DictReader(fh))
+        got = list(_selection_rows())
+        assert len(got) == len(expected) == 60
+        assert sum(row["converged"] == "false" for row in expected) >= 20
+        for row, ref in zip(got, expected):
+            assert row == ref

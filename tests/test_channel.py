@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vlcfed import (
     RfParams,
@@ -16,6 +16,8 @@ from vlcfed import (
     vlc_rate,
     vlc_sinr,
 )
+from vlcfed.channel import _cos_deg, best_ap_sinr, vlc_channel_gains, vlc_signal_powers
+from vlcfed.topology import distance
 from tests.conftest import make_topology, make_user
 
 
@@ -231,3 +233,106 @@ class TestBandwidthMonotonicity:
             rf_rate(0.1, h, rf.uplink_interference_w, b, rf.noise_psd) for b in widths
         ]
         assert all(a < b for a, b in zip(rates, rates[1:]))
+
+
+def _scalar_gain(ap, user, p):
+    """vlc_channel_gain as it was written before the batched form: one pair,
+    np.linalg.norm and Python powers. Kept as the bit-exact reference."""
+    d = distance(ap, user)
+    cos_theta = (float(ap[2]) - float(user[2])) / d
+    if cos_theta < _cos_deg(p.fov_half_angle_deg):
+        return 0.0
+    m = lambertian_order(p.half_intensity_angle_deg)
+    g = concentrator_gain(0.0, p.fov_half_angle_deg, p.refractive_index)
+    return (m + 1.0) * p.pd_area_m2 / (2.0 * math.pi * d * d) * p.filter_gain * g * cos_theta**m * cos_theta
+
+
+def _scalar_sinr(signals, rb_bandwidth_hz, noise_psd):
+    """The per-user best-AP loop that best_ap_sinr replaced."""
+    noise = noise_psd * rb_bandwidth_hz
+    total = sum(signals)
+    best = 0.0
+    for s in signals:
+        if s > 0.0:
+            best = max(best, s / (noise + (total - s)))
+    return best
+
+
+coord = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
+
+
+class TestBatchedEqualsScalar:
+    """The array forms must give the same bits as one scalar evaluation each."""
+
+    @given(
+        aps=st.lists(st.tuples(coord, coord, st.floats(min_value=2.0, max_value=6.0)), min_size=1, max_size=6),
+        receivers=st.lists(st.tuples(coord, coord, st.floats(min_value=0.0, max_value=1.5)), min_size=1, max_size=8),
+        half_angle=st.sampled_from([15.0, 30.0, 45.0, 60.0, 70.0]),
+        fov=st.sampled_from([10.0, 30.0, 60.0, 90.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_channel_gains(self, aps, receivers, half_angle, fov):
+        p = VlcParams.from_config(SimConfig(half_intensity_angle_deg=half_angle, fov_half_angle_deg=fov))
+        got = vlc_channel_gains(aps, receivers, p)
+        assert got.shape == (len(receivers), len(aps))
+        for i, user in enumerate(receivers):
+            for k, ap in enumerate(aps):
+                assert got[i, k] == _scalar_gain(ap, user, p)
+                assert vlc_channel_gain(ap, user, p) == got[i, k]
+
+    @given(
+        n_aps=st.integers(min_value=1, max_value=12),  # a pairwise sum would reorder from 8 APs on
+        signals=st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-30, max_value=1e-8)), min_size=12, max_size=12),
+            min_size=0,
+            max_size=6,
+        ),
+        width=st.floats(min_value=1.0, max_value=1e9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_best_ap_sinr(self, n_aps, signals, width):
+        signals = [row[:n_aps] for row in signals]
+        got = best_ap_sinr(np.array(signals).reshape(len(signals), n_aps), width, 1e-21)
+        assert got.tolist() == [_scalar_sinr(row, width, 1e-21) for row in signals]
+
+    @given(
+        powers=st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=0, max_size=12),
+        width=st.floats(min_value=1.0, max_value=1e8),
+        interference=st.floats(min_value=0.0, max_value=1e-9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rates(self, powers, width, interference):
+        gains = [rf_channel_gain(5.0 + 4.0 * i, i % 2 == 0, RfParams.from_config(SimConfig())) for i in range(len(powers))]
+        rates = rf_rate(np.array(powers), np.array(gains), interference, width, 1e-21)
+        assert rates.tolist() == [rf_rate(pw, h, interference, width, 1e-21) for pw, h in zip(powers, gains)]
+        sinrs = np.array(powers) * 1e5
+        assert vlc_rate(sinrs, width).tolist() == [vlc_rate(s, width) for s in sinrs.tolist()]
+
+    # 1 + sinr values at which np.log2 and math.log2 differ in the last bit
+    # (numpy 2.4.6, x86-64 AVX-512); the array rate must follow math.log2.
+    LOG2_SPLITS = ("0x1.dc04a5e27288ep+9", "0x1.88608fffc13b9p+9", "0x1.e0f28c85b8b9dp+8", "0x1.a3b68fc52d086p+5")
+
+    def test_rates_take_math_log2(self):
+        sinrs = np.array([float.fromhex(x) - 1.0 for x in self.LOG2_SPLITS])
+        # tx * 1 / (0 + 1 * 1) is the sinr itself, and 1 + sinr is exact
+        assert rf_rate(sinrs, np.ones(sinrs.size), 0.0, 1.0, 1.0).tolist() == [math.log2(1.0 + s) for s in sinrs]
+
+    def test_signal_powers(self):
+        # Python's x ** 2 (libm pow) and numpy's x * x differ on 9 of these
+        # 10,000 amplitudes, so a vectorised square shows here.
+        rng = np.random.default_rng(3)
+        p = VlcParams.from_config(SimConfig())
+        aps = [(x, y, 3.35) for x, y in rng.uniform(-20.0, 20.0, size=(4, 2))]
+        users = [make_user(id=i, indoor=True, xy=tuple(xy)) for i, xy in enumerate(rng.uniform(-25.0, 25.0, (2500, 2)))]
+        got = vlc_signal_powers(users, make_topology(users, aps=aps), p)
+        expected = [
+            [(p.conversion_efficiency * _scalar_gain(ap, u.position, p) * p.optical_power_w) ** 2 for ap in aps]
+            for u in users
+        ]
+        assert got.tolist() == expected
+
+    def test_array_rates_reject_bad_elements(self):
+        with pytest.raises(ValueError):
+            rf_rate(np.array([0.1, 0.0]), np.array([1e-9, 1e-9]), 0.0, 1e6, 1e-21)
+        with pytest.raises(ValueError):
+            vlc_rate(np.array([1.0, -1.0]), 1e6)
