@@ -25,10 +25,11 @@ arrays and yields one feasibility mask; the rate and cost formulas stay in
 
 ``usba`` alternates the two from the full-selection widths until the pair is a
 fixed point. The alternation can oscillate between an optimistic and a
-pessimistic state, so revisited selections are detected and the best visited
-state is returned flagged non-converged. ``oracle_enumerate`` exhaustively
-scans selection *counts* (bandwidth depends only on counts) as an independent
-check on small instances.
+pessimistic state, so each pass also tests whether the state it steps from
+supports itself; a revisit, an empty state or the iteration limit ends the
+alternation with the best self-supporting state flagged non-converged.
+``oracle_enumerate`` exhaustively scans selection *counts* (bandwidth depends
+only on counts) as an independent check on small instances.
 
 In ``rf_only`` mode VLC is disabled: indoor users take their downlink over
 RF blocks too (so blocks shrink to B_rf / (2 |S|)), keep their penetration
@@ -230,17 +231,12 @@ def selection_objective(selection: Selection, topology: Topology) -> float:
     return float(sum(by_id[i].shard_size for i in selection.all_ids))
 
 
-def default_initial_bandwidth(topology: Topology, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
+def default_initial_bandwidth(topology: Topology, config: SimConfig) -> BandwidthAllocation:
     """Start widths: the hybrid widths of selecting every user, in both modes.
 
-    In hybrid mode this under-approximates, and the iteration then grows it.
-    ``rf_only`` starts from the same B_rf / (N + N_out), which is wider than
-    its own full-selection B_rf / 2N whenever some user is indoor (333 kHz
-    against 200 kHz on the default 50-user topology), so its first selection
-    pass can over-approximate. An empty topology gets the solo widths B_rf
-    and B_vlc.
+    ``rf_only`` thus starts wider than its own full-selection B_rf / 2N
+    whenever some user is indoor. An empty topology gets the solo widths.
     """
-    _check_mode(mode)
     if not topology.users:
         return block_widths(1, 0, config)
     return block_widths(topology.n_indoor, topology.n_outdoor, config)
@@ -253,14 +249,20 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     repeats B_n = get_b(S_{n-1}); S_n = get_s(B_n) until the (selection,
     bandwidth) pair repeats itself exactly. If the initial selection is empty
     the iteration restarts once from the widest solo allocation; if that is
-    still empty, the empty result is itself the answer. Oscillations are cut
-    off by returning the best-objective visited state flagged non-converged.
+    still empty, the empty result is itself the answer.
+
+    The alternation can oscillate, and an optimistic state's members need not
+    all finish a round at its own widths. So each pass from a state S also
+    tests whether S supports itself: every member is still feasible at
+    get_b(S). A revisit, an empty state or the iteration limit then ends the
+    run with the best self-supporting state (the first on ties) at its own
+    widths, flagged non-converged, or empty if no state supports itself.
     """
     _check_mode(mode)
     if config.initial_bandwidth is not None:
         bw = BandwidthAllocation(*config.initial_bandwidth)
     else:
-        bw = default_initial_bandwidth(topology, config, mode)
+        bw = default_initial_bandwidth(topology, config)
     if topology.n_users == 0:
         return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
 
@@ -274,48 +276,38 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
             return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
         bw = widest
 
-    history: list[tuple[Selection, BandwidthAllocation]] = [(selection, bw)]
-    seen = {selection}
+    best: tuple[Selection, BandwidthAllocation] | None = None
+    best_obj = -1.0
+    tested: set[Selection] = set()
     iterations = 0
     converged = False
-    for _ in range(config.max_iterations):
-        iterations += 1
+    # Each pass tests the state it steps from. Once the iterations run out,
+    # one more pass tests the last state, unless an earlier pass did.
+    while iterations < config.max_iterations or selection not in tested:
+        tested.add(selection)
         new_bw = get_b(selection, config, mode)
         new_selection = links.select(new_bw)
+        if selection.indoor_ids <= new_selection.indoor_ids and selection.outdoor_ids <= new_selection.outdoor_ids:
+            obj = selection_objective(selection, topology)  # a self-supporting state
+            if obj > best_obj:
+                best, best_obj = (selection, new_bw), obj
+        if iterations >= config.max_iterations:
+            break  # that was the extra pass
+        iterations += 1
         if new_selection == selection:
             if new_bw == bw:
                 converged = True
                 break
-            # Same selection under a refreshed bandwidth (possible only on the
-            # first pass, where bw is the arbitrary start): converges next pass.
+            # The selection reproduces itself but was found at other widths,
+            # the start's or a predecessor's: the next pass converges.
             bw = new_bw
-            history.append((selection, bw))
             continue
         selection, bw = new_selection, new_bw
-        history.append((selection, bw))
-        if not selection or selection in seen:
+        if not selection or selection in tested:
             break  # empty states and revisits both mean the alternation cycles
-        seen.add(selection)
 
     if not converged:
-        # An oscillation visits optimistic states whose members cannot all
-        # finish a round at the state's own allocation; those would overstate
-        # the objective. Keep only self-supporting states (every member still
-        # feasible at get_b of the state) and report the best of them.
-        best_sel, best_bw = EMPTY_SELECTION, bw
-        best_obj = -1.0
-        for cand, _ in history:
-            if not cand:
-                continue
-            cand_bw = get_b(cand, config, mode)
-            supported = links.select(cand_bw)
-            if not (cand.indoor_ids <= supported.indoor_ids and cand.outdoor_ids <= supported.outdoor_ids):
-                continue
-            obj = selection_objective(cand, topology)
-            if obj > best_obj:
-                best_obj = obj
-                best_sel, best_bw = cand, cand_bw
-        selection, bw = best_sel, best_bw
+        selection, bw = best or (EMPTY_SELECTION, bw)
 
     return UsbaResult(
         selection=selection,
@@ -374,5 +366,5 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
                 )
                 best_bw = bw
     if best_bw is None:
-        best_bw = default_initial_bandwidth(topology, config, mode)
+        best_bw = default_initial_bandwidth(topology, config)
     return UsbaResult(best_sel, best_bw, 0, True, best_obj)

@@ -3,12 +3,13 @@
 Defaults reproduce the reference scenario (circular 50 m cell, 50 users, 80%
 indoor, hybrid VLC downlink + shared RF band). Every physical quantity is
 config-exposed so sweeps can override it; `validate()` rejects non-positive
-physical parameters by field name.
+and non-finite physical parameters by field name.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 from typing import Optional
@@ -119,12 +120,12 @@ class SimConfig:
     def validate(self) -> "SimConfig":
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         for name in _NON_NEGATIVE_FIELDS:
             value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
         if self.n_users < 1:
             raise ConfigError(f"n_users must be >= 1, got {self.n_users!r}")
         if not 0.0 <= self.indoor_fraction <= 1.0:

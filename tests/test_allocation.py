@@ -27,7 +27,7 @@ from vlcfed import (
     vlc_rate,
     vlc_sinr,
 )
-from vlcfed.allocation import MODES, default_initial_bandwidth
+from vlcfed.allocation import MODES, _LinkTable, default_initial_bandwidth
 from vlcfed.runner import random_instance
 from tests.conftest import make_topology, make_user
 
@@ -211,11 +211,11 @@ class TestUsba:
         assert res.selection.size == 0
         assert res.objective == 0.0
 
-    def test_constructed_oscillation_reports_consistent_state(self):
-        # Identical outdoor users who all fit at wide blocks but all miss the
-        # deadline once everyone shares the band: the alternation flip-flops
-        # between everyone and nobody. The reported state must survive at its
-        # own allocation and never exceed the exhaustive optimum.
+    @staticmethod
+    def oscillating_instance():
+        """Identical outdoor users who all fit at wide blocks but all miss the
+        deadline once everyone shares the band: the alternation flip-flops
+        between everyone and nobody."""
         cfg = SimConfig(
             n_users=8,
             indoor_fraction=0.0,
@@ -231,7 +231,12 @@ class TestUsba:
         users = tuple(
             dataclasses.replace(u, position=(30.0, 0.0, 0.85)) for u in topo.users
         )
-        topo = make_topology(users, aps=topo.vlc_aps)
+        return make_topology(users, aps=topo.vlc_aps), cfg
+
+    def test_constructed_oscillation_reports_consistent_state(self):
+        # The reported state must survive at its own allocation and never
+        # exceed the exhaustive optimum.
+        topo, cfg = self.oscillating_instance()
         res = usba(topo, cfg)
         assert not res.converged
         assert res.objective <= oracle_enumerate(topo, cfg).objective
@@ -239,6 +244,49 @@ class TestUsba:
             supported = get_s(get_b(res.selection, cfg), topo, cfg)
             assert res.selection.indoor_ids <= supported.indoor_ids
             assert res.selection.outdoor_ids <= supported.outdoor_ids
+
+    def test_each_state_is_tested_once(self, monkeypatch):
+        # One feasibility pass for the start, one for the solo restart, one
+        # per iteration (which also tests the state it steps from) and one
+        # for the last state when the iterations run out; the self-support
+        # test must not evaluate a visited state a second time.
+        passes = 0
+        feasible = _LinkTable.feasible
+
+        def counted(self, bw):
+            nonlocal passes
+            passes += 1
+            return feasible(self, bw)
+
+        monkeypatch.setattr(_LinkTable, "feasible", counted)
+        instances = [self.oscillating_instance()]
+        rng = np.random.default_rng(5)
+        instances += [random_instance(rng, n_range=(4, 40)) for _ in range(12)]
+        cfg = SimConfig(n_users=160, max_iterations=3)
+        instances.append((generate_topology(cfg, 0), cfg))
+        nonconverged = 0
+        for topo, cfg in instances:
+            for mode in MODES:
+                passes = 0
+                res = usba(topo, cfg, mode)
+                assert passes <= res.iterations + 3, (mode, res)
+                nonconverged += not res.converged
+        assert nonconverged >= 5
+
+    @pytest.mark.parametrize(
+        "seed, mode, ids",
+        [(5, "hybrid", {0, 15, 19}), (1071, "hybrid", {25}), (698, "rf_only", {1, 10, 13, 15, 17, 31, 32, 33})],
+    )
+    def test_ties_go_to_the_first_self_supporting_state(self, seed, mode, ids):
+        # From these starts the iteration visits two self-supporting states of
+        # equal objective before it stops; the first one visited is reported.
+        rng = np.random.default_rng(seed)
+        topo, cfg = random_instance(rng, n_range=(1, 40))
+        start = tuple(float(10 ** rng.uniform(3, 7.5)) for _ in range(3))
+        cfg = cfg.replace(initial_bandwidth=start, max_iterations=int(rng.integers(1, 6)))
+        res = usba(topo, cfg, mode)
+        assert not res.converged
+        assert res.selection.all_ids == ids
 
     def test_determinism(self):
         cfg = SimConfig(n_users=30)
@@ -324,15 +372,13 @@ class TestInitialBandwidth:
     def test_conservative_rule(self):
         cfg = SimConfig(n_users=50)
         topo = generate_topology(cfg, seed=0)
-        bw = default_initial_bandwidth(topo, cfg, "hybrid")
+        bw = default_initial_bandwidth(topo, cfg)
         assert bw.b_up_hz == pytest.approx(20e6 / (50 + topo.n_outdoor))
         assert bw.b_vlc_hz == pytest.approx(40e6 / topo.n_indoor)
-        # rf_only starts from the hybrid widths too, which are wider than its
-        # own full-selection widths B_rf / 2N (333 kHz against 200 kHz here).
-        rf_start = default_initial_bandwidth(topo, cfg, "rf_only")
-        assert rf_start == bw
+        # rf_only starts from these hybrid widths too, which are wider than
+        # its own full-selection widths B_rf / 2N (333 kHz against 200 kHz here).
         everyone = sel([u.id for u in topo.indoor_users()], [u.id for u in topo.outdoor_users()])
-        assert rf_start.b_up_hz > get_b(everyone, cfg, "rf_only").b_up_hz == 20e6 / 100
+        assert bw.b_up_hz > get_b(everyone, cfg, "rf_only").b_up_hz == 20e6 / 100
 
     def test_empty_topology_starts_from_solo_widths(self, config):
         bw = default_initial_bandwidth(make_topology([]), config)
@@ -376,14 +422,15 @@ class TestLinkTableMatchesPerUserReference:
         fov=st.sampled_from([20.0, 45.0, 90.0]),
         widths=st.tuples(log_width, log_width, log_width),
         mode=st.sampled_from(MODES),
-        backhaul=st.sampled_from([0.05, math.inf, math.nan]),  # validate() admits all three
+        backhaul=st.sampled_from([0.05, math.inf, math.nan]),
     )
     @settings(max_examples=200, deadline=None)
     def test_get_s_equals_reference(self, seed, fov, widths, mode, backhaul):
         topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, 40))
-        # Narrow views give VLC users rate 0; a non-finite backhaul delay
-        # must still cost only the VLC-served users.
-        cfg = cfg.replace(fov_half_angle_deg=fov, backhaul_delay_s=backhaul)
+        # Narrow views give VLC users rate 0. validate() rejects a non-finite
+        # backhaul delay, so the config is built without it; the table must
+        # still charge such a delay to the VLC-served users only.
+        cfg = dataclasses.replace(cfg, fov_half_angle_deg=fov, backhaul_delay_s=backhaul)
         bw = BandwidthAllocation(*(10.0**w for w in widths))
         expected = _reference_selection(bw, topo, cfg, mode)
         assert get_s(bw, topo, cfg, mode) == expected
@@ -393,7 +440,7 @@ class TestLinkTableMatchesPerUserReference:
     def test_round_time_equal_to_budget_is_feasible(self, mode):
         cfg = SimConfig(n_users=12, energy_budget_j=1e9)
         topo = generate_topology(cfg, seed=5)
-        bw = default_initial_bandwidth(topo, cfg, mode)
+        bw = default_initial_bandwidth(topo, cfg)
         user = topo.users[3]
         round_time = _reference_cost(user, bw, topo, cfg, mode).round_time
         assert user.id in get_s(bw, topo, cfg.replace(t_round_s=round_time), mode).all_ids
@@ -404,7 +451,7 @@ class TestLinkTableMatchesPerUserReference:
     def test_energy_equal_to_budget_is_feasible(self, mode):
         cfg = SimConfig(n_users=12, t_round_s=1e9)
         topo = generate_topology(cfg, seed=5)
-        bw = default_initial_bandwidth(topo, cfg, mode)
+        bw = default_initial_bandwidth(topo, cfg)
         user = topo.users[3]
         energy = _reference_cost(user, bw, topo, cfg, mode).total_energy
 
@@ -454,6 +501,20 @@ REFERENCE_FIELDS = (
 )
 
 
+def _result_row(res):
+    """A usba result as strings: ids, widths as float.hex, iterations, flags, objective."""
+    return {
+        "indoor_ids": ";".join(map(str, sorted(res.selection.indoor_ids))),
+        "outdoor_ids": ";".join(map(str, sorted(res.selection.outdoor_ids))),
+        "b_up_hz": res.bandwidth.b_up_hz.hex(),
+        "b_down_hz": res.bandwidth.b_down_hz.hex(),
+        "b_vlc_hz": res.bandwidth.b_vlc_hz.hex(),
+        "iterations": str(res.iterations),
+        "converged": str(res.converged).lower(),
+        "objective": repr(res.objective),
+    }
+
+
 def _selection_rows():
     """usba on the default config for N = 20..200 in steps of 20, seeds 0-2, both modes."""
     for n in range(20, 201, 20):
@@ -461,25 +522,19 @@ def _selection_rows():
         for seed in range(3):
             topo = generate_topology(cfg, seed)
             for mode in MODES:
-                res = usba(topo, cfg, mode)
-                yield {
-                    "n_users": str(n),
-                    "seed": str(seed),
-                    "mode": mode,
-                    "indoor_ids": ";".join(map(str, sorted(res.selection.indoor_ids))),
-                    "outdoor_ids": ";".join(map(str, sorted(res.selection.outdoor_ids))),
-                    "b_up_hz": res.bandwidth.b_up_hz.hex(),
-                    "b_vlc_hz": res.bandwidth.b_vlc_hz.hex(),
-                    "iterations": str(res.iterations),
-                    "converged": str(res.converged).lower(),
-                }
+                row = {"n_users": str(n), "seed": str(seed), "mode": mode, **_result_row(usba(topo, cfg, mode))}
+                yield {field: row[field] for field in REFERENCE_FIELDS}
+
+
+def _write_rows(path, fields, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_reference_selections(path=REFERENCE_SELECTIONS):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, REFERENCE_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(_selection_rows())
+    _write_rows(path, REFERENCE_FIELDS, _selection_rows())
 
 
 class TestReferenceSelections:
@@ -495,5 +550,54 @@ class TestReferenceSelections:
         got = list(_selection_rows())
         assert len(got) == len(expected) == 60
         assert sum(row["converged"] == "false" for row in expected) >= 20
+        for row, ref in zip(got, expected):
+            assert row == ref
+
+
+REFERENCE_EXHAUSTED = Path(__file__).parent / "data" / "reference_usba_exhausted.csv"
+EXHAUSTED_FIELDS = (
+    "n_users", "seed", "mode", "max_iterations", "indoor_ids", "outdoor_ids",
+    "b_up_hz", "b_down_hz", "b_vlc_hz", "iterations", "converged", "objective",
+)
+
+
+def _exhausted_rows():
+    """usba on the default config with max_iterations in {1, 2, 3, 5}, for
+    N in {60, 100, 160, 200}, seeds 0-2 and both modes."""
+    for n in (60, 100, 160, 200):
+        for max_iterations in (1, 2, 3, 5):
+            cfg = SimConfig(n_users=n, max_iterations=max_iterations)
+            for seed in range(3):
+                topo = generate_topology(cfg, seed)
+                for mode in MODES:
+                    yield {
+                        "n_users": str(n),
+                        "seed": str(seed),
+                        "mode": mode,
+                        "max_iterations": str(max_iterations),
+                        **_result_row(usba(topo, cfg, mode)),
+                    }
+
+
+def write_reference_exhausted(path=REFERENCE_EXHAUSTED):
+    _write_rows(path, EXHAUSTED_FIELDS, _exhausted_rows())
+
+
+class TestReferenceExhausted:
+    """tests/data/reference_usba_exhausted.csv was written by
+    ``write_reference_exhausted()`` before usba tested each state inside its
+    loop. Most rows stop because the iterations ran out, so the match pins
+    the extra pass that tests the last state."""
+
+    def test_matches_stored_results(self):
+        with open(REFERENCE_EXHAUSTED, newline="") as fh:
+            expected = list(csv.DictReader(fh))
+        got = list(_exhausted_rows())
+        assert len(got) == len(expected) == 96
+        exhausted = [
+            row for row in expected
+            if row["converged"] == "false" and row["iterations"] == row["max_iterations"]
+        ]
+        assert len(exhausted) == 71
         for row, ref in zip(got, expected):
             assert row == ref

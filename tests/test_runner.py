@@ -194,6 +194,18 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="uplink_interference_w"):
             SimConfig(uplink_interference_w=-1e-12).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["t_round_s", "backhaul_delay_s"])  # one positive, one non-negative field
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SimConfig(**{field: value}).validate()
+
+    def test_non_finite_value_in_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("backhaul_delay_s = nan\n")
+        with pytest.raises(ConfigError, match="backhaul_delay_s must be finite"):
+            build_config(str(path))
+
     def test_table_defaults(self):
         cfg = SimConfig()
         assert cfg.optical_power_w == 9.0
