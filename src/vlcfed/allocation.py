@@ -28,8 +28,10 @@ fixed point. The alternation can oscillate between an optimistic and a
 pessimistic state, so each pass also tests whether the state it steps from
 supports itself; a revisit, an empty state or the iteration limit ends the
 alternation with the best self-supporting state flagged non-converged.
-``oracle_enumerate`` exhaustively scans selection *counts* (bandwidth depends
-only on counts) as an independent check on small instances.
+``oracle_enumerate`` finds the exact optimum on small instances as an
+independent check. Bandwidth depends only on the selection *counts*, and the
+count pairs that can be filled at their own widths are closed downward, so it
+walks their staircase boundary with at most N + 1 passes.
 
 In ``rf_only`` mode VLC is disabled: indoor users take their downlink over
 RF blocks too (so blocks shrink to B_rf / (2 |S|)), keep their penetration
@@ -259,6 +261,7 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     widths, flagged non-converged, or empty if no state supports itself.
     """
     _check_mode(mode)
+    config.validate()
     if config.initial_bandwidth is not None:
         bw = BandwidthAllocation(*config.initial_bandwidth)
     else:
@@ -322,15 +325,22 @@ ORACLE_MAX_USERS = 14
 
 
 def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaResult:
-    """Exhaustive reference optimizer for small instances.
+    """Exact optimum by a walk over selection counts, for small instances.
 
     Block widths depend on the selection only through the indoor/outdoor
-    counts, so it suffices to scan every count pair (k1, k2): compute the
-    implied widths, check that at least k1 indoor and k2 outdoor users are
-    feasible there, fill greedily with the largest shards, and keep the best
-    total. Cost grows with the count grid, not with subsets.
+    counts (k1, k2). A pair passes when at least k1 indoor and k2 outdoor
+    users are feasible at ``block_widths(k1, k2)``; its candidate takes the
+    largest feasible shards of each kind. Widths shrink as either count grows
+    and feasibility is monotone in width, so the passing pairs are closed
+    downward: their boundary is a staircase that never rises as k1 grows.
+    The walk takes k1 upward from 0 and lowers k2 from n_out until the pair
+    passes, and the next row starts from that k2: at most N + 1 feasibility
+    passes. With equal shards, which ``generate_topology`` always gives, the
+    boundary pair is the best in its row. Otherwise the pairs below it are
+    scored too. Ties go to the first pair in k1-then-k2 order.
     """
     _check_mode(mode)
+    config.validate()
     if topology.n_users > ORACLE_MAX_USERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_USERS} users, got {topology.n_users}"
@@ -340,23 +350,36 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
     # Largest shards first; id breaks ties deterministically.
     indoor.sort(key=lambda u: (-u.shard_size, u.id))
     outdoor.sort(key=lambda u: (-u.shard_size, u.id))
-
     links = _LinkTable(indoor + outdoor, topology, config, mode)
+
+    def candidate(k1: int, k2: int):
+        """The pair's widths and chosen users, or None if the pair fails."""
+        bw = block_widths(k1, k2, config, mode)
+        mask = links.feasible(bw)
+        chosen_in = [u for u, ok in zip(indoor, mask[: len(indoor)]) if ok][:k1]
+        chosen_out = [u for u, ok in zip(outdoor, mask[len(indoor) :]) if ok][:k2]
+        if len(chosen_in) < k1 or len(chosen_out) < k2:
+            return None
+        return bw, chosen_in, chosen_out
+
+    equal_shards = len({u.shard_size for u in topology.users}) <= 1
     best_obj = 0.0
     best_sel = EMPTY_SELECTION
     best_bw = None
+    k2 = len(outdoor)
     for k1 in range(len(indoor) + 1):
-        for k2 in range(len(outdoor) + 1):
-            if k1 + k2 == 0:
-                continue
-            bw = block_widths(k1, k2, config, mode)
-            mask = links.feasible(bw)
-            feas_in = [u for u, ok in zip(indoor, mask[: len(indoor)]) if ok]
-            feas_out = [u for u, ok in zip(outdoor, mask[len(indoor) :]) if ok]
-            if len(feas_in) < k1 or len(feas_out) < k2:
-                continue
-            chosen_in = feas_in[:k1]
-            chosen_out = feas_out[:k2]
+        boundary = None
+        while k2 >= 0 and (k1 or k2):  # (0, 0) passes and selects nobody
+            boundary = candidate(k1, k2)
+            if boundary:
+                break
+            k2 -= 1
+        if k2 < 0:
+            break  # not even (k1, 0) passes, so no larger k1 does either
+        row = [] if equal_shards else [candidate(k1, j) for j in range(0 if k1 else 1, k2)]
+        if boundary:
+            row.append(boundary)
+        for bw, chosen_in, chosen_out in row:
             obj = float(sum(u.shard_size for u in chosen_in + chosen_out))
             if obj > best_obj:
                 best_obj = obj

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from vlcfed import (
     BandwidthAllocation,
+    ConfigError,
     EmptySelectionError,
     RfParams,
     Selection,
@@ -27,13 +29,33 @@ from vlcfed import (
     vlc_rate,
     vlc_sinr,
 )
-from vlcfed.allocation import MODES, _LinkTable, default_initial_bandwidth
+from vlcfed.allocation import MODES, ORACLE_MAX_USERS, _LinkTable, block_widths, default_initial_bandwidth
 from vlcfed.runner import random_instance
 from tests.conftest import make_topology, make_user
 
 
 def sel(indoor=(), outdoor=()):
     return Selection(frozenset(indoor), frozenset(outdoor))
+
+
+class PassCounter:
+    """Counts link-table feasibility passes while the test runs."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        feasible = _LinkTable.feasible
+
+        def counted(table, bw):
+            self.count += 1
+            return feasible(table, bw)
+
+        monkeypatch.setattr(_LinkTable, "feasible", counted)
+
+
+def with_unequal_shards(topo, rng, high=6):
+    """The same topology with each shard size drawn from 1..high."""
+    users = tuple(dataclasses.replace(u, shard_size=int(rng.integers(1, high + 1))) for u in topo.users)
+    return dataclasses.replace(topo, users=users)
 
 
 class TestGetB:
@@ -250,15 +272,7 @@ class TestUsba:
         # per iteration (which also tests the state it steps from) and one
         # for the last state when the iterations run out; the self-support
         # test must not evaluate a visited state a second time.
-        passes = 0
-        feasible = _LinkTable.feasible
-
-        def counted(self, bw):
-            nonlocal passes
-            passes += 1
-            return feasible(self, bw)
-
-        monkeypatch.setattr(_LinkTable, "feasible", counted)
+        passes = PassCounter(monkeypatch)
         instances = [self.oscillating_instance()]
         rng = np.random.default_rng(5)
         instances += [random_instance(rng, n_range=(4, 40)) for _ in range(12)]
@@ -267,9 +281,9 @@ class TestUsba:
         nonconverged = 0
         for topo, cfg in instances:
             for mode in MODES:
-                passes = 0
+                passes.count = 0
                 res = usba(topo, cfg, mode)
-                assert passes <= res.iterations + 3, (mode, res)
+                assert passes.count <= res.iterations + 3, (mode, res)
                 nonconverged += not res.converged
         assert nonconverged >= 5
 
@@ -355,6 +369,67 @@ class TestOracle:
                 assert res.objective == pytest.approx(ref.objective)
                 matches += 1
         assert matches >= 10
+
+    @staticmethod
+    def brute_force_objective(topo, cfg, mode):
+        """Best objective over every subset whose members are all feasible at
+        the subset's own get_b widths."""
+        best = 0.0
+        feasible_at = {}
+        for r in range(1, topo.n_users + 1):
+            for subset in itertools.combinations(topo.users, r):
+                s = sel([u.id for u in subset if u.indoor], [u.id for u in subset if not u.indoor])
+                bw = get_b(s, cfg, mode)
+                if bw not in feasible_at:
+                    feasible_at[bw] = get_s(bw, topo, cfg, mode).all_ids
+                if s.all_ids <= feasible_at[bw]:
+                    best = max(best, float(sum(u.shard_size for u in subset)))
+        return best
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_brute_force_over_subsets(self, mode):
+        rng = np.random.default_rng(31)
+        nonempty = 0
+        for _ in range(30):
+            topo, cfg = random_instance(rng, n_range=(1, 10))
+            for t in (topo, with_unequal_shards(topo, rng)):
+                res = oracle_enumerate(t, cfg, mode)
+                assert res.objective == self.brute_force_objective(t, cfg, mode)
+                nonempty += bool(res.selection)
+        assert nonempty >= 20
+
+    def test_at_most_one_pass_per_user_plus_one(self, monkeypatch):
+        # Equal shards, as generate_topology gives: one pass per step of the
+        # staircase walk, not one per (k1, k2) count pair.
+        passes = PassCounter(monkeypatch)
+        rng = np.random.default_rng(37)
+        grid_larger = 0
+        for _ in range(30):
+            topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
+            grid_larger += (topo.n_indoor + 1) * (topo.n_outdoor + 1) - 1 > topo.n_users + 1
+            for mode in MODES:
+                passes.count = 0
+                oracle_enumerate(topo, cfg, mode)
+                assert passes.count <= topo.n_users + 1, (mode, topo.n_indoor, topo.n_outdoor)
+        assert grid_larger >= 10
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), mode=st.sampled_from(MODES))
+    @settings(max_examples=60, deadline=None)
+    def test_passing_count_pairs_are_down_closed(self, seed, mode):
+        # (k1, k2) passes when at least k1 indoor and k2 outdoor users are
+        # feasible at block_widths(k1, k2). Widths shrink as either count
+        # grows and feasibility is monotone in width, so a passing pair's
+        # lower neighbours pass too: the fact the oracle's walk rests on.
+        topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, ORACLE_MAX_USERS))
+        indoor = np.array([u.indoor for u in topo.users], dtype=bool)
+        links = _LinkTable(topo.users, topo, cfg, mode)
+        passes = np.ones((topo.n_indoor + 1, topo.n_outdoor + 1), dtype=bool)
+        for k1, k2 in itertools.product(range(topo.n_indoor + 1), range(topo.n_outdoor + 1)):
+            if k1 or k2:
+                mask = links.feasible(block_widths(k1, k2, cfg, mode))
+                passes[k1, k2] = mask[indoor].sum() >= k1 and mask[~indoor].sum() >= k2
+        assert (passes[1:, :] <= passes[:-1, :]).all()
+        assert (passes[:, 1:] <= passes[:, :-1]).all()
 
     def test_greedy_prefers_large_shards(self, config):
         users = [
@@ -495,6 +570,20 @@ class TestLoudFailures:
             get_s(BandwidthAllocation(1e6, 1e6, 1e6), make_topology([make_user()]), config, mode="other")
 
 
+class TestInvalidConfig:
+    """usba and the oracle validate their config once on entry."""
+
+    def test_usba_rejects_zero_iterations(self):
+        topo = generate_topology(SimConfig(n_users=60), seed=0)
+        with pytest.raises(ConfigError, match="max_iterations"):
+            usba(topo, SimConfig(n_users=60, max_iterations=0))
+
+    def test_oracle_rejects_a_negative_round_budget(self):
+        topo = generate_topology(SimConfig(n_users=6), seed=0)
+        with pytest.raises(ConfigError, match="t_round_s"):
+            oracle_enumerate(topo, SimConfig(n_users=6, t_round_s=-1.0))
+
+
 REFERENCE_SELECTIONS = Path(__file__).parent / "data" / "reference_selections.csv"
 REFERENCE_FIELDS = (
     "n_users", "seed", "mode", "indoor_ids", "outdoor_ids", "b_up_hz", "b_vlc_hz", "iterations", "converged",
@@ -599,5 +688,51 @@ class TestReferenceExhausted:
             if row["converged"] == "false" and row["iterations"] == row["max_iterations"]
         ]
         assert len(exhausted) == 71
+        for row, ref in zip(got, expected):
+            assert row == ref
+
+
+REFERENCE_ORACLE = Path(__file__).parent / "data" / "reference_oracle.csv"
+ORACLE_FIELDS = (
+    "n_users", "instance", "shards", "mode", "indoor_ids", "outdoor_ids", "b_up_hz", "b_down_hz", "b_vlc_hz",
+    "objective",
+)
+
+
+def _oracle_rows():
+    """oracle_enumerate on four random_instance draws for each N = 1..14, each
+    with its equal shards and again with shards drawn from 1..6, in both modes."""
+    rng = np.random.default_rng(61)
+    for n in range(1, ORACLE_MAX_USERS + 1):
+        for instance in range(4):
+            topo, cfg = random_instance(rng, n_range=(n, n))
+            for shards, t in (("equal", topo), ("unequal", with_unequal_shards(topo, rng))):
+                for mode in MODES:
+                    row = {
+                        "n_users": str(n),
+                        "instance": str(instance),
+                        "shards": shards,
+                        "mode": mode,
+                        **_result_row(oracle_enumerate(t, cfg, mode)),
+                    }
+                    yield {field: row[field] for field in ORACLE_FIELDS}
+
+
+def write_reference_oracle(path=REFERENCE_ORACLE):
+    _write_rows(path, ORACLE_FIELDS, _oracle_rows())
+
+
+class TestReferenceOracle:
+    """tests/data/reference_oracle.csv was written by ``write_reference_oracle()``
+    with the oracle that scanned every (k1, k2) count pair; widths are stored
+    as float.hex. Unequal shards make the best pair of a row lie below the
+    staircase boundary, and small shard sizes make objectives tie."""
+
+    def test_matches_stored_results(self):
+        with open(REFERENCE_ORACLE, newline="") as fh:
+            expected = list(csv.DictReader(fh))
+        got = list(_oracle_rows())
+        assert len(got) == len(expected) == 224
+        assert sum(row["indoor_ids"] == row["outdoor_ids"] == "" for row in expected) >= 3
         for row, ref in zip(got, expected):
             assert row == ref
