@@ -261,7 +261,6 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     widths, flagged non-converged, or empty if no state supports itself.
     """
     _check_mode(mode)
-    config.validate()
     if config.initial_bandwidth is not None:
         bw = BandwidthAllocation(*config.initial_bandwidth)
     else:
@@ -340,7 +339,6 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
     scored too. Ties go to the first pair in k1-then-k2 order.
     """
     _check_mode(mode)
-    config.validate()
     if topology.n_users > ORACLE_MAX_USERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_USERS} users, got {topology.n_users}"

@@ -122,12 +122,8 @@ def round_costs(
     Every argument but `config` may be an array over users; the fields of the
     result then are arrays too.
     """
-    if config.payload_bits == 0:
-        t_up = 0.0
-        t_down = 0.0
-    else:
-        t_up = transmission_time(config.payload_bits, uplink_rate_bps)
-        t_down = transmission_time(config.payload_bits, downlink_rate_bps)
+    t_up = transmission_time(config.payload_bits, uplink_rate_bps)
+    t_down = transmission_time(config.payload_bits, downlink_rate_bps)
     return CostBreakdown(
         t_cmp=t_cmp,
         t_up=t_up,

@@ -2,14 +2,17 @@
 
 Defaults reproduce the reference scenario (circular 50 m cell, 50 users, 80%
 indoor, hybrid VLC downlink + shared RF band). Every physical quantity is
-config-exposed so sweeps can override it; `validate()` rejects non-positive
-and non-finite physical parameters by field name.
+config-exposed so sweeps can override it. A `SimConfig` is valid by
+construction: every way of building one (the constructor, `replace`,
+`dataclasses.replace`, `build_config`) runs `validate()`, which rejects
+non-positive, non-finite and non-integral values by field name.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import typing
 from dataclasses import dataclass
 from typing import Optional
@@ -53,6 +56,13 @@ _NON_NEGATIVE_FIELDS = (
     "backhaul_delay_s",
     "test_size",
 )
+
+# Integer fields that must be >= 1; test_size, also an integer, may be 0.
+_COUNT_FIELDS = ("n_users", "n_vlc_aps", "samples_per_user", "local_epochs", "global_rounds", "max_iterations")
+
+
+def _finite_positive(value) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -117,60 +127,49 @@ class SimConfig:
     max_iterations: int = 50
     initial_bandwidth: Optional[tuple[float, float, float]] = None  # (up, down, vlc); None = default_initial_bandwidth
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "SimConfig":
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not _finite_positive(value):
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         for name in _NON_NEGATIVE_FIELDS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.n_users < 1:
-            raise ConfigError(f"n_users must be >= 1, got {self.n_users!r}")
+        for name in _COUNT_FIELDS + ("test_size",):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "test_size":
+                raise ConfigError(f"{name} must be >= 1, got {value!r}")
         if not 0.0 <= self.indoor_fraction <= 1.0:
-            raise ConfigError(
-                f"indoor_fraction must lie in [0, 1], got {self.indoor_fraction!r}"
-            )
-        if self.n_vlc_aps < 1:
-            raise ConfigError(f"n_vlc_aps must be >= 1, got {self.n_vlc_aps!r}")
+            raise ConfigError(f"indoor_fraction must lie in [0, 1], got {self.indoor_fraction!r}")
         if not 0.0 < self.half_intensity_angle_deg < 90.0:
-            raise ConfigError(
-                "half_intensity_angle_deg must lie in (0, 90), got "
-                f"{self.half_intensity_angle_deg!r}"
-            )
+            raise ConfigError(f"half_intensity_angle_deg must lie in (0, 90), got {self.half_intensity_angle_deg!r}")
         if not 0.0 < self.fov_half_angle_deg <= 90.0:
-            raise ConfigError(
-                f"fov_half_angle_deg must lie in (0, 90], got {self.fov_half_angle_deg!r}"
-            )
+            raise ConfigError(f"fov_half_angle_deg must lie in (0, 90], got {self.fov_half_angle_deg!r}")
         if not 0.0 < self.local_accuracy < 1.0:
-            raise ConfigError(
-                f"local_accuracy must lie in (0, 1), got {self.local_accuracy!r}"
-            )
+            raise ConfigError(f"local_accuracy must lie in (0, 1), got {self.local_accuracy!r}")
         for name in ("cycles_per_sample_range", "cpu_freq_range_hz", "tx_power_range_w"):
             bounds = getattr(self, name)
             if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
                 raise ConfigError(f"{name} must hold exactly two values (low, high), got {bounds!r}")
             lo, hi = bounds
-            if not (0 < lo <= hi):
-                raise ConfigError(f"{name} must satisfy 0 < low <= high, got {(lo, hi)!r}")
-        for name in ("samples_per_user", "local_epochs", "global_rounds", "max_iterations"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.ap_ring_radii_m is not None:
-            if not self.ap_ring_radii_m or any(r <= 0 for r in self.ap_ring_radii_m):
-                raise ConfigError(
-                    f"ap_ring_radii_m must be positive values, got {self.ap_ring_radii_m!r}"
-                )
-        if self.initial_bandwidth is not None:
-            if len(self.initial_bandwidth) != 3 or any(b <= 0 for b in self.initial_bandwidth):
-                raise ConfigError(
-                    f"initial_bandwidth must be three positive values, got {self.initial_bandwidth!r}"
-                )
+            if not (0 < lo <= hi < math.inf):
+                raise ConfigError(f"{name} must satisfy 0 < low <= high < inf, got {(lo, hi)!r}")
+        radii = self.ap_ring_radii_m
+        if radii is not None and not (radii and all(map(_finite_positive, radii))):
+            raise ConfigError(f"ap_ring_radii_m must be finite positive values, got {radii!r}")
+        widths = self.initial_bandwidth
+        if widths is not None and not (len(widths) == 3 and all(map(_finite_positive, widths))):
+            raise ConfigError(f"initial_bandwidth must be three finite positive values, got {widths!r}")
         return self
 
     def replace(self, **overrides) -> "SimConfig":
-        return dataclasses.replace(self, **overrides).validate()
+        return dataclasses.replace(self, **overrides)
 
 
 def _coerce(hint, raw: str):
@@ -221,4 +220,4 @@ def build_config(file_path: Optional[str] = None, **cli_overrides) -> SimConfig:
     """Resolve a config: compiled defaults <- config file <- CLI overrides."""
     overrides = load_config_file(file_path) if file_path else {}
     overrides.update({k: v for k, v in cli_overrides.items() if v is not None})
-    return SimConfig(**overrides).validate()
+    return SimConfig(**overrides)

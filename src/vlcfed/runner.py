@@ -263,6 +263,6 @@ def random_instance(rng: np.random.Generator, n_range=(4, 12)) -> tuple[Topology
         energy_budget_j=float(rng.uniform(0.005, 2.0)),
         samples_per_user=int(rng.integers(1, 30)),
         max_iterations=50,
-    ).validate()
+    )
     topology = generate_topology(cfg, int(rng.integers(0, 2**31)))
     return topology, cfg

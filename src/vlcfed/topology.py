@@ -95,8 +95,6 @@ def generate_topology(config: SimConfig, seed: int) -> Topology:
     Positions are uniform over the disk area (radius sampled as r*sqrt(U)).
     Exactly round(indoor_fraction * n_users) users are indoor, listed first.
     """
-    config.validate()
-
     rng = np.random.default_rng(seed)
     n = config.n_users
     n_indoor = int(math.floor(config.indoor_fraction * n + 0.5))

@@ -502,10 +502,12 @@ class TestLinkTableMatchesPerUserReference:
     @settings(max_examples=200, deadline=None)
     def test_get_s_equals_reference(self, seed, fov, widths, mode, backhaul):
         topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, 40))
-        # Narrow views give VLC users rate 0. validate() rejects a non-finite
-        # backhaul delay, so the config is built without it; the table must
-        # still charge such a delay to the VLC-served users only.
-        cfg = dataclasses.replace(cfg, fov_half_angle_deg=fov, backhaul_delay_s=backhaul)
+        # Narrow views give VLC users rate 0. A SimConfig rejects a non-finite
+        # backhaul delay when it is built, so the delay is set on the frozen
+        # instance afterwards; the table must still charge such a delay to the
+        # VLC-served users only.
+        cfg = cfg.replace(fov_half_angle_deg=fov)
+        object.__setattr__(cfg, "backhaul_delay_s", backhaul)
         bw = BandwidthAllocation(*(10.0**w for w in widths))
         expected = _reference_selection(bw, topo, cfg, mode)
         assert get_s(bw, topo, cfg, mode) == expected
@@ -571,7 +573,7 @@ class TestLoudFailures:
 
 
 class TestInvalidConfig:
-    """usba and the oracle validate their config once on entry."""
+    """A config is checked when it is built, so usba and the oracle never see a bad one."""
 
     def test_usba_rejects_zero_iterations(self):
         topo = generate_topology(SimConfig(n_users=60), seed=0)

@@ -4,7 +4,6 @@ import pytest
 
 from vlcfed import (
     InfeasibleLinkError,
-    SimConfig,
     computation_energy,
     computation_time,
     cost_breakdown,
@@ -101,14 +100,6 @@ class TestCostBreakdown:
         user = make_user(tx_power_w=0.25, **REF)
         cost = cost_breakdown(user, 4e6, 8e6, config, include_backhaul=False)
         assert cost.e_com == pytest.approx(cost.t_up * 0.25, rel=1e-12)
-
-    def test_zero_payload_leaves_only_computation(self):
-        # degenerate payload is representable even though validate() forbids it
-        cfg = SimConfig(payload_bits=0.0)
-        user = make_user(**REF)
-        cost = cost_breakdown(user, 1e6, 1e6, cfg, include_backhaul=False)
-        assert cost.t_up == 0.0 and cost.t_down == 0.0 and cost.e_com == 0.0
-        assert cost.t_cmp > 0 and cost.e_cmp > 0
 
     def test_infeasible_link_propagates(self, config):
         user = make_user(**REF)

@@ -16,6 +16,7 @@ from vlcfed import (
     make_synthetic,
     usba,
 )
+from vlcfed.config import _COUNT_FIELDS, _NON_NEGATIVE_FIELDS, _POSITIVE_FIELDS
 from vlcfed.runner import (
     ExperimentError,
     emit_report,
@@ -195,10 +196,49 @@ class TestConfigResolution:
             SimConfig(uplink_interference_w=-1e-12).validate()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["t_round_s", "backhaul_delay_s"])  # one positive, one non-negative field
+    @pytest.mark.parametrize("field", _POSITIVE_FIELDS + _NON_NEGATIVE_FIELDS)
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             SimConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SimConfig(t_round_s=-1.0),
+            lambda: SimConfig().replace(t_round_s=-1.0),
+            lambda: dataclasses.replace(SimConfig(), t_round_s=-1.0),
+            lambda: build_config(t_round_s=-1.0),
+        ],
+        ids=["constructor", "replace", "dataclasses_replace", "build_config"],
+    )
+    def test_every_construction_path_validates(self, build):
+        with pytest.raises(ConfigError, match="t_round_s must be finite and > 0"):
+            build()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ap_ring_radii_m", (math.nan,)),
+            ("ap_ring_radii_m", (10.0, math.inf)),
+            ("initial_bandwidth", (math.nan, 1e6, 1e6)),
+            ("initial_bandwidth", (math.inf, math.inf, math.inf)),
+            ("tx_power_range_w", (0.05, math.inf)),
+            ("cpu_freq_range_hz", (1e8, math.inf)),
+            ("cycles_per_sample_range", (1e7, math.inf)),
+        ],
+    )
+    def test_non_finite_tuple_entries_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0])
+    @pytest.mark.parametrize("field", _COUNT_FIELDS + ("test_size",))
+    def test_integer_fields_hold_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        assert SimConfig(n_users=np.int64(12), test_size=np.int32(0)).n_users == 12
 
     def test_non_finite_value_in_file_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
