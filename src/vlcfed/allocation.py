@@ -18,10 +18,11 @@ Feasibility runs on a link table (``_LinkTable``), built once per ``usba``,
 ``oracle_enumerate``, ``get_s`` or ``is_feasible`` call. It holds what does
 not depend on bandwidth: each user's RF path gain, the per-AP optical signal
 powers of VLC-served users, the computation time and energy, the transmit
-power, the energy budget and the backhaul delay. One pass over the table at
-given block widths computes every user's up/down rates and round cost as
-arrays and yields one feasibility mask; the rate and cost formulas stay in
-``channel`` and ``compute``.
+power, the energy budget and the backhaul delay. The build checks these
+once. One pass over the table at given block widths then calls the unchecked
+rate and cost kernels, whose formulas live in ``channel`` and ``compute``: it
+computes every user's up/down rates and round cost as arrays and yields one
+feasibility mask.
 
 ``usba`` alternates the two from the full-selection widths until the pair is a
 fixed point. The alternation can oscillate between an optimistic and a
@@ -45,19 +46,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# vlc_sinr and cost_breakdown are the per-user forms of a pass; they stay
-# importable from this module, where perfbench/spans.py probes them.
+# rf_rate, vlc_sinr and cost_breakdown are the checked, per-user forms of a
+# pass; they stay importable from this module, where perfbench/spans.py
+# probes them.
 from .channel import (  # noqa: F401
+    _RF_RATE_ARGS_ERROR,
     RfParams,
     VlcParams,
+    _rf_rate,
+    _vlc_rate,
     best_ap_sinr,
     rf_channel_gain,
     rf_rate,
-    vlc_rate,
     vlc_signal_powers,
     vlc_sinr,
 )
-from .compute import computation_energy, computation_time, cost_breakdown, round_costs  # noqa: F401
+from .compute import _round_costs, computation_energy, computation_time, cost_breakdown  # noqa: F401
 from .config import SimConfig
 from .topology import Topology, UserNode
 
@@ -126,6 +130,12 @@ class _LinkTable:
     function, in the same order, as a per-user evaluation would use, and a
     pass only adds, multiplies, divides, compares and takes ``math.log2``
     element by element, so the mask holds exactly the per-user answers.
+
+    The build raises ``rf_rate``'s ValueError on a non-positive transmit power
+    or RF gain (a gain underflows to 0 far enough from the BS). The widths,
+    noise PSDs and interference that a pass also uses are checked by
+    ``BandwidthAllocation`` and ``SimConfig``, and only rows with positive
+    rates reach the cost kernel, so a pass checks nothing.
     """
 
     def __init__(self, users, topology: Topology, config: SimConfig, mode: str):
@@ -151,23 +161,25 @@ class _LinkTable:
         # Rows whose downlink is VLC, and rows whose downlink is RF.
         self.vlc_rows = np.flatnonzero(self.via_vlc)
         self.rf_rows = np.flatnonzero(~self.via_vlc)
-        self.rf_gain = self.gain[self.rf_rows]
+        if (self.tx_power <= 0.0).any() or (self.gain <= 0.0).any():
+            raise ValueError(_RF_RATE_ARGS_ERROR)
+        # Received RF powers P h, as rf_rate forms them.
+        self.up_power = self.tx_power * self.gain
+        self.down_power = rf.bs_power_w * self.gain[self.rf_rows]
 
     def feasible(self, bw: BandwidthAllocation) -> np.ndarray:
         """Boolean mask: which users finish a round within both budgets at ``bw``."""
         rf = self.rf
-        up = rf_rate(self.tx_power, self.gain, rf.uplink_interference_w, bw.b_up_hz, rf.noise_psd)
+        up = _rf_rate(self.up_power, rf.uplink_interference_w, bw.b_up_hz, rf.noise_psd)
         down = np.empty_like(up)
         if self.vlc_rows.size:
-            down[self.vlc_rows] = vlc_rate(best_ap_sinr(self.signals, bw.b_vlc_hz, self.vlc_noise_psd), bw.b_vlc_hz)
+            down[self.vlc_rows] = _vlc_rate(best_ap_sinr(self.signals, bw.b_vlc_hz, self.vlc_noise_psd), bw.b_vlc_hz)
         if self.rf_rows.size:
-            down[self.rf_rows] = rf_rate(
-                rf.bs_power_w, self.rf_gain, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd
-            )
+            down[self.rf_rows] = _rf_rate(self.down_power, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd)
         # A link without rate (a VLC user out of every AP's view) fails outright.
         linked = (up > 0.0) & (down > 0.0)
         rows = slice(None) if linked.all() else np.flatnonzero(linked)
-        cost = round_costs(
+        cost = _round_costs(
             self.t_cmp[rows], self.e_cmp[rows], self.tx_power[rows], up[rows], down[rows], self.backhaul[rows], self.config
         )
         mask = np.zeros(up.shape, dtype=bool)

@@ -19,6 +19,11 @@ many block widths computes them once per user. The rate and SINR functions
 also take arrays over users; they apply ``math.log2`` element by element
 (``np.log2`` can differ in the last bit), so an array result holds the same
 bits as the scalar calls.
+
+The public rate functions check their arguments, then call a private kernel
+(``_rf_rate``, ``_vlc_rate``) that holds the formula and checks nothing. A
+caller that already guarantees the arguments, such as the link table's
+feasibility pass, calls the kernel directly.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from .topology import Topology, UserNode
 
 # 2/(pi*e): peak-power penalty of the optical-OFDM capacity lower bound
 _OPTICAL_SNR_SCALE = 2.0 / (math.pi * math.e)
+
+_RF_RATE_ARGS_ERROR = "tx power, channel gain, bandwidth and noise PSD must be > 0"
 
 
 @lru_cache(maxsize=256)
@@ -226,6 +233,11 @@ def vlc_rate(sinr, rb_bandwidth_hz: float):
         raise ValueError("sinr must be >= 0")
     if rb_bandwidth_hz <= 0:
         raise ValueError("rb_bandwidth_hz must be > 0")
+    return _vlc_rate(sinr, rb_bandwidth_hz)
+
+
+def _vlc_rate(sinr, rb_bandwidth_hz: float):
+    """``vlc_rate`` without the argument checks."""
     return rb_bandwidth_hz / 2.0 * _log2(1.0 + _OPTICAL_SNR_SCALE * sinr)
 
 
@@ -256,8 +268,13 @@ def rf_rate(
         or rb_bandwidth_hz <= 0
         or noise_psd <= 0
     ):
-        raise ValueError("tx power, channel gain, bandwidth and noise PSD must be > 0")
+        raise ValueError(_RF_RATE_ARGS_ERROR)
     if interference_w < 0:
         raise ValueError("interference must be >= 0")
-    sinr = tx_power_w * channel_gain / (interference_w + rb_bandwidth_hz * noise_psd)
+    return _rf_rate(tx_power_w * channel_gain, interference_w, rb_bandwidth_hz, noise_psd)
+
+
+def _rf_rate(received_w, interference_w: float, rb_bandwidth_hz: float, noise_psd: float):
+    """``rf_rate`` of the received power P h, without the argument checks."""
+    sinr = received_w / (interference_w + rb_bandwidth_hz * noise_psd)
     return rb_bandwidth_hz * _log2(1.0 + sinr)

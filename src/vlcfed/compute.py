@@ -3,6 +3,11 @@
 One round costs a user
     t_down + t_up + t_cmp (+ backhaul delay for VLC-served downlinks)
 in time and e_cmp + e_com in energy, where e_com = t_up * P_n.
+
+``transmission_time`` and ``round_costs`` check their arguments, then call a
+private kernel (``_transmission_time``, ``_round_costs``) that holds the
+formula and checks nothing. The link table's feasibility pass calls
+``_round_costs`` on rows whose rates it already knows to be positive.
 """
 
 from __future__ import annotations
@@ -74,12 +79,20 @@ def computation_time(user: UserNode, local_accuracy: float, nu: float) -> float:
     )
 
 
-def transmission_time(payload_bits: float, rate_bps):
-    """Minimal time to move a payload over a link at the given rate(s)."""
+def _check_link(payload_bits: float, rate_bps) -> None:
     if payload_bits < 0:
         raise ValueError(f"payload must be >= 0, got {payload_bits!r}")
     if np.less_equal(rate_bps, 0).any():
         raise InfeasibleLinkError(f"link rate {rate_bps!r} b/s cannot carry {payload_bits!r} bits")
+
+
+def transmission_time(payload_bits: float, rate_bps):
+    """Minimal time to move a payload over a link at the given rate(s)."""
+    _check_link(payload_bits, rate_bps)
+    return _transmission_time(payload_bits, rate_bps)
+
+
+def _transmission_time(payload_bits: float, rate_bps):
     return payload_bits / rate_bps
 
 
@@ -120,10 +133,18 @@ def round_costs(
     downlink rides VLC).
 
     Every argument but `config` may be an array over users; the fields of the
-    result then are arrays too.
+    result then are arrays too. Raises InfeasibleLinkError when a link has no
+    rate.
     """
-    t_up = transmission_time(config.payload_bits, uplink_rate_bps)
-    t_down = transmission_time(config.payload_bits, downlink_rate_bps)
+    _check_link(config.payload_bits, uplink_rate_bps)
+    _check_link(config.payload_bits, downlink_rate_bps)
+    return _round_costs(t_cmp, e_cmp, tx_power_w, uplink_rate_bps, downlink_rate_bps, backhaul_delay_s, config)
+
+
+def _round_costs(t_cmp, e_cmp, tx_power_w, uplink_rate_bps, downlink_rate_bps, backhaul_delay_s, config):
+    """``round_costs`` for rates known to be positive, without the checks."""
+    t_up = _transmission_time(config.payload_bits, uplink_rate_bps)
+    t_down = _transmission_time(config.payload_bits, downlink_rate_bps)
     return CostBreakdown(
         t_cmp=t_cmp,
         t_up=t_up,

@@ -5,7 +5,8 @@ indoor, hybrid VLC downlink + shared RF band). Every physical quantity is
 config-exposed so sweeps can override it. A `SimConfig` is valid by
 construction: every way of building one (the constructor, `replace`,
 `dataclasses.replace`, `build_config`) runs `validate()`, which rejects
-non-positive, non-finite and non-integral values by field name.
+non-numeric, boolean, non-positive, non-finite and non-integral values by
+field name.
 """
 
 from __future__ import annotations
@@ -63,6 +64,16 @@ _COUNT_FIELDS = ("n_users", "n_vlc_aps", "samples_per_user", "local_epochs", "gl
 
 def _finite_positive(value) -> bool:
     return math.isfinite(value) and value > 0
+
+
+def _is_real(value) -> bool:
+    # bool is a numbers.Integral, but True is no quantity and no count.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_reals(name: str, values) -> None:
+    if not isinstance(values, (tuple, list)) or not all(map(_is_real, values)):
+        raise ConfigError(f"{name} must hold real numbers, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,10 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> "SimConfig":
+        for name in _POSITIVE_FIELDS + _NON_NEGATIVE_FIELDS + ("indoor_fraction", "local_accuracy"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if not _finite_positive(value):
@@ -141,7 +156,7 @@ class SimConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
         for name in _COUNT_FIELDS + ("test_size",):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1 and name != "test_size":
                 raise ConfigError(f"{name} must be >= 1, got {value!r}")
@@ -157,15 +172,20 @@ class SimConfig:
             bounds = getattr(self, name)
             if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
                 raise ConfigError(f"{name} must hold exactly two values (low, high), got {bounds!r}")
+            _check_reals(name, bounds)
             lo, hi = bounds
             if not (0 < lo <= hi < math.inf):
                 raise ConfigError(f"{name} must satisfy 0 < low <= high < inf, got {(lo, hi)!r}")
         radii = self.ap_ring_radii_m
-        if radii is not None and not (radii and all(map(_finite_positive, radii))):
-            raise ConfigError(f"ap_ring_radii_m must be finite positive values, got {radii!r}")
+        if radii is not None:
+            _check_reals("ap_ring_radii_m", radii)
+            if not (radii and all(map(_finite_positive, radii))):
+                raise ConfigError(f"ap_ring_radii_m must be finite positive values, got {radii!r}")
         widths = self.initial_bandwidth
-        if widths is not None and not (len(widths) == 3 and all(map(_finite_positive, widths))):
-            raise ConfigError(f"initial_bandwidth must be three finite positive values, got {widths!r}")
+        if widths is not None:
+            _check_reals("initial_bandwidth", widths)
+            if not (len(widths) == 3 and all(map(_finite_positive, widths))):
+                raise ConfigError(f"initial_bandwidth must be three finite positive values, got {widths!r}")
         return self
 
     def replace(self, **overrides) -> "SimConfig":

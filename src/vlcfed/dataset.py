@@ -151,32 +151,42 @@ def make_synthetic(
     return Dataset(x, y, f"synthetic(seed={seed})")
 
 
-def split_and_partition(
-    data: Dataset, n_users: int, test_size: int, seed: int
-) -> tuple[list[DataShard], Dataset]:
-    """Hold out a random test set, then deal equal-size shards to users.
+def shard_size(n_rows: int, n_users: int, test_size: int) -> int:
+    """Rows per user when ``split_and_partition`` deals ``n_rows`` rows:
+    floor((n_rows - test_size) / n_users).
 
-    Every user receives exactly floor((rows - test_size) / n_users) rows;
-    leftover rows are discarded so shard sizes stay equal. Deterministic for
-    a fixed seed; shards and test set are pairwise disjoint.
+    Raises ValueError unless there is at least one row per user after the
+    test set.
     """
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users!r}")
     if test_size < 0:
         raise ValueError(f"test_size must be >= 0, got {test_size!r}")
-    if test_size + n_users > data.n_rows:
+    if test_size + n_users > n_rows:
         raise ValueError(
             f"need at least test_size + n_users = {test_size + n_users} rows, "
-            f"dataset has {data.n_rows}"
+            f"dataset has {n_rows}"
         )
+    return (n_rows - test_size) // n_users
+
+
+def split_and_partition(
+    data: Dataset, n_users: int, test_size: int, seed: int
+) -> tuple[list[DataShard], Dataset]:
+    """Hold out a random test set, then deal equal-size shards to users.
+
+    Every user receives exactly ``shard_size`` rows; leftover rows are
+    discarded so shard sizes stay equal. Deterministic for
+    a fixed seed; shards and test set are pairwise disjoint.
+    """
+    size = shard_size(data.n_rows, n_users, test_size)
     rng = np.random.default_rng(seed)
     order = rng.permutation(data.n_rows)
     test_idx = order[:test_size]
-    shard_size = (data.n_rows - test_size) // n_users
     shards = []
     for user in range(n_users):
-        start = test_size + user * shard_size
-        idx = order[start : start + shard_size]
+        start = test_size + user * size
+        idx = order[start : start + size]
         shards.append(DataShard(owner=user, x=data.features[idx], y=data.targets[idx]))
     test = data.subset(test_idx, name=f"{data.name}[test]")
     return shards, test

@@ -17,7 +17,7 @@ import numpy as np
 
 from .allocation import MODES, usba
 from .config import SimConfig
-from .dataset import Dataset, split_and_partition
+from .dataset import Dataset, shard_size, split_and_partition
 from .fl import required_global_rounds, run_federated_training
 from .topology import Topology, generate_topology
 
@@ -57,11 +57,12 @@ class ExperimentReport:
 def _run_single(
     config: SimConfig, data: Dataset, seed: int, mode: str, train: bool
 ) -> ExperimentRecord:
-    shards, test = split_and_partition(data, config.n_users, config.test_size, seed)
-    cfg = config.replace(samples_per_user=shards[0].size)
+    cfg = config.replace(samples_per_user=shard_size(data.n_rows, config.n_users, config.test_size))
     topology = generate_topology(cfg, seed)
     result = usba(topology, cfg, mode=mode)
     if train and result.selection:
+        # Only training reads the rows, so selection-only records skip the partition.
+        shards, test = split_and_partition(data, cfg.n_users, cfg.test_size, seed)
         report = run_federated_training(result.selection, shards, test, cfg, seed)
         final_r2 = report.final_r2
         trace = tuple(report.r2_per_round)

@@ -567,6 +567,24 @@ class TestLoudFailures:
         assert get_s(bw, self.no_ap_topology(indoor=False), config) == sel(outdoor=[0, 1])
         assert usba(self.no_ap_topology(), config, "rf_only").selection == sel([0], [1])
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda topo, cfg, mode: get_s(BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, mode),
+            lambda topo, cfg, mode: is_feasible(topo.users[1], BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, mode),
+            usba,
+            oracle_enumerate,
+        ],
+        ids=["get_s", "is_feasible", "usba", "oracle_enumerate"],
+    )
+    def test_underflowed_rf_gain_is_rejected(self, config, call, mode):
+        far = make_user(id=1, xy=(1e90, 0.0))
+        assert rf_channel_gain(1e90, False, RfParams.from_config(config)) == 0.0
+        topo = make_topology([make_user(id=0, xy=(20.0, 0.0)), far])
+        with pytest.raises(ValueError, match="channel gain"):
+            call(topo, config, mode)
+
     def test_get_s_rejects_unknown_mode(self, config):
         with pytest.raises(ValueError, match="mode must be one of"):
             get_s(BandwidthAllocation(1e6, 1e6, 1e6), make_topology([make_user()]), config, mode="other")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from vlcfed import (
     save_dataset,
     split_and_partition,
 )
+from vlcfed.dataset import shard_size
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -136,3 +139,22 @@ class TestSplitAndPartition:
             split_and_partition(data, n_users=0, test_size=1, seed=0)
         with pytest.raises(ValueError):
             split_and_partition(data, n_users=3, test_size=-1, seed=0)
+
+    @pytest.mark.parametrize("n_rows, n_users, test_size", [(506, 50, 17), (506, 97, 17), (30, 1, 0), (101, 7, 10)])
+    def test_shard_size_is_the_dealt_size(self, n_rows, n_users, test_size):
+        shards, _ = split_and_partition(make_synthetic(n_rows, seed=1), n_users, test_size, seed=0)
+        assert {s.size for s in shards} == {shard_size(n_rows, n_users, test_size)}
+
+    @pytest.mark.parametrize(
+        "n_users, test_size, message",
+        [
+            (15, 10, "need at least test_size + n_users = 25 rows, dataset has 20"),
+            (0, 1, "n_users must be >= 1, got 0"),
+            (3, -1, "test_size must be >= 0, got -1"),
+        ],
+    )
+    def test_shard_size_rejects_what_the_partition_rejects(self, n_users, test_size, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shard_size(20, n_users, test_size)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            split_and_partition(make_synthetic(20, seed=5), n_users, test_size, seed=0)

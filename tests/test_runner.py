@@ -96,6 +96,28 @@ class TestRunExperiment:
                 )
 
 
+class TestSelectionOnlyRecords:
+    """train=False skips the data partition; it must not change any selection field."""
+
+    @pytest.mark.parametrize("n_users", [20, 97, 200])  # 489 rows over 97 users leave 4 over
+    def test_match_trained_records(self, n_users):
+        cfg = SimConfig(n_users=n_users, global_rounds=1)
+        data = load_bundled_dataset()
+        lean = run_experiment(cfg, [0, 1], data, train=False).records
+        trained = run_experiment(cfg, [0, 1], data, train=True).records
+        assert len(lean) == len(trained) == 4
+        for a, b in zip(lean, trained):
+            assert len(b.r2_trace) == 1
+            for f in dataclasses.fields(a):
+                if f.name not in ("final_r2", "r2_trace"):
+                    assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_too_many_users_still_rejected(self, train):
+        with pytest.raises(ExperimentError, match=r"need at least test_size \+ n_users = 517 rows"):
+            run_experiment(SimConfig(n_users=500), [0], load_bundled_dataset(), train=train)
+
+
 REFERENCE_RECORDS = Path(__file__).parent / "data" / "reference_records.csv"
 # A systematic 1-ulp error in every sigmoid output moves these 60-round R^2
 # traces by at most 2.3e-11, so 1e-9 absorbs the last-bit differences that
@@ -228,6 +250,20 @@ class TestConfigResolution:
         ],
     )
     def test_non_finite_tuple_entries_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_round_s", "1"),
+            ("ap_ring_radii_m", ("a",)),
+            ("initial_bandwidth", (1e6, "x", 1e6)),
+            ("indoor_fraction", "0.5"),
+            ("n_users", True),
+        ],
+    )
+    def test_non_numeric_and_bool_values_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SimConfig(**{field: value})
 
