@@ -18,17 +18,18 @@ Feasibility runs on a link table (``_LinkTable``), built once per ``usba``,
 ``oracle_enumerate``, ``get_s`` or ``is_feasible`` call. It holds what does
 not depend on bandwidth: each user's RF path gain, the per-AP optical signal
 powers of VLC-served users, the computation time and energy, the transmit
-power, the energy budget and the backhaul delay. The build checks these
-once. One pass over the table at given block widths then calls the unchecked
-rate and cost kernels, whose formulas live in ``channel`` and ``compute``: it
-computes every user's up/down rates and round cost as arrays and yields one
-feasibility mask.
+power, the energy budget and the backhaul delay. The build checks the RF
+gains once. One pass over the table at given block widths then calls the
+unchecked rate and cost kernels, whose formulas live in ``channel`` and
+``compute``: it computes every user's up/down rates and round cost as arrays
+and yields one feasibility mask.
 
 ``usba`` alternates the two from the full-selection widths until the pair is a
-fixed point. The alternation can oscillate between an optimistic and a
-pessimistic state, so each pass also tests whether the state it steps from
-supports itself; a revisit, an empty state or the iteration limit ends the
-alternation with the best self-supporting state flagged non-converged.
+fixed point, which it knows without a pass once the widths repeat. The
+alternation can oscillate between an optimistic and a pessimistic state, so
+each step also tests whether the state it steps from supports itself; a
+revisit, an empty state or the iteration limit ends the alternation with the
+best self-supporting state flagged non-converged.
 ``oracle_enumerate`` finds the exact optimum on small instances as an
 independent check. Bandwidth depends only on the selection *counts*, and the
 count pairs that can be filled at their own widths are closed downward, so it
@@ -79,8 +80,8 @@ class BandwidthAllocation:
     b_vlc_hz: float
 
     def __post_init__(self):
-        if self.b_up_hz <= 0 or self.b_down_hz <= 0 or self.b_vlc_hz <= 0:
-            raise ValueError(f"all block widths must be > 0, got {self}")
+        if not (0.0 < self.b_up_hz < math.inf and 0.0 < self.b_down_hz < math.inf and 0.0 < self.b_vlc_hz < math.inf):
+            raise ValueError(f"all block widths must be finite and > 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,11 @@ class _LinkTable:
     pass only adds, multiplies, divides, compares and takes ``math.log2``
     element by element, so the mask holds exactly the per-user answers.
 
-    The build raises ``rf_rate``'s ValueError on a non-positive transmit power
-    or RF gain (a gain underflows to 0 far enough from the BS). The widths,
-    noise PSDs and interference that a pass also uses are checked by
-    ``BandwidthAllocation`` and ``SimConfig``, and only rows with positive
-    rates reach the cost kernel, so a pass checks nothing.
+    The build raises ``rf_rate``'s ValueError on an RF gain that underflows to
+    0 far enough from the BS. The user terms are checked by ``UserNode``, and
+    the widths, noise PSDs and interference that a pass also uses by
+    ``BandwidthAllocation`` and ``SimConfig``; only rows with positive rates
+    reach the cost kernel, so a pass checks nothing.
     """
 
     def __init__(self, users, topology: Topology, config: SimConfig, mode: str):
@@ -161,7 +162,7 @@ class _LinkTable:
         # Rows whose downlink is VLC, and rows whose downlink is RF.
         self.vlc_rows = np.flatnonzero(self.via_vlc)
         self.rf_rows = np.flatnonzero(~self.via_vlc)
-        if (self.tx_power <= 0.0).any() or (self.gain <= 0.0).any():
+        if (self.gain <= 0.0).any():
             raise ValueError(_RF_RATE_ARGS_ERROR)
         # Received RF powers P h, as rf_rate forms them.
         self.up_power = self.tx_power * self.gain
@@ -260,25 +261,26 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     """Alternate selection and bandwidth allocation to a fixed point.
 
     Starts from the configured (or default full-selection) block widths, then
-    repeats B_n = get_b(S_{n-1}); S_n = get_s(B_n) until the (selection,
-    bandwidth) pair repeats itself exactly. If the initial selection is empty
-    the iteration restarts once from the widest solo allocation; if that is
-    still empty, the empty result is itself the answer.
+    repeats B_n = get_b(S_{n-1}); S_n = get_s(B_n) until the widths repeat:
+    each selection is every user feasible at its widths, so equal widths give
+    the same selection again without a pass, and the pair is a fixed point.
+    If the initial selection is empty the iteration restarts once from the
+    widest solo allocation; if that is still empty (or there are no users),
+    the empty result is itself the answer.
 
     The alternation can oscillate, and an optimistic state's members need not
-    all finish a round at its own widths. So each pass from a state S also
+    all finish a round at its own widths. So each step from a state S also
     tests whether S supports itself: every member is still feasible at
     get_b(S). A revisit, an empty state or the iteration limit then ends the
     run with the best self-supporting state (the first on ties) at its own
-    widths, flagged non-converged, or empty if no state supports itself.
+    widths, flagged non-converged, or empty if no state supports itself. A
+    fixed point first reached by the step after the last iteration still ends
+    non-converged.
     """
-    _check_mode(mode)
     if config.initial_bandwidth is not None:
         bw = BandwidthAllocation(*config.initial_bandwidth)
     else:
         bw = default_initial_bandwidth(topology, config)
-    if topology.n_users == 0:
-        return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
 
     links = _LinkTable(topology.users, topology, config, mode)
     selection = links.select(bw)
@@ -292,44 +294,30 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
 
     best: tuple[Selection, BandwidthAllocation] | None = None
     best_obj = -1.0
-    tested: set[Selection] = set()
+    predecessors: set[Selection] = set()
     iterations = 0
-    converged = False
-    # Each pass tests the state it steps from. Once the iterations run out,
-    # one more pass tests the last state, unless an earlier pass did.
-    while iterations < config.max_iterations or selection not in tested:
-        tested.add(selection)
+    # selection == links.select(bw) holds here and after every step.
+    while True:
         new_bw = get_b(selection, config, mode)
-        new_selection = links.select(new_bw)
+        new_selection = selection if new_bw == bw else links.select(new_bw)
         if selection.indoor_ids <= new_selection.indoor_ids and selection.outdoor_ids <= new_selection.outdoor_ids:
             obj = selection_objective(selection, topology)  # a self-supporting state
             if obj > best_obj:
                 best, best_obj = (selection, new_bw), obj
-        if iterations >= config.max_iterations:
-            break  # that was the extra pass
+        if iterations == config.max_iterations:
+            break  # that step tested the last state
         iterations += 1
-        if new_selection == selection:
-            if new_bw == bw:
-                converged = True
-                break
-            # The selection reproduces itself but was found at other widths,
-            # the start's or a predecessor's: the next pass converges.
-            bw = new_bw
-            continue
-        selection, bw = new_selection, new_bw
-        if not selection or selection in tested:
+        if new_bw == bw:
+            return UsbaResult(selection, bw, iterations, True, selection_objective(selection, topology))
+        selection, bw, previous = new_selection, new_bw, selection
+        if not selection or selection in predecessors:
             break  # empty states and revisits both mean the alternation cycles
+        # The previous selection found again at other widths is no revisit:
+        # the next step confirms it.
+        predecessors.add(previous)
 
-    if not converged:
-        selection, bw = best or (EMPTY_SELECTION, bw)
-
-    return UsbaResult(
-        selection=selection,
-        bandwidth=bw,
-        iterations=iterations,
-        converged=converged,
-        objective=selection_objective(selection, topology),
-    )
+    selection, bw = best or (EMPTY_SELECTION, bw)
+    return UsbaResult(selection, bw, iterations, False, selection_objective(selection, topology))
 
 
 ORACLE_MAX_USERS = 14

@@ -4,8 +4,8 @@ One round costs a user
     t_down + t_up + t_cmp (+ backhaul delay for VLC-served downlinks)
 in time and e_cmp + e_com in energy, where e_com = t_up * P_n.
 
-``transmission_time`` and ``round_costs`` check their arguments, then call a
-private kernel (``_transmission_time``, ``_round_costs``) that holds the
+``transmission_time`` and ``cost_breakdown`` check their arguments, then call
+a private kernel (``_transmission_time``, ``_round_costs``) that holds the
 formula and checks nothing. The link table's feasibility pass calls
 ``_round_costs`` on rows whose rates it already knows to be positive.
 """
@@ -108,7 +108,9 @@ def cost_breakdown(
     `include_backhaul` marks a VLC-served downlink (adds the BS-to-gateway
     fiber delay). Raises InfeasibleLinkError when a needed link has no rate.
     """
-    return round_costs(
+    _check_link(config.payload_bits, uplink_rate_bps)
+    _check_link(config.payload_bits, downlink_rate_bps)
+    return _round_costs(
         computation_time(user, config.local_accuracy, config.nu),
         computation_energy(user, config.local_accuracy, config.nu),
         user.tx_power_w,
@@ -119,30 +121,14 @@ def cost_breakdown(
     )
 
 
-def round_costs(
-    t_cmp,
-    e_cmp,
-    tx_power_w,
-    uplink_rate_bps,
-    downlink_rate_bps,
-    backhaul_delay_s,
-    config: SimConfig,
-) -> CostBreakdown:
+def _round_costs(t_cmp, e_cmp, tx_power_w, uplink_rate_bps, downlink_rate_bps, backhaul_delay_s, config):
     """``cost_breakdown`` from the bandwidth-free terms: the computation time
     and energy, the transmit power and the backhaul delay (0 unless the
-    downlink rides VLC).
+    downlink rides VLC), for rates known to be positive, without checks.
 
     Every argument but `config` may be an array over users; the fields of the
-    result then are arrays too. Raises InfeasibleLinkError when a link has no
-    rate.
+    result then are arrays too.
     """
-    _check_link(config.payload_bits, uplink_rate_bps)
-    _check_link(config.payload_bits, downlink_rate_bps)
-    return _round_costs(t_cmp, e_cmp, tx_power_w, uplink_rate_bps, downlink_rate_bps, backhaul_delay_s, config)
-
-
-def _round_costs(t_cmp, e_cmp, tx_power_w, uplink_rate_bps, downlink_rate_bps, backhaul_delay_s, config):
-    """``round_costs`` for rates known to be positive, without the checks."""
     t_up = _transmission_time(config.payload_bits, uplink_rate_bps)
     t_down = _transmission_time(config.payload_bits, downlink_rate_bps)
     return CostBreakdown(

@@ -15,6 +15,7 @@ from importlib import resources
 import numpy as np
 
 N_FEATURES = 13
+SYNTHETIC_NOISE_STD = 0.35  # of make_synthetic's target, in units of its signal std
 
 BUNDLED_DATASET = "housing_synthetic.csv"
 
@@ -119,12 +120,7 @@ def load_bundled_dataset() -> Dataset:
         return load_dataset(str(path), name=BUNDLED_DATASET)
 
 
-def make_synthetic(
-    n_rows: int = 506,
-    seed: int = 0,
-    noise_std: float = 0.35,
-    nonlinear_scale: float = 1.0,
-) -> Dataset:
+def make_synthetic(n_rows: int = 506, seed: int = 0) -> Dataset:
     """Deterministic regression corpus with the housing-file shape.
 
     Features mix scales like real tabular data. The target combines a linear
@@ -145,9 +141,9 @@ def make_synthetic(
         + (x_std[:, 4] ** 2 - 1.0)
         + np.sin(2.0 * x_std[:, 5])
     )
-    signal = x_std @ weights + nonlinear_scale * nonlinear
+    signal = x_std @ weights + nonlinear
     signal /= signal.std()
-    y = 22.5 + 9.0 * (signal + rng.normal(0.0, noise_std, size=n_rows))
+    y = 22.5 + 9.0 * (signal + rng.normal(0.0, SYNTHETIC_NOISE_STD, size=n_rows))
     return Dataset(x, y, f"synthetic(seed={seed})")
 
 

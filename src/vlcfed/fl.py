@@ -23,6 +23,7 @@ from .dataset import DataShard
 
 N_INPUTS = 13
 N_HIDDEN = 10
+INIT_SCALE = 0.5  # initial parameters are uniform on [-INIT_SCALE, INIT_SCALE]
 
 
 class NoParticipantsError(ValueError):
@@ -41,13 +42,13 @@ class MlpModel:
     b2: np.ndarray  # (1,)
 
     @classmethod
-    def init_random(cls, seed: int, scale: float = 0.5) -> "MlpModel":
+    def init_random(cls, seed: int) -> "MlpModel":
         rng = np.random.default_rng(seed)
         return cls(
-            w1=rng.uniform(-scale, scale, size=(N_INPUTS, N_HIDDEN)),
-            b1=rng.uniform(-scale, scale, size=N_HIDDEN),
-            w2=rng.uniform(-scale, scale, size=(N_HIDDEN, 1)),
-            b2=rng.uniform(-scale, scale, size=1),
+            w1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(N_INPUTS, N_HIDDEN)),
+            b1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=N_HIDDEN),
+            w2=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(N_HIDDEN, 1)),
+            b2=rng.uniform(-INIT_SCALE, INIT_SCALE, size=1),
         )
 
     @classmethod

@@ -30,9 +30,23 @@ class UserNode:
     def __post_init__(self):
         if self.shard_size < 1:
             raise ValueError(f"user {self.id}: shard_size must be >= 1")
-        for name in ("cpu_freq_hz", "tx_power_w", "energy_budget_j"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"user {self.id}: {name} must be > 0")
+        # Each chained comparison also fails on nan.
+        if not 0.0 < self.cycles_per_sample < math.inf:
+            self._reject("cycles_per_sample")
+        if not 0.0 < self.cpu_freq_hz < math.inf:
+            self._reject("cpu_freq_hz")
+        if not 0.0 < self.capacitance_coeff < math.inf:
+            self._reject("capacitance_coeff")
+        if not 0.0 < self.tx_power_w < math.inf:
+            self._reject("tx_power_w")
+        if not 0.0 < self.energy_budget_j < math.inf:
+            self._reject("energy_budget_j")
+        x, y, z = self.position
+        if not (-math.inf < x < math.inf and -math.inf < y < math.inf and -math.inf < z < math.inf):
+            raise ValueError(f"user {self.id}: position must be finite, got {self.position!r}")
+
+    def _reject(self, name: str):
+        raise ValueError(f"user {self.id}: {name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

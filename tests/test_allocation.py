@@ -268,10 +268,11 @@ class TestUsba:
             assert res.selection.outdoor_ids <= supported.outdoor_ids
 
     def test_each_state_is_tested_once(self, monkeypatch):
-        # One feasibility pass for the start, one for the solo restart, one
-        # per iteration (which also tests the state it steps from) and one
-        # for the last state when the iterations run out; the self-support
-        # test must not evaluate a visited state a second time.
+        # At most one feasibility pass for the start, one for the solo
+        # restart, one per step (which also tests the state it steps from)
+        # and one for the step that tests the last state when the iterations
+        # run out; the self-support test must not evaluate a visited state a
+        # second time.
         passes = PassCounter(monkeypatch)
         instances = [self.oscillating_instance()]
         rng = np.random.default_rng(5)
@@ -286,6 +287,31 @@ class TestUsba:
                 assert passes.count <= res.iterations + 3, (mode, res)
                 nonconverged += not res.converged
         assert nonconverged >= 5
+
+    def test_a_fixed_point_is_confirmed_without_a_pass(self, monkeypatch):
+        # A step whose widths equal the current ones finds the current
+        # selection again without a pass. So a converged run makes one pass
+        # for the start, one for a solo restart and one per iteration but the
+        # last, which only confirms the fixed point.
+        passes = PassCounter(monkeypatch)
+        rng = np.random.default_rng(19)
+        converged = restarted = 0
+        for _ in range(60):
+            topo, cfg = random_instance(rng, n_range=(1, 40))
+            if rng.uniform() < 0.5:
+                cfg = cfg.replace(initial_bandwidth=tuple(float(10 ** rng.uniform(3, 7.5)) for _ in range(3)))
+            start = BandwidthAllocation(*cfg.initial_bandwidth) if cfg.initial_bandwidth else None
+            start = start or default_initial_bandwidth(topo, cfg)
+            for mode in MODES:
+                restart = not get_s(start, topo, cfg, mode)
+                passes.count = 0
+                res = usba(topo, cfg, mode)
+                if res.converged:
+                    assert passes.count == 1 + restart + max(res.iterations - 1, 0), (mode, res)
+                    converged += 1
+                    restarted += restart
+        assert converged >= 30
+        assert restarted >= 5
 
     @pytest.mark.parametrize(
         "seed, mode, ids",
@@ -585,6 +611,17 @@ class TestLoudFailures:
         with pytest.raises(ValueError, match="channel gain"):
             call(topo, config, mode)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e6])
+    @pytest.mark.parametrize("field", range(3))
+    def test_non_finite_or_non_positive_widths_are_rejected(self, config, field, bad):
+        widths = [1e6, 1e6, 1e6]
+        widths[field] = bad
+        topo = generate_topology(SimConfig(), 0)
+        with pytest.raises(ValueError, match="block widths must be finite and > 0"):
+            get_s(BandwidthAllocation(*widths), topo, config)
+        with pytest.raises(ValueError, match="block widths must be finite and > 0"):
+            is_feasible(topo.users[0], BandwidthAllocation(*widths), topo, config)
+
     def test_get_s_rejects_unknown_mode(self, config):
         with pytest.raises(ValueError, match="mode must be one of"):
             get_s(BandwidthAllocation(1e6, 1e6, 1e6), make_topology([make_user()]), config, mode="other")
@@ -754,5 +791,58 @@ class TestReferenceOracle:
         got = list(_oracle_rows())
         assert len(got) == len(expected) == 224
         assert sum(row["indoor_ids"] == row["outdoor_ids"] == "" for row in expected) >= 3
+        for row, ref in zip(got, expected):
+            assert row == ref
+
+
+REFERENCE_STARTS = Path(__file__).parent / "data" / "reference_usba_starts.csv"
+STARTS_FIELDS = (
+    "instance", "mode", "start", "max_iterations", "indoor_ids", "outdoor_ids",
+    "b_up_hz", "b_down_hz", "b_vlc_hz", "iterations", "converged", "objective",
+)
+
+
+def _start_rows():
+    """usba on 150 random_instance draws with N = 1..60, in both modes. Every
+    other draw starts from configured widths, drawn log-uniform over
+    1e3..3e7 Hz; max_iterations is drawn from 1..7."""
+    rng = np.random.default_rng(83)
+    for instance in range(150):
+        topo, cfg = random_instance(rng, n_range=(1, 60))
+        start = None
+        if instance % 2:
+            start = tuple(float(10 ** rng.uniform(3.0, math.log10(3e7))) for _ in range(3))
+        cfg = cfg.replace(initial_bandwidth=start, max_iterations=int(rng.integers(1, 8)))
+        for mode in MODES:
+            yield {
+                "instance": str(instance),
+                "mode": mode,
+                "start": ";".join(w.hex() for w in start) if start else "default",
+                "max_iterations": str(cfg.max_iterations),
+                **_result_row(usba(topo, cfg, mode)),
+            }
+
+
+def write_reference_starts(path=REFERENCE_STARTS):
+    _write_rows(path, STARTS_FIELDS, _start_rows())
+
+
+class TestReferenceStarts:
+    """tests/data/reference_usba_starts.csv was written by
+    ``write_reference_starts()`` while usba still ran a feasibility pass to
+    confirm each fixed point. Configured starts reach the solo restart and
+    fixed points found at other widths than their own; the rows cover every
+    way the alternation ends."""
+
+    def test_matches_stored_results(self):
+        with open(REFERENCE_STARTS, newline="") as fh:
+            expected = list(csv.DictReader(fh))
+        got = list(_start_rows())
+        assert len(got) == len(expected) == 300
+        nonconverged = [row for row in expected if row["converged"] == "false"]
+        spent = [row for row in nonconverged if row["iterations"] == row["max_iterations"]]
+        assert len(nonconverged) < len(expected)  # converged
+        assert spent  # the iterations ran out
+        assert len(spent) < len(nonconverged)  # a revisit or an empty state ended the run
         for row, ref in zip(got, expected):
             assert row == ref

@@ -6,6 +6,7 @@ import pytest
 from vlcfed import SimConfig, distance, generate_topology
 from vlcfed.config import ConfigError
 from vlcfed.topology import ap_positions
+from tests.conftest import make_user
 
 
 def test_indoor_outdoor_split_matches_fraction():
@@ -106,3 +107,23 @@ def test_distance_examples():
     assert distance((3, 4, 0), (0, 0, 0)) == pytest.approx(5.0)
     assert distance((0, 0, 2.5), (0, 1.66, 0)) == pytest.approx(3.000933188193299, rel=1e-12)
     assert distance((1, 2, 3), (4, -1, 0)) == distance((4, -1, 0), (1, 2, 3))
+
+
+USER_TERMS = ("cycles_per_sample", "cpu_freq_hz", "capacitance_coeff", "tx_power_w", "energy_budget_j")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", USER_TERMS)
+def test_user_rejects_a_term_the_link_table_cannot_use(name, value):
+    with pytest.raises(ValueError, match=rf"user 7: {name} must be finite and > 0"):
+        make_user(id=7, **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", range(3))
+def test_user_rejects_a_non_finite_position(axis, value):
+    xyz = [10.0, 0.0, 0.85]
+    xyz[axis] = value
+    with pytest.raises(ValueError, match="user 3: position must be finite"):
+        make_user(id=3, xy=tuple(xyz[:2]), z=xyz[2])
+
