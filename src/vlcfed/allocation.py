@@ -223,9 +223,8 @@ def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid")
     Every user takes an RF uplink block; outdoor users, and every user in
     ``rf_only`` mode, also take an RF downlink block. In hybrid mode the
     indoor users split B_vlc; with no VLC block issued the width is unused
-    and reported as B_vlc.
+    and reported as B_vlc. Callers pass a checked mode.
     """
-    _check_mode(mode)
     n = n_in + n_out
     rf_blocks = 2 * n if mode == "rf_only" else n + n_out
     vlc_blocks = n_in if mode == "hybrid" and n_in > 0 else 1
@@ -235,6 +234,7 @@ def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid")
 
 def get_b(selection: Selection, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
     """Widest per-block bandwidths for a selection; both budgets saturate."""
+    _check_mode(mode)
     if not selection:
         raise EmptySelectionError("cannot allocate bandwidth to an empty selection")
     return block_widths(len(selection.indoor_ids), len(selection.outdoor_ids), config, mode)
@@ -338,7 +338,6 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
     boundary pair is the best in its row. Otherwise the pairs below it are
     scored too. Ties go to the first pair in k1-then-k2 order.
     """
-    _check_mode(mode)
     if topology.n_users > ORACLE_MAX_USERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_USERS} users, got {topology.n_users}"

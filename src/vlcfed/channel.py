@@ -69,7 +69,6 @@ class VlcParams:
     refractive_index: float
     conversion_efficiency: float
     noise_psd: float            # A^2/Hz
-    total_bandwidth_hz: float
 
     @classmethod
     def from_config(cls, config: SimConfig) -> "VlcParams":
@@ -82,7 +81,6 @@ class VlcParams:
             refractive_index=config.refractive_index,
             conversion_efficiency=config.conversion_efficiency,
             noise_psd=config.vlc_noise_psd,
-            total_bandwidth_hz=config.vlc_total_bandwidth_hz,
         )
 
 
@@ -90,7 +88,6 @@ class VlcParams:
 class RfParams:
     bs_power_w: float
     noise_psd: float            # W/Hz
-    total_bandwidth_hz: float
     uplink_interference_w: float
     downlink_interference_w: float
     indoor_penetration_db: float
@@ -100,7 +97,6 @@ class RfParams:
         return cls(
             bs_power_w=config.bs_tx_power_w,
             noise_psd=config.rf_noise_psd,
-            total_bandwidth_hz=config.rf_total_bandwidth_hz,
             uplink_interference_w=config.uplink_interference_w,
             downlink_interference_w=config.downlink_interference_w,
             indoor_penetration_db=config.indoor_penetration_db,

@@ -4,9 +4,14 @@ Defaults reproduce the reference scenario (circular 50 m cell, 50 users, 80%
 indoor, hybrid VLC downlink + shared RF band). Every physical quantity is
 config-exposed so sweeps can override it. A `SimConfig` is valid by
 construction: every way of building one (the constructor, `replace`,
-`dataclasses.replace`, `build_config`) runs `validate()`, which rejects
-non-numeric, boolean, non-positive, non-finite and non-integral values by
-field name.
+`dataclasses.replace`, `build_config`) runs `validate()`.
+
+Each field's annotation carries its one rule. A scalar field has an admissible
+interval, which also words its error; `validate()` runs one loop over the
+scalar fields and rejects, by field name, a value that is not a real number
+(``bool`` included), lies outside its interval (nan and inf included) or,
+where the field is annotated ``int``, is not an integer. Each tuple field has
+its own check.
 """
 
 from __future__ import annotations
@@ -14,182 +19,177 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 import typing
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
 
 class ConfigError(ValueError):
     """Raised when a configuration value is out of its admissible range."""
 
 
-# Fields that must be strictly positive.
-_POSITIVE_FIELDS = (
-    "optical_power_w",
-    "vlc_total_bandwidth_hz",
-    "pd_area_m2",
-    "half_intensity_angle_deg",
-    "filter_gain",
-    "fov_half_angle_deg",
-    "refractive_index",
-    "conversion_efficiency",
-    "vlc_noise_psd",
-    "rf_noise_psd",
-    "rf_total_bandwidth_hz",
-    "bs_tx_power_w",
-    "t_round_s",
-    "energy_budget_j",
-    "capacitance_coeff",
-    "payload_bits",
-    "cell_radius_m",
-    "receiver_plane_height_m",
-    "ap_height_above_plane_m",
-    "indoor_spread_m",
-    "nu",
-    "learning_rate",
-)
-
-# Fields that must be >= 0.
-_NON_NEGATIVE_FIELDS = (
-    "uplink_interference_w",
-    "downlink_interference_w",
-    "indoor_penetration_db",
-    "backhaul_delay_s",
-    "test_size",
-)
-
-# Integer fields that must be >= 1; test_size, also an integer, may be 0.
-_COUNT_FIELDS = ("n_users", "n_vlc_aps", "samples_per_user", "local_epochs", "global_rounds", "max_iterations")
+# The largest float: a value at most this is finite, and an int too large to
+# be a float is not.
+_MAX_FLOAT = sys.float_info.max
 
 
-def _finite_positive(value) -> bool:
-    return math.isfinite(value) and value > 0
+class _Interval(typing.NamedTuple):
+    """A scalar field's admissible values: low <(=) value <(=) high."""
 
+    low: float
+    high: float = _MAX_FLOAT
+    closed_low: bool = False
+    closed_high: bool = True
 
-def _is_real(value) -> bool:
-    # bool is a numbers.Integral, but True is no quantity and no count.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    def __str__(self) -> str:
+        if self.high == _MAX_FLOAT:
+            return f"{'>=' if self.closed_low else '>'} {self.low:g}"
+        return f"in {'[' if self.closed_low else '('}{self.low:g}, {self.high:g}{']' if self.closed_high else ')'}"
 
 
 def _check_reals(name: str, values) -> None:
-    if not isinstance(values, (tuple, list)) or not all(map(_is_real, values)):
+    # bool is a numbers.Integral, but True is no quantity and no count.
+    if not isinstance(values, (tuple, list)) or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
+    ):
         raise ConfigError(f"{name} must hold real numbers, got {values!r}")
+
+
+def _check_range(name: str, bounds) -> None:
+    if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+        raise ConfigError(f"{name} must hold exactly two values (low, high), got {bounds!r}")
+    _check_reals(name, bounds)
+    if not (0 < bounds[0] <= bounds[1] < math.inf):
+        raise ConfigError(f"{name} must satisfy 0 < low <= high < inf, got {tuple(bounds)!r}")
+
+
+def _check_radii(name: str, radii) -> None:
+    if radii is not None:
+        _check_reals(name, radii)
+        if not (radii and all(0 < r <= _MAX_FLOAT for r in radii)):
+            raise ConfigError(f"{name} must be finite positive values, got {radii!r}")
+
+
+def _check_widths(name: str, widths) -> None:
+    if widths is not None:
+        _check_reals(name, widths)
+        if not (len(widths) == 3 and all(0 < w <= _MAX_FLOAT for w in widths)):
+            raise ConfigError(f"{name} must be three finite positive values, got {widths!r}")
+
+
+# Each field's annotation carries its one rule: an _Interval for a scalar
+# (which must also be an integer where annotated int), a check for a tuple.
+Positive = Annotated[float, _Interval(0.0)]
+NonNegative = Annotated[float, _Interval(0.0, closed_low=True)]
+Count = Annotated[int, _Interval(1, closed_low=True)]
+Range = Annotated[tuple[float, float], _check_range]
 
 
 @dataclass(frozen=True)
 class SimConfig:
     # --- radio / optical parameters ---
-    optical_power_w: float = 9.0          # transmitted optical power per VLC AP
-    vlc_total_bandwidth_hz: float = 40e6  # total VLC (LED modulation) bandwidth
-    pd_area_m2: float = 1e-4              # photodiode physical area (1 cm^2)
-    half_intensity_angle_deg: float = 60.0
-    filter_gain: float = 1.0              # optical filter gain
-    fov_half_angle_deg: float = 90.0      # receiver field-of-view half angle
-    refractive_index: float = 1.5
-    conversion_efficiency: float = 0.53   # optical-to-electric, A/W
-    vlc_noise_psd: float = 1e-21          # A^2/Hz
-    rf_noise_psd: float = 1e-21           # W/Hz
-    rf_total_bandwidth_hz: float = 20e6
-    bs_tx_power_w: float = 1.0
-    n_users: int = 50
-    t_round_s: float = 2.5                # per-round wall-clock budget
-    energy_budget_j: float = 2.0          # per-user per-round energy cap
-    capacitance_coeff: float = 2e-28      # effective switched-capacitance scale
-    payload_bits: float = 1e6             # model-update size per link, per round
+    optical_power_w: Positive = 9.0          # transmitted optical power per VLC AP
+    vlc_total_bandwidth_hz: Positive = 40e6  # total VLC (LED modulation) bandwidth
+    pd_area_m2: Positive = 1e-4              # photodiode physical area (1 cm^2)
+    half_intensity_angle_deg: Annotated[float, _Interval(0.0, 90.0, closed_high=False)] = 60.0
+    filter_gain: Positive = 1.0              # optical filter gain
+    # receiver field-of-view half angle
+    fov_half_angle_deg: Annotated[float, _Interval(0.0, 90.0)] = 90.0
+    refractive_index: Positive = 1.5
+    conversion_efficiency: Positive = 0.53   # optical-to-electric, A/W
+    vlc_noise_psd: Positive = 1e-21          # A^2/Hz
+    rf_noise_psd: Positive = 1e-21           # W/Hz
+    rf_total_bandwidth_hz: Positive = 20e6
+    bs_tx_power_w: Positive = 1.0
+    n_users: Count = 50
+    t_round_s: Positive = 2.5                # per-round wall-clock budget
+    energy_budget_j: Positive = 2.0          # per-user per-round energy cap
+    capacitance_coeff: Positive = 2e-28      # effective switched-capacitance scale
+    payload_bits: Positive = 1e6             # model-update size per link, per round
 
     # --- network layout ---
-    cell_radius_m: float = 50.0
-    indoor_fraction: float = 0.8
-    n_vlc_aps: int = 4
+    cell_radius_m: Positive = 50.0
+    indoor_fraction: Annotated[float, _Interval(0.0, 1.0, closed_low=True)] = 0.8
+    n_vlc_aps: Count = 4
     # One BS-distance per AP (cycled if fewer than n_vlc_aps); None staggers
     # them evenly over [0.2, 0.8] * cell_radius so indoor path loss spreads.
-    ap_ring_radii_m: Optional[tuple[float, ...]] = None
-    receiver_plane_height_m: float = 0.85
-    ap_height_above_plane_m: float = 2.5  # vertical AP-to-receiver drop
-    indoor_spread_m: float = 3.0          # indoor users land within this radius of an AP
+    ap_ring_radii_m: Annotated[Optional[tuple[float, ...]], _check_radii] = None
+    receiver_plane_height_m: Positive = 0.85
+    ap_height_above_plane_m: Positive = 2.5  # vertical AP-to-receiver drop
+    indoor_spread_m: Positive = 3.0          # indoor users land within this radius of an AP
 
     # --- per-user hardware draws ---
-    tx_power_range_w: tuple[float, float] = (0.05, 1.0)  # log-uniform per user
-    cycles_per_sample_range: tuple[float, float] = (1e7, 4e7)
-    cpu_freq_range_hz: tuple[float, float] = (1e8, 1e9)
-    samples_per_user: int = 9             # overwritten by the runner from the actual partition
+    tx_power_range_w: Range = (0.05, 1.0)    # log-uniform per user
+    cycles_per_sample_range: Range = (1e7, 4e7)
+    cpu_freq_range_hz: Range = (1e8, 1e9)
+    samples_per_user: Count = 9              # overwritten by the runner from the actual partition
 
     # --- RF propagation ---
-    indoor_penetration_db: float = 10.0
+    indoor_penetration_db: NonNegative = 10.0
     # Aggregate co-channel interference from neighboring cells, held constant.
     # The downlink sees a continuously transmitting neighbor BS (~-62 dBm);
     # the uplink sees sporadic handsets (~-70 dBm). Set both to 0.0 for an
     # isolated single-cell system.
-    uplink_interference_w: float = 1e-10
-    downlink_interference_w: float = 6e-10
+    uplink_interference_w: NonNegative = 1e-10
+    downlink_interference_w: NonNegative = 6e-10
 
     # --- computation / timing model ---
-    nu: float = 1.0                       # local-iteration-count scale
-    local_accuracy: float = 0.5           # target local accuracy, in (0, 1)
-    backhaul_delay_s: float = 0.05        # BS -> home gateway fiber delay
+    nu: Positive = 1.0                       # local-iteration-count scale
+    local_accuracy: Annotated[float, _Interval(0.0, 1.0, closed_high=False)] = 0.5  # target local accuracy
+    backhaul_delay_s: NonNegative = 0.05     # BS -> home gateway fiber delay
 
     # --- federated training ---
-    learning_rate: float = 0.6
-    local_epochs: int = 5
-    global_rounds: int = 300
-    test_size: int = 17
+    learning_rate: Positive = 0.6
+    local_epochs: Count = 5
+    global_rounds: Count = 300
+    test_size: Annotated[int, _Interval(0, closed_low=True)] = 17
 
     # --- selection/bandwidth iteration control ---
-    max_iterations: int = 50
-    initial_bandwidth: Optional[tuple[float, float, float]] = None  # (up, down, vlc); None = default_initial_bandwidth
+    max_iterations: Count = 50
+    # (up, down, vlc); None = default_initial_bandwidth
+    initial_bandwidth: Annotated[Optional[tuple[float, float, float]], _check_widths] = None
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> "SimConfig":
-        for name in _POSITIVE_FIELDS + _NON_NEGATIVE_FIELDS + ("indoor_fraction", "local_accuracy"):
+        for name, interval, integral in _SCALAR_RULES:
             value = getattr(self, name)
-            if not _is_real(value):
+            kind = type(value)
+            # Exact float and int first: a numbers ABC check costs a microsecond.
+            # bool is a numbers.Integral, but True is no quantity and no count.
+            if kind is not float and kind is not int and (kind is bool or not isinstance(value, numbers.Real)):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-        for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if not _finite_positive(value):
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
-        for name in _NON_NEGATIVE_FIELDS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-        for name in _COUNT_FIELDS + ("test_size",):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            low, high, closed_low, closed_high = interval
+            # Both comparisons fail on nan, and inf lies above every high.
+            if not (
+                (low <= value if closed_low else low < value) and (value <= high if closed_high else value < high)
+            ):
+                raise ConfigError(f"{name} must be finite and {interval}, got {value!r}")
+            if integral and kind is not int and not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "test_size":
-                raise ConfigError(f"{name} must be >= 1, got {value!r}")
-        if not 0.0 <= self.indoor_fraction <= 1.0:
-            raise ConfigError(f"indoor_fraction must lie in [0, 1], got {self.indoor_fraction!r}")
-        if not 0.0 < self.half_intensity_angle_deg < 90.0:
-            raise ConfigError(f"half_intensity_angle_deg must lie in (0, 90), got {self.half_intensity_angle_deg!r}")
-        if not 0.0 < self.fov_half_angle_deg <= 90.0:
-            raise ConfigError(f"fov_half_angle_deg must lie in (0, 90], got {self.fov_half_angle_deg!r}")
-        if not 0.0 < self.local_accuracy < 1.0:
-            raise ConfigError(f"local_accuracy must lie in (0, 1), got {self.local_accuracy!r}")
-        for name in ("cycles_per_sample_range", "cpu_freq_range_hz", "tx_power_range_w"):
-            bounds = getattr(self, name)
-            if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
-                raise ConfigError(f"{name} must hold exactly two values (low, high), got {bounds!r}")
-            _check_reals(name, bounds)
-            lo, hi = bounds
-            if not (0 < lo <= hi < math.inf):
-                raise ConfigError(f"{name} must satisfy 0 < low <= high < inf, got {(lo, hi)!r}")
-        radii = self.ap_ring_radii_m
-        if radii is not None:
-            _check_reals("ap_ring_radii_m", radii)
-            if not (radii and all(map(_finite_positive, radii))):
-                raise ConfigError(f"ap_ring_radii_m must be finite positive values, got {radii!r}")
-        widths = self.initial_bandwidth
-        if widths is not None:
-            _check_reals("initial_bandwidth", widths)
-            if not (len(widths) == 3 and all(map(_finite_positive, widths))):
-                raise ConfigError(f"initial_bandwidth must be three finite positive values, got {widths!r}")
+        for name, check in _TUPLE_RULES:
+            check(name, getattr(self, name))
         return self
 
     def replace(self, **overrides) -> "SimConfig":
         return dataclasses.replace(self, **overrides)
+
+
+def _split_rules():
+    """(name, interval, annotated int) of each scalar field and (name, check) of each tuple field."""
+    scalars, tuples = [], []
+    for name, hint in typing.get_type_hints(SimConfig, include_extras=True).items():
+        base, rule = typing.get_args(hint)  # exactly one rule per field
+        if isinstance(rule, _Interval):
+            scalars.append((name, rule, base is int))  # the int that _coerce reads
+        else:
+            tuples.append((name, rule))
+    return tuple(scalars), tuple(tuples)
+
+
+_SCALAR_RULES, _TUPLE_RULES = _split_rules()
 
 
 def _coerce(hint, raw: str):
@@ -236,8 +236,6 @@ def load_config_file(path: str) -> dict:
     return overrides
 
 
-def build_config(file_path: Optional[str] = None, **cli_overrides) -> SimConfig:
-    """Resolve a config: compiled defaults <- config file <- CLI overrides."""
-    overrides = load_config_file(file_path) if file_path else {}
-    overrides.update({k: v for k, v in cli_overrides.items() if v is not None})
-    return SimConfig(**overrides)
+def build_config(file_path: Optional[str] = None) -> SimConfig:
+    """Resolve a config: the compiled defaults, overridden by the config file if one is given."""
+    return SimConfig(**(load_config_file(file_path) if file_path else {}))

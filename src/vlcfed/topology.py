@@ -8,6 +8,7 @@ chosen VLC AP so that every indoor user has line-of-sight light coverage.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,10 @@ class UserNode:
     energy_budget_j: float
 
     def __post_init__(self):
-        if self.shard_size < 1:
-            raise ValueError(f"user {self.id}: shard_size must be >= 1")
+        size = self.shard_size
+        # Exact int first: a numbers ABC check costs a microsecond.
+        if not (type(size) is int or (type(size) is not bool and isinstance(size, numbers.Integral))) or size < 1:
+            raise ValueError(f"user {self.id}: shard_size must be an integer >= 1, got {size!r}")
         # Each chained comparison also fails on nan.
         if not 0.0 < self.cycles_per_sample < math.inf:
             self._reject("cycles_per_sample")

@@ -626,6 +626,21 @@ class TestLoudFailures:
         with pytest.raises(ValueError, match="mode must be one of"):
             get_s(BandwidthAllocation(1e6, 1e6, 1e6), make_topology([make_user()]), config, mode="other")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda topo, cfg: get_s(BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, "other"),
+            lambda topo, cfg: is_feasible(topo.users[0], BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, "other"),
+            lambda topo, cfg: get_b(Selection(frozenset(), frozenset({0})), cfg, "other"),
+            lambda topo, cfg: usba(topo, cfg, "other"),
+            lambda topo, cfg: oracle_enumerate(topo, cfg, "other"),
+        ],
+        ids=["get_s", "is_feasible", "get_b", "usba", "oracle_enumerate"],
+    )
+    def test_every_entry_point_rejects_an_unknown_mode(self, config, call):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            call(make_topology([make_user()]), config)
+
 
 class TestInvalidConfig:
     """A config is checked when it is built, so usba and the oracle never see a bad one."""

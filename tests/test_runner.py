@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import math
+import typing
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from vlcfed import (
     make_synthetic,
     usba,
 )
-from vlcfed.config import _COUNT_FIELDS, _NON_NEGATIVE_FIELDS, _POSITIVE_FIELDS
+from vlcfed.config import _SCALAR_RULES, _TUPLE_RULES, _Interval
 from vlcfed.runner import (
     ExperimentError,
     emit_report,
@@ -24,6 +26,10 @@ from vlcfed.runner import (
     sweep_bandwidth,
     sweep_users,
 )
+
+
+SCALAR_FIELDS = tuple(name for name, _, _ in _SCALAR_RULES)
+INT_FIELDS = tuple(name for name, hint in typing.get_type_hints(SimConfig).items() if hint is int)
 
 
 @pytest.fixture
@@ -218,7 +224,7 @@ class TestConfigResolution:
             SimConfig(uplink_interference_w=-1e-12).validate()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", _POSITIVE_FIELDS + _NON_NEGATIVE_FIELDS)
+    @pytest.mark.parametrize("field", SCALAR_FIELDS)
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             SimConfig(**{field: value}).validate()
@@ -226,16 +232,18 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: SimConfig(t_round_s=-1.0),
-            lambda: SimConfig().replace(t_round_s=-1.0),
-            lambda: dataclasses.replace(SimConfig(), t_round_s=-1.0),
-            lambda: build_config(t_round_s=-1.0),
+            lambda path: SimConfig(t_round_s=-1.0),
+            lambda path: SimConfig().replace(t_round_s=-1.0),
+            lambda path: dataclasses.replace(SimConfig(), t_round_s=-1.0),
+            lambda path: build_config(path),
         ],
         ids=["constructor", "replace", "dataclasses_replace", "build_config"],
     )
-    def test_every_construction_path_validates(self, build):
+    def test_every_construction_path_validates(self, build, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("t_round_s = -1\n")
         with pytest.raises(ConfigError, match="t_round_s must be finite and > 0"):
-            build()
+            build(str(path))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -268,10 +276,83 @@ class TestConfigResolution:
             SimConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [2.5, 3.0])
-    @pytest.mark.parametrize("field", _COUNT_FIELDS + ("test_size",))
+    @pytest.mark.parametrize("field", INT_FIELDS)
     def test_integer_fields_hold_integers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("indoor_fraction", 0.0),
+            ("indoor_fraction", 1.0),
+            ("fov_half_angle_deg", 90.0),
+            ("backhaul_delay_s", 0.0),
+            ("test_size", 0),
+            ("n_users", 1),
+            ("n_users", np.int64(12)),
+            ("test_size", np.int64(0)),
+            ("t_round_s", Fraction(5, 2)),
+            ("local_accuracy", Fraction(1, 3)),
+            ("indoor_fraction", Fraction(1)),
+        ],
+    )
+    def test_interval_edges_accepted(self, field, value):
+        assert getattr(SimConfig(**{field: value}), field) == value
+
+    # One field of each kind: positive, non-negative, bounded on both sides,
+    # count, and the count that may be 0.
+    KINDS = ("t_round_s", "backhaul_delay_s", "indoor_fraction", "half_intensity_angle_deg", "n_users", "test_size")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("half_intensity_angle_deg", 90.0),
+            ("local_accuracy", 0.0),
+            ("local_accuracy", 1.0),
+            ("n_users", 0),
+            ("test_size", -1),
+        ]
+        + [(field, bad) for field in KINDS for bad in (math.nan, math.inf, -math.inf, True, "1")],
+    )
+    def test_interval_edges_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} "):
+            SimConfig(**{field: value})
+
+    def test_every_field_has_exactly_one_rule(self):
+        scalars = [name for name, interval, _ in _SCALAR_RULES if isinstance(interval, _Interval)]
+        tuples = [name for name, check in _TUPLE_RULES if callable(check) and not isinstance(check, _Interval)]
+        assert (len(scalars), len(tuples)) == (35, 5)
+        assert sorted(scalars + tuples) == sorted(f.name for f in dataclasses.fields(SimConfig))
+        assert sorted(name for name, _, integral in _SCALAR_RULES if integral) == sorted(INT_FIELDS)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("optical_power_w", 0.0, "optical_power_w must be finite and > 0, got 0.0"),
+            ("uplink_interference_w", -1.0, "uplink_interference_w must be finite and >= 0, got -1.0"),
+            ("n_users", 0, "n_users must be finite and >= 1, got 0"),
+            ("test_size", -1, "test_size must be finite and >= 0, got -1"),
+            ("indoor_fraction", 1.5, r"indoor_fraction must be finite and in \[0, 1\], got 1.5"),
+            ("half_intensity_angle_deg", 90.0, r"half_intensity_angle_deg must be finite and in \(0, 90\), got 90.0"),
+            ("fov_half_angle_deg", 91.0, r"fov_half_angle_deg must be finite and in \(0, 90\], got 91.0"),
+            ("local_accuracy", 1.0, r"local_accuracy must be finite and in \(0, 1\), got 1.0"),
+        ],
+    )
+    def test_the_interval_words_the_error(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("t_round_s", 10**400), ("n_users", 10**400), ("test_size", 10**400), ("ap_ring_radii_m", (10**400,))]
+    )
+    def test_an_int_too_large_for_a_float_is_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            SimConfig(**{field: value})
+
+    def test_the_first_bad_scalar_field_in_declaration_order_is_named(self):
+        with pytest.raises(ConfigError, match="^n_users "):
+            SimConfig(max_iterations=0, indoor_fraction=2.0, t_round_s=0.0, n_users=0)
 
     def test_numpy_integers_are_integers(self):
         assert SimConfig(n_users=np.int64(12), test_size=np.int32(0)).n_users == 12
@@ -315,9 +396,10 @@ class TestConfigResolution:
         assert overrides["n_users"] == 12
         assert overrides["cycles_per_sample_range"] == (1e4, 2e4)
         assert overrides["initial_bandwidth"] is None
-        cfg = build_config(str(path), n_users=20)
-        assert cfg.n_users == 20  # CLI overrides file
-        assert cfg.t_round_s == 1.5  # file overrides defaults
+        cfg = build_config(str(path))
+        assert (cfg.n_users, cfg.t_round_s) == (12, 1.5)  # the file overrides defaults
+        assert cfg.cycles_per_sample_range == (1e4, 2e4)
+        assert cfg.local_epochs == SimConfig().local_epochs  # defaults fill the rest
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

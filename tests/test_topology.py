@@ -127,3 +127,13 @@ def test_user_rejects_a_non_finite_position(axis, value):
     with pytest.raises(ValueError, match="user 3: position must be finite"):
         make_user(id=3, xy=tuple(xyz[:2]), z=xyz[2])
 
+
+@pytest.mark.parametrize("size", [1, 9, np.int64(9), np.int32(1)])
+def test_user_accepts_an_integer_shard_size(size):
+    assert make_user(shard_size=size).shard_size == size
+
+
+@pytest.mark.parametrize("size", [0, -3, np.int64(0), True, 2.5, 3.0, math.nan, math.inf, "9"])
+def test_user_rejects_a_shard_size_that_is_no_positive_integer(size):
+    with pytest.raises(ValueError, match="user 5: shard_size must be an integer >= 1"):
+        make_user(id=5, shard_size=size)
