@@ -54,15 +54,15 @@ from .channel import (  # noqa: F401
     _RF_RATE_ARGS_ERROR,
     RfParams,
     VlcParams,
+    _rf_channel_gain,
     _rf_rate,
     _vlc_rate,
     best_ap_sinr,
-    rf_channel_gain,
     rf_rate,
     vlc_signal_powers,
     vlc_sinr,
 )
-from .compute import _round_costs, computation_energy, computation_time, cost_breakdown  # noqa: F401
+from .compute import _computation_energy, _computation_time, _round_costs, cost_breakdown  # noqa: F401
 from .config import SimConfig
 from .topology import Topology, UserNode
 
@@ -128,13 +128,16 @@ class _LinkTable:
     Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
     RF otherwise. A VLC downlink out of every AP's field of view has rate 0,
     which makes the user infeasible. Each term comes from the same scalar
-    function, in the same order, as a per-user evaluation would use, and a
+    formula, in the same order, as a per-user evaluation would use, and a
     pass only adds, multiplies, divides, compares and takes ``math.log2``
     element by element, so the mask holds exactly the per-user answers.
 
-    The build raises ``rf_rate``'s ValueError on an RF gain that underflows to
-    0 far enough from the BS. The user terms are checked by ``UserNode``, and
-    the widths, noise PSDs and interference that a pass also uses by
+    The build evaluates each user's terms once, on Python floats, through
+    the unchecked gain and computation kernels; ``SimConfig`` guarantees the
+    accuracy and ``nu`` they take. It raises ValueError for a user at the BS
+    and ``rf_rate``'s ValueError on an RF gain that underflows to 0 far
+    enough from the BS. The user terms are checked by ``UserNode``, and the
+    widths, noise PSDs and interference that a pass also uses by
     ``BandwidthAllocation`` and ``SimConfig``; only rows with positive rates
     reach the cost kernel, so a pass checks nothing.
     """
@@ -145,20 +148,24 @@ class _LinkTable:
         self.rf = rf = RfParams.from_config(config)
         vlc = VlcParams.from_config(config)
         self.vlc_noise_psd = vlc.noise_psd
+        bx, by = topology.bs_position
+        dist = [math.hypot(u.position[0] - bx, u.position[1] - by) for u in users]
+        if 0.0 in dist:  # a distance is never negative
+            user = users[dist.index(0.0)]
+            raise ValueError(f"user {user.id}: distance must be > 0, got 0.0")
+        nu = config.nu
+        log_inv_accuracy = math.log(1.0 / config.local_accuracy)
         self.ids = np.array([u.id for u in users], dtype=int)
         self.indoor = np.array([u.indoor for u in users], dtype=bool)
         self.via_vlc = self.indoor & (mode == "hybrid")
-        bx, by = topology.bs_position
-        self.gain = np.array(
-            [rf_channel_gain(math.hypot(u.position[0] - bx, u.position[1] - by), u.indoor, rf) for u in users]
-        )
+        self.gain = np.array([_rf_channel_gain(d, u.indoor, rf) for u, d in zip(users, dist)])
         self.tx_power = np.array([u.tx_power_w for u in users])
         self.budget = np.array([u.energy_budget_j for u in users])
-        self.t_cmp = np.array([computation_time(u, config.local_accuracy, config.nu) for u in users])
-        self.e_cmp = np.array([computation_energy(u, config.local_accuracy, config.nu) for u in users])
+        self.t_cmp = np.array([_computation_time(u, log_inv_accuracy, nu) for u in users])
+        self.e_cmp = np.array([_computation_energy(u, log_inv_accuracy, nu) for u in users])
         # VLC users also pay the gateway backhaul.
         self.backhaul = np.where(self.via_vlc, config.backhaul_delay_s, 0.0)
-        self.signals = vlc_signal_powers([u for u, v in zip(users, self.via_vlc) if v], topology, vlc)
+        self.signals = vlc_signal_powers([u for u in users if u.indoor] if mode == "hybrid" else [], topology, vlc)
         # Rows whose downlink is VLC, and rows whose downlink is RF.
         self.vlc_rows = np.flatnonzero(self.via_vlc)
         self.rf_rows = np.flatnonzero(~self.via_vlc)
@@ -242,8 +249,12 @@ def get_b(selection: Selection, config: SimConfig, mode: str = "hybrid") -> Band
 
 def selection_objective(selection: Selection, topology: Topology) -> float:
     """Total training samples contributed by the selected users."""
-    by_id = {u.id: u for u in topology.users}
-    return float(sum(by_id[i].shard_size for i in selection.all_ids))
+    return _objective(selection, {u.id: u.shard_size for u in topology.users})
+
+
+def _objective(selection: Selection, shard_sizes: dict) -> float:
+    """``selection_objective`` from a map of each user's id to its shard size."""
+    return float(sum(shard_sizes[i] for i in selection.all_ids))
 
 
 def default_initial_bandwidth(topology: Topology, config: SimConfig) -> BandwidthAllocation:
@@ -292,6 +303,7 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
             return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
         bw = widest
 
+    shard_sizes = {u.id: u.shard_size for u in topology.users}
     best: tuple[Selection, BandwidthAllocation] | None = None
     best_obj = -1.0
     predecessors: set[Selection] = set()
@@ -301,14 +313,14 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
         new_bw = get_b(selection, config, mode)
         new_selection = selection if new_bw == bw else links.select(new_bw)
         if selection.indoor_ids <= new_selection.indoor_ids and selection.outdoor_ids <= new_selection.outdoor_ids:
-            obj = selection_objective(selection, topology)  # a self-supporting state
+            obj = _objective(selection, shard_sizes)  # a self-supporting state
             if obj > best_obj:
                 best, best_obj = (selection, new_bw), obj
         if iterations == config.max_iterations:
             break  # that step tested the last state
         iterations += 1
         if new_bw == bw:
-            return UsbaResult(selection, bw, iterations, True, selection_objective(selection, topology))
+            return UsbaResult(selection, bw, iterations, True, _objective(selection, shard_sizes))
         selection, bw, previous = new_selection, new_bw, selection
         if not selection or selection in predecessors:
             break  # empty states and revisits both mean the alternation cycles
@@ -317,7 +329,7 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
         predecessors.add(previous)
 
     selection, bw = best or (EMPTY_SELECTION, bw)
-    return UsbaResult(selection, bw, iterations, False, selection_objective(selection, topology))
+    return UsbaResult(selection, bw, iterations, False, _objective(selection, shard_sizes))
 
 
 ORACLE_MAX_USERS = 14

@@ -20,14 +20,16 @@ also take arrays over users; they apply ``math.log2`` element by element
 (``np.log2`` can differ in the last bit), so an array result holds the same
 bits as the scalar calls.
 
-The public rate functions check their arguments, then call a private kernel
-(``_rf_rate``, ``_vlc_rate``) that holds the formula and checks nothing. A
-caller that already guarantees the arguments, such as the link table's
-feasibility pass, calls the kernel directly.
+The public rate and RF-gain functions check their arguments, then call a
+private kernel (``_rf_rate``, ``_vlc_rate``, ``_rf_channel_gain``) that holds
+the formula and checks nothing. A caller that already guarantees the
+arguments calls the kernel directly: the link table's build on each user's
+distance, its feasibility pass on the rates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -125,13 +127,15 @@ def concentrator_gain(incidence_deg: float, fov_half_angle_deg: float, refractiv
     return refractive_index**2 / (s * s)
 
 
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each element of ``x`` as a Python float.
+def _elementwise(fn, x: np.ndarray, *args) -> np.ndarray:
+    """``fn(element, *args)`` for each element of ``x`` as a Python float.
 
     Used for logarithms and powers: their numpy ufuncs can differ from the
-    scalar ``math`` and ``**`` results in the last bit.
+    scalar ``math`` and ``**`` results in the last bit. ``pow`` with a
+    repeated exponent gives the bits of ``element**exponent``.
     """
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
 def vlc_channel_gains(aps, receivers, p: VlcParams) -> np.ndarray:
@@ -166,7 +170,7 @@ def vlc_channel_gains(aps, receivers, p: VlcParams) -> np.ndarray:
             / (2.0 * math.pi * d * d)
             * p.filter_gain
             * g
-            * _elementwise(lambda x: x**m, c)
+            * _elementwise(pow, c, m)
             * c
         )
     return gains
@@ -191,7 +195,7 @@ def vlc_signal_powers(users, topology: Topology, p: VlcParams) -> np.ndarray:
     if users and not topology.vlc_aps:
         raise ValueError("topology has no VLC APs")
     gains = vlc_channel_gains(topology.vlc_aps, [u.position for u in users], p)
-    return _elementwise(lambda x: x**2, p.conversion_efficiency * gains * p.optical_power_w)
+    return _elementwise(pow, p.conversion_efficiency * gains * p.optical_power_w, 2)
 
 
 def best_ap_sinr(signals: np.ndarray, rb_bandwidth_hz: float, noise_psd: float) -> np.ndarray:
@@ -241,6 +245,11 @@ def rf_channel_gain(dist_m: float, indoor: bool, p: RfParams) -> float:
     """Deterministic log-distance RF power gain (linear, dimensionless)."""
     if dist_m <= 0:
         raise ValueError(f"distance must be > 0, got {dist_m!r}")
+    return _rf_channel_gain(dist_m, indoor, p)
+
+
+def _rf_channel_gain(dist_m: float, indoor: bool, p: RfParams) -> float:
+    """``rf_channel_gain`` without the distance check."""
     pl_db = 128.1 + 37.6 * math.log10(dist_m / 1000.0)
     if indoor:
         pl_db += p.indoor_penetration_db

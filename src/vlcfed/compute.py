@@ -4,9 +4,13 @@ One round costs a user
     t_down + t_up + t_cmp (+ backhaul delay for VLC-served downlinks)
 in time and e_cmp + e_com in energy, where e_com = t_up * P_n.
 
-``transmission_time`` and ``cost_breakdown`` check their arguments, then call
-a private kernel (``_transmission_time``, ``_round_costs``) that holds the
-formula and checks nothing. The link table's feasibility pass calls
+``computation_time``, ``computation_energy``, ``transmission_time`` and
+``cost_breakdown`` check their arguments, then call a private kernel
+(``_computation_time``, ``_computation_energy``, ``_transmission_time``,
+``_round_costs``) that holds the formula and checks nothing. The computation
+kernels take ln(1/accuracy), so a caller evaluating many users takes the
+logarithm once: the link table's build does, on a config that already
+guarantees the accuracy and ``nu``. Its feasibility pass calls
 ``_round_costs`` on rows whose rates it already knows to be positive.
 """
 
@@ -56,27 +60,24 @@ def computation_energy(user: UserNode, local_accuracy: float, nu: float) -> floa
     nu * (coeff/2) * cycles * samples * f^2 * ln(1/accuracy).
     """
     _check_accuracy(local_accuracy, nu)
+    return _computation_energy(user, math.log(1.0 / local_accuracy), nu)
+
+
+def _computation_energy(user: UserNode, log_inv_accuracy: float, nu: float) -> float:
+    """``computation_energy`` given ln(1/accuracy), without the checks."""
     cycles_total = user.cycles_per_sample * user.shard_size
-    return (
-        nu
-        * user.capacitance_coeff
-        * cycles_total
-        / 2.0
-        * user.cpu_freq_hz**2
-        * math.log(1.0 / local_accuracy)
-    )
+    return nu * user.capacitance_coeff * cycles_total / 2.0 * user.cpu_freq_hz**2 * log_inv_accuracy
 
 
 def computation_time(user: UserNode, local_accuracy: float, nu: float) -> float:
     """CPU time for one round of local training (seconds)."""
     _check_accuracy(local_accuracy, nu)
-    return (
-        nu
-        * user.cycles_per_sample
-        * user.shard_size
-        * math.log(1.0 / local_accuracy)
-        / user.cpu_freq_hz
-    )
+    return _computation_time(user, math.log(1.0 / local_accuracy), nu)
+
+
+def _computation_time(user: UserNode, log_inv_accuracy: float, nu: float) -> float:
+    """``computation_time`` given ln(1/accuracy), without the checks."""
+    return nu * user.cycles_per_sample * user.shard_size * log_inv_accuracy / user.cpu_freq_hz
 
 
 def _check_link(payload_bits: float, rate_bps) -> None:

@@ -17,7 +17,6 @@ its own check.
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 import sys
 import typing
@@ -60,8 +59,9 @@ def _check_range(name: str, bounds) -> None:
     if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
         raise ConfigError(f"{name} must hold exactly two values (low, high), got {bounds!r}")
     _check_reals(name, bounds)
-    if not (0 < bounds[0] <= bounds[1] < math.inf):
-        raise ConfigError(f"{name} must satisfy 0 < low <= high < inf, got {tuple(bounds)!r}")
+    # An int too large to be a float lies below inf but above _MAX_FLOAT.
+    if not (0 < bounds[0] <= bounds[1] <= _MAX_FLOAT):
+        raise ConfigError(f"{name} must be finite and satisfy 0 < low <= high, got {tuple(bounds)!r}")
 
 
 def _check_radii(name: str, radii) -> None:

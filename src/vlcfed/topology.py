@@ -120,40 +120,36 @@ def generate_topology(config: SimConfig, seed: int) -> Topology:
 
     radii = config.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    xy = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    # Python floats from here on: indexing numpy scalars user by user costs
+    # more than the arithmetic, which IEEE doubles do alike either way.
+    xs = (radii * np.cos(angles)).tolist()
+    ys = (radii * np.sin(angles)).tolist()
 
     # Indoor users are re-drawn near a uniformly chosen AP so they are covered
     # by at least one light. AP ring + spread stays inside the cell.
     if n_indoor > 0:
-        ap_choice = rng.integers(0, len(aps), size=n_indoor)
-        spread_r = config.indoor_spread_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_indoor))
-        spread_a = rng.uniform(0.0, 2.0 * math.pi, size=n_indoor)
-        for i in range(n_indoor):
-            ap = aps[ap_choice[i]]
-            xy[i, 0] = ap[0] + spread_r[i] * math.cos(spread_a[i])
-            xy[i, 1] = ap[1] + spread_r[i] * math.sin(spread_a[i])
+        ap_choice = rng.integers(0, len(aps), size=n_indoor).tolist()
+        spread_r = (config.indoor_spread_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_indoor))).tolist()
+        spread_a = rng.uniform(0.0, 2.0 * math.pi, size=n_indoor).tolist()
+        for i, (k, r, a) in enumerate(zip(ap_choice, spread_r, spread_a)):
+            ap_x, ap_y, _ = aps[k]
+            xs[i] = ap_x + r * math.cos(a)
+            ys[i] = ap_y + r * math.sin(a)
 
     cps_lo, cps_hi = config.cycles_per_sample_range
     f_lo, f_hi = config.cpu_freq_range_hz
     p_lo, p_hi = config.tx_power_range_w
-    cycles = rng.uniform(cps_lo, cps_hi, size=n)
-    freqs = rng.uniform(f_lo, f_hi, size=n)
+    cycles = rng.uniform(cps_lo, cps_hi, size=n).tolist()
+    freqs = rng.uniform(f_lo, f_hi, size=n).tolist()
     # Log-uniform: device power classes spread over decades, not linearly.
-    powers = 10.0 ** rng.uniform(math.log10(p_lo), math.log10(p_hi), size=n)
+    powers = (10.0 ** rng.uniform(math.log10(p_lo), math.log10(p_hi), size=n)).tolist()
 
+    # Positional arguments: keyword arguments to a class call cost a dict per
+    # user. The order is UserNode's field order.
+    shard, coeff, budget = config.samples_per_user, config.capacitance_coeff, config.energy_budget_j
     users = tuple(
-        UserNode(
-            id=i,
-            position=(float(xy[i, 0]), float(xy[i, 1]), z_plane),
-            indoor=i < n_indoor,
-            shard_size=config.samples_per_user,
-            cycles_per_sample=float(cycles[i]),
-            cpu_freq_hz=float(freqs[i]),
-            capacitance_coeff=config.capacitance_coeff,
-            tx_power_w=float(powers[i]),
-            energy_budget_j=config.energy_budget_j,
-        )
-        for i in range(n)
+        UserNode(i, (x, y, z_plane), i < n_indoor, shard, c, f, coeff, p, budget)
+        for i, (x, y, c, f, p) in enumerate(zip(xs, ys, cycles, freqs, powers))
     )
     return Topology(
         cell_radius_m=config.cell_radius_m,

@@ -16,6 +16,8 @@ from vlcfed import (
     Selection,
     SimConfig,
     VlcParams,
+    computation_energy,
+    computation_time,
     cost_breakdown,
     generate_topology,
     get_b,
@@ -566,6 +568,28 @@ class TestLinkTableMatchesPerUserReference:
         assert user.id in get_s(bw, with_budget(energy), cfg, mode).all_ids
         assert user.id not in get_s(bw, with_budget(math.nextafter(energy, 0.0)), cfg, mode).all_ids
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_build_terms_equal_the_public_functions(self, mode):
+        # The build calls the unchecked kernels on Python floats; each term must
+        # keep the bits of the checked public function.
+        rng = np.random.default_rng(1313)
+        for i in range(80):
+            topo, cfg = random_instance(rng, n_range=(1, 40))
+            cfg = cfg.replace(
+                local_accuracy=float(rng.uniform(0.01, 0.99)),
+                nu=float(rng.uniform(0.1, 5.0)),
+                indoor_penetration_db=float(rng.uniform(0.0, 20.0)),
+            )
+            if i % 3 == 0:
+                topo = with_unequal_shards(topo, rng, high=30)
+            links = _LinkTable(topo.users, topo, cfg, mode)
+            rf = RfParams.from_config(cfg)
+            bx, by = topo.bs_position
+            dists = [math.hypot(u.position[0] - bx, u.position[1] - by) for u in topo.users]
+            assert links.gain.tolist() == [rf_channel_gain(d, u.indoor, rf) for u, d in zip(topo.users, dists)]
+            assert links.t_cmp.tolist() == [computation_time(u, cfg.local_accuracy, cfg.nu) for u in topo.users]
+            assert links.e_cmp.tolist() == [computation_energy(u, cfg.local_accuracy, cfg.nu) for u in topo.users]
+
 
 class TestLoudFailures:
     """A hybrid topology with indoor users but no VLC APs is a broken input."""
@@ -609,6 +633,22 @@ class TestLoudFailures:
         assert rf_channel_gain(1e90, False, RfParams.from_config(config)) == 0.0
         topo = make_topology([make_user(id=0, xy=(20.0, 0.0)), far])
         with pytest.raises(ValueError, match="channel gain"):
+            call(topo, config, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda topo, cfg, mode: get_s(BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, mode),
+            lambda topo, cfg, mode: is_feasible(topo.users[1], BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, mode),
+            usba,
+            oracle_enumerate,
+        ],
+        ids=["get_s", "is_feasible", "usba", "oracle_enumerate"],
+    )
+    def test_a_user_at_the_bs_is_rejected(self, config, call, mode):
+        topo = make_topology([make_user(id=0, xy=(20.0, 0.0)), make_user(id=1, xy=(0.0, 0.0))])
+        with pytest.raises(ValueError, match="user 1: distance must be > 0, got 0.0"):
             call(topo, config, mode)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e6])

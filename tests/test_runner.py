@@ -255,6 +255,11 @@ class TestConfigResolution:
             ("tx_power_range_w", (0.05, math.inf)),
             ("cpu_freq_range_hz", (1e8, math.inf)),
             ("cycles_per_sample_range", (1e7, math.inf)),
+            # ints too large to be floats: each lies below inf
+            ("tx_power_range_w", (1, 10**400)),
+            ("cpu_freq_range_hz", (1e8, 10**400)),
+            ("cycles_per_sample_range", (10**400, 10**401)),
+            ("ap_ring_radii_m", (10**400,)),
         ],
     )
     def test_non_finite_tuple_entries_rejected(self, field, value):

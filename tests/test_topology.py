@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +36,40 @@ def test_determinism_bit_identical():
     assert a == b
     c = generate_topology(cfg, seed=8)
     assert a != c
+
+
+def _user_digest(topo):
+    """sha256 over every UserNode field, floats as .hex(), so a changed bit or type shows."""
+    h = hashlib.sha256()
+    for user in topo.users:
+        for f in dataclasses.fields(user):
+            value = getattr(user, f.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            h.update(" ".join(v.hex() if type(v) is float else repr(v) for v in parts).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "overrides, seed, digest",
+    [
+        (dict(n_users=1, indoor_fraction=0.0), 0, "ae55e74f778aba3837ce36c2f2d14a9854eed31ef3dbf6073c8c486991c14f5d"),
+        (dict(n_users=1, indoor_fraction=1.0), 3, "0589bd1d606b15195e7bd18637467b6ad9c2626561e2b976fbec53741a6940f2"),
+        (dict(n_users=7, indoor_fraction=0.5), 0, "bae78e948c04015a3e109414c286d40a846fe546010d26a3503c98fec8d0b290"),
+        (dict(n_users=50), 1, "a6e9631a70c4812d42955ad056c85393ddbc0c421d1ba809411bf52eb5e281e2"),
+        (dict(n_users=60, indoor_fraction=0.0), 5, "84b399c38f5aeb244edbf51cbde8fe94bfa8066da70481eaa67b29a970bc0361"),
+        (dict(n_users=40, indoor_fraction=1.0), 11, "e8b390ebace61f497a1c748f416c60a84ef507cb806f9430a7478a2568ae2ab6"),
+        (dict(n_users=200), 12345, "63562f14ad6299837ebf6a751bb5741586455134562ea01180d103816a5035c0"),
+        (
+            dict(n_users=13, indoor_fraction=0.3, n_vlc_aps=1, tx_power_range_w=(0.2, 0.2)),
+            2**31 - 1,
+            "389ce78cf6c12604feca0ae6e3c60404b29e947a0c2ddc55a143b52393e1781d",
+        ),
+    ],
+)
+def test_user_bits_are_pinned(overrides, seed, digest):
+    # Digests taken from the draw that indexed numpy scalars; the plain-float
+    # draw must reproduce every bit and type.
+    assert _user_digest(generate_topology(SimConfig(**overrides), seed)) == digest
 
 
 def test_all_users_inside_cell():
