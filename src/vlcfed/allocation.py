@@ -126,11 +126,11 @@ class _LinkTable:
     """The bandwidth-free terms of some users, for feasibility passes.
 
     Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
-    RF otherwise. A VLC downlink out of every AP's field of view has rate 0,
-    which makes the user infeasible. Each term comes from the same scalar
-    formula, in the same order, as a per-user evaluation would use, and a
-    pass only adds, multiplies, divides, compares and takes ``math.log2``
-    element by element, so the mask holds exactly the per-user answers.
+    RF otherwise. A link without rate (no AP in view, or an RF SINR below
+    2**-53) costs inf seconds and joules, so its user fails. Each term comes
+    from the same scalar formula, in the same order, as a per-user evaluation
+    would use, and a pass only adds, multiplies, divides, compares and takes
+    ``math.log2`` element by element, so the mask holds the per-user answers.
 
     The build evaluates each user's terms once, on Python floats, through
     the unchecked gain and computation kernels; ``SimConfig`` guarantees the
@@ -138,8 +138,7 @@ class _LinkTable:
     and ``rf_rate``'s ValueError on an RF gain that underflows to 0 far
     enough from the BS. The user terms are checked by ``UserNode``, and the
     widths, noise PSDs and interference that a pass also uses by
-    ``BandwidthAllocation`` and ``SimConfig``; only rows with positive rates
-    reach the cost kernel, so a pass checks nothing.
+    ``BandwidthAllocation`` and ``SimConfig``, so a pass checks nothing.
     """
 
     def __init__(self, users, topology: Topology, config: SimConfig, mode: str):
@@ -184,15 +183,11 @@ class _LinkTable:
             down[self.vlc_rows] = _vlc_rate(best_ap_sinr(self.signals, bw.b_vlc_hz, self.vlc_noise_psd), bw.b_vlc_hz)
         if self.rf_rows.size:
             down[self.rf_rows] = _rf_rate(self.down_power, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd)
-        # A link without rate (a VLC user out of every AP's view) fails outright.
-        linked = (up > 0.0) & (down > 0.0)
-        rows = slice(None) if linked.all() else np.flatnonzero(linked)
-        cost = _round_costs(
-            self.t_cmp[rows], self.e_cmp[rows], self.tx_power[rows], up[rows], down[rows], self.backhaul[rows], self.config
-        )
-        mask = np.zeros(up.shape, dtype=bool)
-        mask[rows] = (cost.round_time <= self.config.t_round_s) & (cost.total_energy <= self.budget[rows])
-        return mask
+        # A link without rate takes payload / 0 = inf seconds and joules, so it
+        # fails both tests like any slow link.
+        with np.errstate(divide="ignore"):
+            cost = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, self.config)
+        return (cost.round_time <= self.config.t_round_s) & (cost.total_energy <= self.budget)
 
     def select(self, bw: BandwidthAllocation) -> Selection:
         """Every feasible user at ``bw``."""

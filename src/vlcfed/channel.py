@@ -201,16 +201,16 @@ def vlc_signal_powers(users, topology: Topology, p: VlcParams) -> np.ndarray:
 def best_ap_sinr(signals: np.ndarray, rb_bandwidth_hz: float, noise_psd: float) -> np.ndarray:
     """Best-AP SINR of each row of a (users, APs) array of signal powers.
 
-    Each AP k is scored as s_k / (N0 B + sum_{l != k} s_l), with the row sum
-    taken left to right, and the maximum over APs with s_k > 0 is returned
-    (0 when no AP is in view); the serving AP is the best one.
+    Each AP k is scored as s_k / (N0 B + sum_{l != k} s_l) >= 0, with the row
+    sum taken left to right (so never below one of its terms), and the best
+    score is returned: 0 when no AP is in view. The serving AP is the best one.
     """
     if rb_bandwidth_hz <= 0:
         raise ValueError("rb_bandwidth_hz must be > 0")
     noise = noise_psd * rb_bandwidth_hz
     total = np.cumsum(signals, axis=1)[:, -1:]  # sequential, unlike a pairwise np.sum
     scores = signals / (noise + (total - signals))
-    return np.where(signals > 0.0, scores, 0.0).max(axis=1, initial=0.0)
+    return scores.max(axis=1, initial=0.0)
 
 
 def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, p: VlcParams) -> float:

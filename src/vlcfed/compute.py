@@ -11,7 +11,7 @@ in time and e_cmp + e_com in energy, where e_com = t_up * P_n.
 kernels take ln(1/accuracy), so a caller evaluating many users takes the
 logarithm once: the link table's build does, on a config that already
 guarantees the accuracy and ``nu``. Its feasibility pass calls
-``_round_costs`` on rows whose rates it already knows to be positive.
+``_round_costs`` on every user, where a zero rate costs inf seconds and joules.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ def computation_energy(user: UserNode, local_accuracy: float, nu: float) -> floa
 def _computation_energy(user: UserNode, log_inv_accuracy: float, nu: float) -> float:
     """``computation_energy`` given ln(1/accuracy), without the checks."""
     cycles_total = user.cycles_per_sample * user.shard_size
-    return nu * user.capacitance_coeff * cycles_total / 2.0 * user.cpu_freq_hz**2 * log_inv_accuracy
+    try:
+        return nu * user.capacitance_coeff * cycles_total / 2.0 * user.cpu_freq_hz**2 * log_inv_accuracy
+    except OverflowError:  # a UserNode allows any finite f; only ** raises, products give inf
+        raise ValueError(f"user {user.id}: cpu_freq_hz={user.cpu_freq_hz!r} overflows a float when squared") from None
 
 
 def computation_time(user: UserNode, local_accuracy: float, nu: float) -> float:
@@ -125,7 +128,7 @@ def cost_breakdown(
 def _round_costs(t_cmp, e_cmp, tx_power_w, uplink_rate_bps, downlink_rate_bps, backhaul_delay_s, config):
     """``cost_breakdown`` from the bandwidth-free terms: the computation time
     and energy, the transmit power and the backhaul delay (0 unless the
-    downlink rides VLC), for rates known to be positive, without checks.
+    downlink rides VLC), without checks; a zero rate gives inf time and energy.
 
     Every argument but `config` may be an array over users; the fields of the
     result then are arrays too.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,16 +49,21 @@ class ExperimentRecord:
 
 @dataclass
 class ExperimentReport:
+    """Records, the config the caller passed, and in ``run_configs`` the
+    config each group of records ran with (its ``samples_per_user`` derived),
+    in run order; the manifest states those, or ``config`` if there are none.
+    """
+
     records: list[ExperimentRecord]
     config: SimConfig
     seeds: tuple[int, ...]
     dataset_name: str
+    run_configs: tuple[SimConfig, ...] = ()
 
 
 def _run_single(
-    config: SimConfig, data: Dataset, seed: int, mode: str, train: bool
+    cfg: SimConfig, data: Dataset, seed: int, mode: str, train: bool
 ) -> ExperimentRecord:
-    cfg = config.replace(samples_per_user=shard_size(data.n_rows, config.n_users, config.test_size))
     topology = generate_topology(cfg, seed)
     result = usba(topology, cfg, mode=mode)
     if train and result.selection:
@@ -89,6 +95,37 @@ def _run_single(
     )
 
 
+def _run_records(
+    config: SimConfig,
+    configs: Iterable[SimConfig],
+    seeds: list[int],
+    data: Dataset,
+    modes: tuple[str, ...],
+    train: bool,
+) -> ExperimentReport:
+    """One record per (config, seed, mode), in that order, as a report on ``config``.
+
+    Each config runs with the shard size its user count gives on ``data``; a
+    failure, that derivation's included, names the (seed, mode) it hit.
+    """
+    if not seeds:
+        raise ValueError("need at least one seed")
+    records = []
+    run_configs = []
+    for base in configs:
+        cfg = None
+        for seed in seeds:
+            for mode in modes:
+                try:
+                    if cfg is None:
+                        cfg = base.replace(samples_per_user=shard_size(data.n_rows, base.n_users, base.test_size))
+                        run_configs.append(cfg)
+                    records.append(_run_single(cfg, data, seed, mode, train))
+                except Exception as exc:
+                    raise ExperimentError(f"seed {seed}, mode {mode}: {exc}") from exc
+    return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs))
+
+
 def run_experiment(
     config: SimConfig,
     seeds: list[int],
@@ -97,16 +134,7 @@ def run_experiment(
     train: bool = True,
 ) -> ExperimentReport:
     """One record per (seed, mode), assembled in deterministic order."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    records = []
-    for seed in seeds:
-        for mode in modes:
-            try:
-                records.append(_run_single(config, data, seed, mode, train))
-            except Exception as exc:
-                raise ExperimentError(f"seed {seed}, mode {mode}: {exc}") from exc
-    return ExperimentReport(records, config, tuple(seeds), data.name)
+    return _run_records(config, [config], seeds, data, modes, train)
 
 
 def sweep_users(
@@ -118,11 +146,8 @@ def sweep_users(
     train: bool = True,
 ) -> ExperimentReport:
     """Repeat the experiment across total-user counts."""
-    records = []
-    for n in n_values:
-        sub = run_experiment(config.replace(n_users=n), seeds, data, modes, train)
-        records.extend(sub.records)
-    return ExperimentReport(records, config, tuple(seeds), data.name)
+    configs = (config.replace(n_users=n) for n in n_values)
+    return _run_records(config, configs, seeds, data, modes, train)
 
 
 def sweep_bandwidth(
@@ -134,17 +159,10 @@ def sweep_bandwidth(
     train: bool = True,
 ) -> ExperimentReport:
     """Repeat the experiment across (RF total, VLC total) bandwidth pairs."""
-    records = []
-    for b_rf, b_vlc in band_pairs:
-        sub = run_experiment(
-            config.replace(rf_total_bandwidth_hz=b_rf, vlc_total_bandwidth_hz=b_vlc),
-            seeds,
-            data,
-            modes,
-            train,
-        )
-        records.extend(sub.records)
-    return ExperimentReport(records, config, tuple(seeds), data.name)
+    configs = (
+        config.replace(rf_total_bandwidth_hz=b_rf, vlc_total_bandwidth_hz=b_vlc) for b_rf, b_vlc in band_pairs
+    )
+    return _run_records(config, configs, seeds, data, modes, train)
 
 
 def _fmt(value) -> str:
@@ -213,16 +231,21 @@ def _manifest(report: ExperimentReport) -> str:
     )
     lines.append("")
     lines.append("[config]")
+    # A field that varied lists its value in each run config, in run order, so
+    # the values of swept pairs stay aligned.
+    configs = report.run_configs or (report.config,)
     for f in sorted(fields(SimConfig), key=lambda f: f.name):
-        value = getattr(report.config, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(_fmt(v) for v in value)
-        elif value is None:
-            value = "none"
-        else:
-            value = _fmt(value)
-        lines.append(f"{f.name} = {value}")
+        values = [_manifest_value(getattr(c, f.name)) for c in configs]
+        lines.append(f"{f.name} = {';'.join(values if len(set(values)) > 1 else values[:1])}")
     return "\n".join(lines) + "\n"
+
+
+def _manifest_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    if value is None:
+        return "none"
+    return _fmt(value)
 
 
 def emit_report(report: ExperimentReport, out_dir: str) -> dict[str, str]:

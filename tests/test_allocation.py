@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +543,24 @@ class TestLinkTableMatchesPerUserReference:
         assert {u.id for u in topo.users if is_feasible(u, bw, topo, cfg, mode)} == expected.all_ids
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_an_rf_link_without_rate_fails_like_a_slow_link(self, config, mode):
+        # 2,000 km from the BS the default interference drowns the signal: the
+        # SINR falls below 2**-53, so both RF rates are exactly 0.
+        near, far = make_user(id=0, xy=(20.0, 0.0)), make_user(id=1, xy=(2e6, 0.0))
+        topo = make_topology([near, far])
+        bw = BandwidthAllocation(1e6, 1e6, 1e6)
+        rf = RfParams.from_config(config)
+        h = rf_channel_gain(2e6, False, rf)
+        assert rf_rate(far.tx_power_w, h, rf.uplink_interference_w, bw.b_up_hz, rf.noise_psd) == 0.0
+        assert rf_rate(rf.bs_power_w, h, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert get_s(bw, topo, config, mode) == _reference_selection(bw, topo, config, mode) == sel(outdoor=[0])
+            assert [is_feasible(u, bw, topo, config, mode) for u in topo.users] == [True, False]
+            assert usba(topo, config, mode).selection == sel(outdoor=[0])
+            assert oracle_enumerate(topo, config, mode).selection == sel(outdoor=[0])
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_round_time_equal_to_budget_is_feasible(self, mode):
         cfg = SimConfig(n_users=12, energy_budget_j=1e9)
         topo = generate_topology(cfg, seed=5)
@@ -650,6 +669,12 @@ class TestLoudFailures:
         topo = make_topology([make_user(id=0, xy=(20.0, 0.0)), make_user(id=1, xy=(0.0, 0.0))])
         with pytest.raises(ValueError, match="user 1: distance must be > 0, got 0.0"):
             call(topo, config, mode)
+
+    @pytest.mark.parametrize("call", [usba, oracle_enumerate], ids=["usba", "oracle_enumerate"])
+    def test_a_squared_frequency_overflow_names_the_user(self, call):
+        cfg = SimConfig(cpu_freq_range_hz=(1e200, 1e200), n_users=5)
+        with pytest.raises(ValueError, match=r"user 0: cpu_freq_hz=1e\+200 overflows"):
+            call(generate_topology(cfg, 0), cfg)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e6])
     @pytest.mark.parametrize("field", range(3))

@@ -5,14 +5,43 @@ import pytest
 from vlcfed.cli import main
 
 
+def read_records(out):
+    with open(out / "records.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_run_rf_only_writes_three_files(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--no-train", "--seeds", "0", "--mode", "rf_only", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "records.csv", "summary.csv"]
-    with open(out / "records.csv", newline="") as fh:
-        records = list(csv.DictReader(fh))
+    records = read_records(out)
     assert records and all(r["mode"] == "rf_only" for r in records)
     assert "wrote records:" in capsys.readouterr().out
+
+
+def test_sweep_users_covers_the_grid(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep-users", "--no-train", "--seeds", "0,1", "--n-values", "8,12", "--out", str(out)]) == 0
+    grid = [(r["n_users"], r["seed"], r["mode"]) for r in read_records(out)]
+    assert grid == [(n, s, m) for n in ("8", "12") for s in ("0", "1") for m in ("hybrid", "rf_only")]
+
+
+def test_sweep_bandwidth_covers_the_grid(tmp_path):
+    out = tmp_path / "out"
+    argv = ["sweep-bandwidth", "--no-train", "--seeds", "0", "--pairs", "10e6:20e6,20e6:40e6", "--out", str(out)]
+    assert main(argv) == 0
+    grid = [(r["rf_total_bandwidth_hz"], r["vlc_total_bandwidth_hz"], r["mode"]) for r in read_records(out)]
+    pairs = [("10000000", "20000000"), ("20000000", "40000000")]
+    assert grid == [(*pair, m) for pair in pairs for m in ("hybrid", "rf_only")]
+
+
+def test_config_file_reaches_records_and_manifest(tmp_path):
+    config = tmp_path / "small.cfg"
+    config.write_text("# eight users\nn_users = 8\n")
+    out = tmp_path / "out"
+    assert main(["run", "--no-train", "--seeds", "0", "--config", str(config), "--out", str(out)]) == 0
+    assert [r["n_users"] for r in read_records(out)] == ["8", "8"]
+    assert "n_users = 8" in (out / "manifest.txt").read_text().splitlines()
 
 
 def test_validate_subcommand_is_gone(capsys):

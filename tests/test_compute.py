@@ -39,6 +39,11 @@ class TestComputationEnergy:
             with pytest.raises(ValueError):
                 computation_energy(user, bad, 1.0)
 
+    def test_a_frequency_whose_square_overflows_names_the_user(self):
+        user = make_user(**{**REF, "id": 3, "cpu_freq_hz": 1e200})
+        with pytest.raises(ValueError, match=r"user 3: cpu_freq_hz=1e\+200 overflows"):
+            computation_energy(user, 0.5, 1.0)
+
 
 class TestComputationTime:
     def test_reference_value(self):

@@ -21,6 +21,7 @@ from vlcfed import (
 from vlcfed.config import _SCALAR_RULES, _TUPLE_RULES, _Interval
 from vlcfed.runner import (
     ExperimentError,
+    ExperimentReport,
     emit_report,
     run_experiment,
     sweep_bandwidth,
@@ -203,6 +204,50 @@ class TestEmitReport:
         for mode in raw:
             assert float(by_mode[mode]["mean_n_selected"]) == pytest.approx(raw[mode])
             assert int(by_mode[mode]["runs"]) == 2
+
+    def test_manifest_states_the_values_the_records_ran_with(self, tmp_path):
+        data = load_bundled_dataset()
+        cfg = SimConfig()
+        keys = ("records", "n_users", "samples_per_user", "rf_total_bandwidth_hz", "vlc_total_bandwidth_hz")
+
+        def manifest_lines(report, name):
+            with open(emit_report(report, str(tmp_path / name))["manifest"]) as fh:
+                return [line for line in fh.read().splitlines() if line.split(" = ")[0] in keys]
+
+        run = run_experiment(cfg.replace(n_users=20), [0, 1], data, train=False)
+        assert manifest_lines(run, "run") == [
+            "records = 4",
+            "n_users = 20",
+            "rf_total_bandwidth_hz = 20000000",
+            "samples_per_user = 24",
+            "vlc_total_bandwidth_hz = 40000000",
+        ]
+        users = sweep_users(cfg, [0], data, [20, 30], train=False)
+        assert manifest_lines(users, "users") == [
+            "records = 4",
+            "n_users = 20;30",
+            "rf_total_bandwidth_hz = 20000000",
+            "samples_per_user = 24;16",
+            "vlc_total_bandwidth_hz = 40000000",
+        ]
+        # The swept pairs stay aligned: a value two pairs share is listed twice.
+        bands = sweep_bandwidth(cfg, [0], data, [(10e6, 20e6), (20e6, 20e6), (20e6, 40e6)], train=False)
+        assert manifest_lines(bands, "bands") == [
+            "records = 6",
+            "n_users = 50",
+            "rf_total_bandwidth_hz = 10000000;20000000;20000000",
+            "samples_per_user = 9",
+            "vlc_total_bandwidth_hz = 20000000;20000000;40000000",
+        ]
+        # A report assembled from its parts states the config it was given.
+        assembled = ExperimentReport(users.records, cfg, users.seeds, users.dataset_name)
+        assert manifest_lines(assembled, "assembled") == [
+            "records = 4",
+            "n_users = 50",
+            "rf_total_bandwidth_hz = 20000000",
+            "samples_per_user = 9",
+            "vlc_total_bandwidth_hz = 40000000",
+        ]
 
     def test_empty_report_rejected(self, small_setup, tmp_path):
         cfg, data = small_setup
