@@ -14,15 +14,20 @@ solutions when the other side is fixed:
   (uplink for everyone, RF downlink for outdoor users only) and VLC blocks
   get B_vlc / |S1|.
 
-Feasibility runs on a link table (``_LinkTable``), built once per ``usba``,
-``oracle_enumerate``, ``get_s`` or ``is_feasible`` call. It holds what does
-not depend on bandwidth: each user's RF path gain, the per-AP optical signal
-powers of VLC-served users, the computation time and energy, the transmit
-power, the energy budget and the backhaul delay. The build checks the RF
-gains once. One pass over the table at given block widths then calls the
-unchecked rate and cost kernels, whose formulas live in ``channel`` and
-``compute``: it computes every user's up/down rates and round cost as arrays
-and yields one feasibility mask.
+Feasibility runs on a link table of what does not depend on bandwidth.
+The mode-free part (``_UserTerms``: each user's RF path gain, computation
+time and energy, transmit power and energy budget) is built once per
+(topology, config) and kept on the topology, so ``usba``,
+``oracle_enumerate`` and ``get_s`` share it in both modes; ``is_feasible``
+builds it for its one user. The build checks the RF gains once. A mode is a
+cheap view of it (``_LinkTable``): which downlinks are VLC, the backhaul
+delay, the RF downlink powers and, in hybrid mode only, the per-AP optical
+signal powers of indoor users. One pass over a view at given block widths
+calls the unchecked rate and cost kernels, whose formulas live in
+``channel`` and ``compute``: it computes every user's up/down rates and
+round cost as arrays and yields one feasibility mask. The view remembers
+the read-only mask at each width that ``usba`` or the oracle tests, at most
+one per selection-count pair, so neither tests a width twice.
 
 ``usba`` alternates the two from the full-selection widths until the pair is a
 fixed point, which it knows without a pass once the widths repeat. The
@@ -122,31 +127,22 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-class _LinkTable:
-    """The bandwidth-free terms of some users, for feasibility passes.
+class _UserTerms:
+    """The bandwidth- and mode-free terms of some users under one config.
 
-    Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
-    RF otherwise. A link without rate (no AP in view, or an RF SINR below
-    2**-53) costs inf seconds and joules, so its user fails. Each term comes
-    from the same scalar formula, in the same order, as a per-user evaluation
-    would use, and a pass only adds, multiplies, divides, compares and takes
-    ``math.log2`` element by element, so the mask holds the per-user answers.
-
-    The build evaluates each user's terms once, on Python floats, through
-    the unchecked gain and computation kernels; ``SimConfig`` guarantees the
-    accuracy and ``nu`` they take. It raises ValueError for a user at the BS
-    and ``rf_rate``'s ValueError on an RF gain that underflows to 0 far
-    enough from the BS. The user terms are checked by ``UserNode``, and the
-    widths, noise PSDs and interference that a pass also uses by
-    ``BandwidthAllocation`` and ``SimConfig``, so a pass checks nothing.
+    Each term comes from the same scalar formula, in the same order, as a
+    per-user evaluation would use. The build evaluates each user's terms
+    once, on Python floats, through the unchecked gain and computation
+    kernels; ``SimConfig`` guarantees the accuracy and ``nu`` they take. It
+    raises ValueError for a user at the BS and ``rf_rate``'s ValueError on an
+    RF gain that underflows to 0 far enough from the BS. ``views`` holds the
+    link table of each mode built on these terms.
     """
 
-    def __init__(self, users, topology: Topology, config: SimConfig, mode: str):
-        _check_mode(mode)
+    def __init__(self, users, topology: Topology, config: SimConfig):
+        self.users = users
         self.config = config
         self.rf = rf = RfParams.from_config(config)
-        vlc = VlcParams.from_config(config)
-        self.vlc_noise_psd = vlc.noise_psd
         bx, by = topology.bs_position
         dist = [math.hypot(u.position[0] - bx, u.position[1] - by) for u in users]
         if 0.0 in dist:  # a distance is never negative
@@ -156,23 +152,58 @@ class _LinkTable:
         log_inv_accuracy = math.log(1.0 / config.local_accuracy)
         self.ids = np.array([u.id for u in users], dtype=int)
         self.indoor = np.array([u.indoor for u in users], dtype=bool)
-        self.via_vlc = self.indoor & (mode == "hybrid")
         self.gain = np.array([_rf_channel_gain(d, u.indoor, rf) for u, d in zip(users, dist)])
         self.tx_power = np.array([u.tx_power_w for u in users])
         self.budget = np.array([u.energy_budget_j for u in users])
         self.t_cmp = np.array([_computation_time(u, log_inv_accuracy, nu) for u in users])
         self.e_cmp = np.array([_computation_energy(u, log_inv_accuracy, nu) for u in users])
-        # VLC users also pay the gateway backhaul.
-        self.backhaul = np.where(self.via_vlc, config.backhaul_delay_s, 0.0)
-        self.signals = vlc_signal_powers([u for u in users if u.indoor] if mode == "hybrid" else [], topology, vlc)
-        # Rows whose downlink is VLC, and rows whose downlink is RF.
-        self.vlc_rows = np.flatnonzero(self.via_vlc)
-        self.rf_rows = np.flatnonzero(~self.via_vlc)
         if (self.gain <= 0.0).any():
             raise ValueError(_RF_RATE_ARGS_ERROR)
-        # Received RF powers P h, as rf_rate forms them.
+        # Received uplink power P h, as rf_rate forms it.
         self.up_power = self.tx_power * self.gain
-        self.down_power = rf.bs_power_w * self.gain[self.rf_rows]
+        self.views: dict[str, _LinkTable] = {}
+
+
+class _LinkTable:
+    """A mode's view of ``_UserTerms``, for feasibility passes.
+
+    Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
+    RF otherwise, so only the downlink terms and the backhaul are the view's
+    own; the hybrid view computes the VLC signal powers once. A link without
+    rate (no AP in view, or an RF SINR below 2**-53) costs inf seconds and
+    joules, so its user fails. A pass only adds, multiplies, divides,
+    compares and takes ``math.log2`` element by element, so the mask holds
+    the per-user answers.
+
+    The user terms are checked by ``UserNode``, and the widths, noise PSDs
+    and interference that a pass also uses by ``BandwidthAllocation`` and
+    ``SimConfig``, so a pass checks nothing. ``mask`` remembers the pass at
+    each width that ``usba`` or the oracle tests. Each is a function of the
+    config, so the memo holds at most one mask per selection-count pair,
+    plus the solo widths and a configured start; ``get_s`` keeps none.
+    """
+
+    def __init__(self, terms: _UserTerms, topology: Topology, mode: str):
+        _check_mode(mode)
+        # The view copies what a pass reads, so it holds no reference back.
+        self.config = config = terms.config
+        self.rf = rf = terms.rf
+        self.ids, self.indoor = terms.ids, terms.indoor
+        self.tx_power, self.budget, self.up_power = terms.tx_power, terms.budget, terms.up_power
+        self.t_cmp, self.e_cmp = terms.t_cmp, terms.e_cmp
+        via_vlc = terms.indoor & (mode == "hybrid")
+        # VLC users also pay the gateway backhaul.
+        self.backhaul = np.where(via_vlc, config.backhaul_delay_s, 0.0)
+        # Rows whose downlink is VLC, and rows whose downlink is RF.
+        self.vlc_rows = np.flatnonzero(via_vlc)
+        self.rf_rows = np.flatnonzero(~via_vlc)
+        if mode == "hybrid":
+            vlc = VlcParams.from_config(config)
+            self.vlc_noise_psd = vlc.noise_psd
+            self.signals = vlc_signal_powers([u for u in terms.users if u.indoor], topology, vlc)
+        # Received RF downlink powers, as rf_rate forms them.
+        self.down_power = rf.bs_power_w * terms.gain[self.rf_rows]
+        self._masks: dict[BandwidthAllocation, np.ndarray] = {}
 
     def feasible(self, bw: BandwidthAllocation) -> np.ndarray:
         """Boolean mask: which users finish a round within both budgets at ``bw``."""
@@ -189,13 +220,39 @@ class _LinkTable:
             cost = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, self.config)
         return (cost.round_time <= self.config.t_round_s) & (cost.total_energy <= self.budget)
 
-    def select(self, bw: BandwidthAllocation) -> Selection:
-        """Every feasible user at ``bw``."""
-        mask = self.feasible(bw)
+    def mask(self, bw: BandwidthAllocation) -> np.ndarray:
+        """``feasible(bw)``, remembered and read-only; for widths the config fixes."""
+        mask = self._masks.get(bw)
+        if mask is None:
+            mask = self._masks[bw] = self.feasible(bw)
+            mask.flags.writeable = False
+        return mask
+
+    def select(self, mask: np.ndarray) -> Selection:
+        """The users that a feasibility mask admits."""
         return Selection(
             frozenset(self.ids[mask & self.indoor].tolist()),
             frozenset(self.ids[mask & ~self.indoor].tolist()),
         )
+
+
+def _links(topology: Topology, config: SimConfig, mode: str) -> _LinkTable:
+    """The link table of ``topology``'s users under ``config`` in ``mode``.
+
+    The topology keeps the terms of the last config it was used with, so the
+    calls on one (topology, config) share one build in both modes. The config
+    is matched by identity, which a frozen ``SimConfig`` makes safe; keying
+    on the topology's value would hash all N users per call.
+    """
+    terms = topology._link_terms
+    if terms is None or terms.config is not config:
+        terms = _UserTerms(topology.users, topology, config)
+        object.__setattr__(topology, "_link_terms", terms)  # Topology is frozen
+    links = terms.views.get(mode)
+    if links is None:
+        # A view that fails to build is not kept, so the other mode stays usable.
+        links = terms.views[mode] = _LinkTable(terms, topology, mode)
+    return links
 
 
 def is_feasible(
@@ -206,7 +263,7 @@ def is_feasible(
     mode: str = "hybrid",
 ) -> bool:
     """Can this user finish a round within the time budget and energy cap?"""
-    return bool(_LinkTable((user,), topology, config, mode).feasible(bw)[0])
+    return bool(_LinkTable(_UserTerms((user,), topology, config), topology, mode).feasible(bw)[0])
 
 
 def get_s(
@@ -216,7 +273,8 @@ def get_s(
     mode: str = "hybrid",
 ) -> Selection:
     """Select every user that is feasible at the given block widths."""
-    return _LinkTable(topology.users, topology, config, mode).select(bw)
+    links = _links(topology, config, mode)
+    return links.select(links.feasible(bw))
 
 
 def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
@@ -288,11 +346,11 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     else:
         bw = default_initial_bandwidth(topology, config)
 
-    links = _LinkTable(topology.users, topology, config, mode)
-    selection = links.select(bw)
+    links = _links(topology, config, mode)
+    selection = links.select(links.mask(bw))
     if not selection:
         widest = block_widths(1, 0, config)  # widest solo widths, B_rf and B_vlc
-        selection = links.select(widest)
+        selection = links.select(links.mask(widest))
         if not selection:
             # Not even a solo allocation admits anyone: empty is a fixed point.
             return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
@@ -303,10 +361,10 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     best_obj = -1.0
     predecessors: set[Selection] = set()
     iterations = 0
-    # selection == links.select(bw) holds here and after every step.
+    # selection == links.select(links.mask(bw)) holds here and after every step.
     while True:
         new_bw = get_b(selection, config, mode)
-        new_selection = selection if new_bw == bw else links.select(new_bw)
+        new_selection = selection if new_bw == bw else links.select(links.mask(new_bw))
         if selection.indoor_ids <= new_selection.indoor_ids and selection.outdoor_ids <= new_selection.outdoor_ids:
             obj = _objective(selection, shard_sizes)  # a self-supporting state
             if obj > best_obj:
@@ -349,17 +407,20 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_USERS} users, got {topology.n_users}"
         )
-    indoor = topology.indoor_users()
-    outdoor = topology.outdoor_users()
-    # Largest shards first; id breaks ties deterministically.
-    indoor.sort(key=lambda u: (-u.shard_size, u.id))
-    outdoor.sort(key=lambda u: (-u.shard_size, u.id))
-    links = _LinkTable(indoor + outdoor, topology, config, mode)
+    users = topology.users
+    # Indoor first, then largest shards first; id breaks ties
+    # deterministically. The shared table keeps topology order, so ``rows``
+    # picks its rows in this order.
+    order = sorted(range(len(users)), key=lambda i: (not users[i].indoor, -users[i].shard_size, users[i].id))
+    indoor = [users[i] for i in order if users[i].indoor]
+    outdoor = [users[i] for i in order if not users[i].indoor]
+    rows = np.array(order, dtype=np.intp)
+    links = _links(topology, config, mode)
 
     def candidate(k1: int, k2: int):
         """The pair's widths and chosen users, or None if the pair fails."""
         bw = block_widths(k1, k2, config, mode)
-        mask = links.feasible(bw)
+        mask = links.mask(bw)[rows]
         chosen_in = [u for u, ok in zip(indoor, mask[: len(indoor)]) if ok][:k1]
         chosen_out = [u for u, ok in zip(outdoor, mask[len(indoor) :]) if ok][:k2]
         if len(chosen_in) < k1 or len(chosen_out) < k2:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class Topology:
     bs_position: tuple[float, float]
     vlc_aps: tuple[tuple[float, float, float], ...]  # ceiling height, meters
     users: tuple[UserNode, ...]
+    # allocation's link-table cache: the users' bandwidth-free terms under the
+    # last config used. Not part of the value, so equality and hashing ignore it.
+    _link_terms: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_users(self) -> int:

@@ -32,7 +32,15 @@ from vlcfed import (
     vlc_rate,
     vlc_sinr,
 )
-from vlcfed.allocation import MODES, ORACLE_MAX_USERS, _LinkTable, block_widths, default_initial_bandwidth
+from vlcfed.allocation import (
+    MODES,
+    ORACLE_MAX_USERS,
+    _LinkTable,
+    _links,
+    _UserTerms,
+    block_widths,
+    default_initial_bandwidth,
+)
 from vlcfed.runner import random_instance
 from tests.conftest import make_topology, make_user
 
@@ -451,7 +459,7 @@ class TestOracle:
         # lower neighbours pass too: the fact the oracle's walk rests on.
         topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, ORACLE_MAX_USERS))
         indoor = np.array([u.indoor for u in topo.users], dtype=bool)
-        links = _LinkTable(topo.users, topo, cfg, mode)
+        links = _links(topo, cfg, mode)
         passes = np.ones((topo.n_indoor + 1, topo.n_outdoor + 1), dtype=bool)
         for k1, k2 in itertools.product(range(topo.n_indoor + 1), range(topo.n_outdoor + 1)):
             if k1 or k2:
@@ -601,13 +609,119 @@ class TestLinkTableMatchesPerUserReference:
             )
             if i % 3 == 0:
                 topo = with_unequal_shards(topo, rng, high=30)
-            links = _LinkTable(topo.users, topo, cfg, mode)
+            _links(topo, cfg, mode)
+            links = topo._link_terms  # the terms that mode's table was built from
             rf = RfParams.from_config(cfg)
             bx, by = topo.bs_position
             dists = [math.hypot(u.position[0] - bx, u.position[1] - by) for u in topo.users]
             assert links.gain.tolist() == [rf_channel_gain(d, u.indoor, rf) for u, d in zip(topo.users, dists)]
             assert links.t_cmp.tolist() == [computation_time(u, cfg.local_accuracy, cfg.nu) for u in topo.users]
             assert links.e_cmp.tolist() == [computation_energy(u, cfg.local_accuracy, cfg.nu) for u in topo.users]
+
+
+class TestSharedLinkTable:
+    """One build per (topology, config); a mode is a view, a tested width a memo."""
+
+    @staticmethod
+    def count_calls(monkeypatch, cls):
+        calls = []
+        init = cls.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        return calls
+
+    @staticmethod
+    def outcomes(topo, cfg):
+        bw = BandwidthAllocation(2e5, 3e5, 4e6)
+        return [(usba(topo, cfg, m), oracle_enumerate(topo, cfg, m), get_s(bw, topo, cfg, m)) for m in MODES]
+
+    def test_both_modes_of_usba_and_the_oracle_share_one_build(self, monkeypatch):
+        builds = self.count_calls(monkeypatch, _UserTerms)
+        views = self.count_calls(monkeypatch, _LinkTable)
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
+            builds.clear()
+            views.clear()
+            for mode in MODES:
+                usba(topo, cfg, mode)
+                oracle_enumerate(topo, cfg, mode)
+            assert len(builds) == 1
+            assert len(views) == len(MODES)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"t_round_s": 0.4},
+            {"payload_bits": 5e6},
+            {"local_accuracy": 0.01},
+            {"uplink_interference_w": 1e-8},
+            {"backhaul_delay_s": 1.0},
+            {"vlc_total_bandwidth_hz": 6e6},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_a_changed_config_gives_what_a_fresh_topology_gives(self, change):
+        # The topology keeps one table, for the last config; a config that
+        # differs in one field must find neither its table nor its masks.
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
+            # Copies made before any call: equal users, no table yet.
+            fresh, fresh_again = dataclasses.replace(topo), dataclasses.replace(topo)
+            before = self.outcomes(topo, cfg)
+            other = cfg.replace(**change)
+            assert self.outcomes(topo, other) == self.outcomes(fresh, other)
+            assert self.outcomes(topo, cfg) == before == self.outcomes(fresh_again, cfg)
+
+    def test_rf_only_needs_no_aps_before_or_after_hybrid_fails(self, config):
+        topo = TestLoudFailures.no_ap_topology()
+        expected = usba(topo, config, "rf_only")
+        assert expected.selection == sel([0], [1])
+        for call in (usba, oracle_enumerate):
+            with pytest.raises(ValueError, match="no VLC APs"):
+                call(topo, config, "hybrid")
+            assert usba(topo, config, "rf_only") == expected
+            assert oracle_enumerate(topo, config, "rf_only").selection == expected.selection
+
+    def test_remembered_masks_are_read_only_and_bounded(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
+            for mode in MODES:
+                usba(topo, cfg, mode)
+                oracle_enumerate(topo, cfg, mode)
+                links = _links(topo, cfg, mode)
+                # Count pairs, the solo widths and the configured start.
+                assert len(links._masks) <= (topo.n_indoor + 1) * (topo.n_outdoor + 1) + 1
+                for bw, mask in links._masks.items():
+                    assert np.array_equal(mask, links.feasible(bw))
+                    with pytest.raises(ValueError, match="read-only"):
+                        mask[0] = not mask[0]
+
+    def test_get_s_remembers_no_mask(self):
+        cfg = SimConfig(n_users=30)
+        topo = generate_topology(cfg, 0)
+        usba(topo, cfg)
+        links = _links(topo, cfg, "hybrid")
+        remembered = dict(links._masks)
+        bw = BandwidthAllocation(1.234e5, 2.345e5, 3.456e6)
+        assert get_s(bw, topo, cfg) == get_s(bw, generate_topology(cfg, 0), cfg)
+        assert links._masks.keys() == remembered.keys()
+
+    def test_an_allocated_topology_keeps_its_value(self):
+        cfg = SimConfig(n_users=20)
+        used, untouched = generate_topology(cfg, 3), generate_topology(cfg, 3)
+        for mode in MODES:
+            usba(used, cfg, mode)
+        assert used._link_terms is not None
+        assert used == untouched
+        assert hash(used) == hash(untouched)
+        assert repr(used) == repr(untouched)
 
 
 class TestLoudFailures:
