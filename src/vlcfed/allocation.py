@@ -172,8 +172,8 @@ class _LinkTable:
     own; the hybrid view computes the VLC signal powers once. A link without
     rate (no AP in view, or an RF SINR below 2**-53) costs inf seconds and
     joules, so its user fails. A pass only adds, multiplies, divides,
-    compares and takes ``math.log2`` element by element, so the mask holds
-    the per-user answers.
+    compares and takes ``np.log2``, the ufunc the scalar rate functions run
+    on one value, so the mask holds the per-user answers.
 
     The user terms are checked by ``UserNode``, and the widths, noise PSDs
     and interference that a pass also uses by ``BandwidthAllocation`` and

@@ -16,9 +16,9 @@ from other cells enters as a constant power I.
 
 Gains and signal powers do not depend on bandwidth, so a caller that tests
 many block widths computes them once per user. The rate and SINR functions
-also take arrays over users; they apply ``math.log2`` element by element
-(``np.log2`` can differ in the last bit), so an array result holds the same
-bits as the scalar calls.
+also take arrays over users. On one value or many, each logarithm and power
+is one numpy ufunc (``np.log2``, ``np.power``), so an array result holds the
+same bits as the scalar calls, which return a Python float.
 
 The public rate and RF-gain functions check their arguments, then call a
 private kernel (``_rf_rate``, ``_vlc_rate``, ``_rf_channel_gain``) that holds
@@ -127,25 +127,13 @@ def concentrator_gain(incidence_deg: float, fov_half_angle_deg: float, refractiv
     return refractive_index**2 / (s * s)
 
 
-def _elementwise(fn, x: np.ndarray, *args) -> np.ndarray:
-    """``fn(element, *args)`` for each element of ``x`` as a Python float.
-
-    Used for logarithms and powers: their numpy ufuncs can differ from the
-    scalar ``math`` and ``**`` results in the last bit. ``pow`` with a
-    repeated exponent gives the bits of ``element**exponent``.
-    """
-    values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
-
-
 def vlc_channel_gains(aps, receivers, p: VlcParams) -> np.ndarray:
     """Line-of-sight optical gain of every (receiver, AP) pair, as a (receivers, APs) array.
 
     Points are 3-D; each AP must sit strictly above every receiver plane.
     Gains are 0 outside the receiver field of view. Distances use the BLAS
-    dot product that ``np.linalg.norm`` uses (``np.vecdot`` runs it per row)
-    and powers are taken element by element, so each gain has the bits of a
-    one-pair evaluation.
+    dot product that ``np.linalg.norm`` uses (``np.vecdot`` runs it per row),
+    so each gain has the bits of a one-pair evaluation.
     """
     diff = np.asarray(aps, dtype=float).reshape(1, -1, 3) - np.asarray(receivers, dtype=float).reshape(-1, 1, 3)
     d = np.sqrt(np.vecdot(diff, diff))
@@ -170,7 +158,7 @@ def vlc_channel_gains(aps, receivers, p: VlcParams) -> np.ndarray:
             / (2.0 * math.pi * d * d)
             * p.filter_gain
             * g
-            * _elementwise(pow, c, m)
+            * np.power(c, m)
             * c
         )
     return gains
@@ -198,7 +186,7 @@ def vlc_signal_powers(users, topology: Topology, p: VlcParams) -> np.ndarray:
     n = len(users)
     receivers = np.fromiter(itertools.chain.from_iterable(u.position for u in users), float, 3 * n).reshape(n, 3)
     gains = vlc_channel_gains(topology.vlc_aps, receivers, p)
-    return _elementwise(pow, p.conversion_efficiency * gains * p.optical_power_w, 2)
+    return np.power(p.conversion_efficiency * gains * p.optical_power_w, 2)
 
 
 def best_ap_sinr(signals: np.ndarray, rb_bandwidth_hz: float, noise_psd: float) -> np.ndarray:
@@ -222,9 +210,9 @@ def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, p: VlcP
     return float(best_ap_sinr(signals, rb_bandwidth_hz, p.noise_psd)[0])
 
 
-def _log2(x):
-    """math.log2 of a float, or of each element of an array."""
-    return _elementwise(math.log2, x) if isinstance(x, np.ndarray) else math.log2(x)
+def _float_or_array(x):
+    """A ufunc's 0-d result as a Python float; an array as it is."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def vlc_rate(sinr, rb_bandwidth_hz: float):
@@ -236,12 +224,12 @@ def vlc_rate(sinr, rb_bandwidth_hz: float):
         raise ValueError("sinr must be >= 0")
     if rb_bandwidth_hz <= 0:
         raise ValueError("rb_bandwidth_hz must be > 0")
-    return _vlc_rate(sinr, rb_bandwidth_hz)
+    return _float_or_array(_vlc_rate(sinr, rb_bandwidth_hz))
 
 
 def _vlc_rate(sinr, rb_bandwidth_hz: float):
     """``vlc_rate`` without the argument checks."""
-    return rb_bandwidth_hz / 2.0 * _log2(1.0 + _OPTICAL_SNR_SCALE * sinr)
+    return rb_bandwidth_hz / 2.0 * np.log2(1.0 + _OPTICAL_SNR_SCALE * sinr)
 
 
 def rf_channel_gain(dist_m: float, indoor: bool, p: RfParams) -> float:
@@ -279,10 +267,10 @@ def rf_rate(
         raise ValueError(_RF_RATE_ARGS_ERROR)
     if interference_w < 0:
         raise ValueError("interference must be >= 0")
-    return _rf_rate(tx_power_w * channel_gain, interference_w, rb_bandwidth_hz, noise_psd)
+    return _float_or_array(_rf_rate(tx_power_w * channel_gain, interference_w, rb_bandwidth_hz, noise_psd))
 
 
 def _rf_rate(received_w, interference_w: float, rb_bandwidth_hz: float, noise_psd: float):
     """``rf_rate`` of the received power P h, without the argument checks."""
     sinr = received_w / (interference_w + rb_bandwidth_hz * noise_psd)
-    return rb_bandwidth_hz * _log2(1.0 + sinr)
+    return rb_bandwidth_hz * np.log2(1.0 + sinr)

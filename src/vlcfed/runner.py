@@ -62,9 +62,8 @@ class ExperimentReport:
 
 
 def _run_single(
-    cfg: SimConfig, data: Dataset, seed: int, mode: str, train: bool
+    cfg: SimConfig, topology: Topology, data: Dataset, seed: int, mode: str, train: bool
 ) -> ExperimentRecord:
-    topology = generate_topology(cfg, seed)
     result = usba(topology, cfg, mode=mode)
     if train and result.selection:
         # Only training reads the rows, so selection-only records skip the partition.
@@ -105,8 +104,9 @@ def _run_records(
 ) -> ExperimentReport:
     """One record per (config, seed, mode), in that order, as a report on ``config``.
 
-    Each config runs with the shard size its user count gives on ``data``; a
-    failure, that derivation's included, names the (seed, mode) it hit.
+    Each config runs with the shard size its user count gives on ``data``, and
+    each seed's one topology draw serves every mode. A failure, the derivation's
+    and the draw's included, names the (seed, mode) it hit.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -115,12 +115,15 @@ def _run_records(
     for base in configs:
         cfg = None
         for seed in seeds:
+            topology = None
             for mode in modes:
                 try:
                     if cfg is None:
                         cfg = base.replace(samples_per_user=shard_size(data.n_rows, base.n_users, base.test_size))
                         run_configs.append(cfg)
-                    records.append(_run_single(cfg, data, seed, mode, train))
+                    if topology is None:
+                        topology = generate_topology(cfg, seed)
+                    records.append(_run_single(cfg, topology, data, seed, mode, train))
                 except Exception as exc:
                     raise ExperimentError(f"seed {seed}, mode {mode}: {exc}") from exc
     return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs))

@@ -16,7 +16,7 @@ import numpy as np
 from .config import SimConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UserNode:
     id: int
     position: tuple[float, float, float]  # receiver plane, meters
@@ -27,6 +27,15 @@ class UserNode:
     capacitance_coeff: float              # used as coeff/2 per cycle
     tx_power_w: float
     energy_budget_j: float
+
+    def __init__(self, id, position, indoor, shard_size, cycles_per_sample, cpu_freq_hz, capacitance_coeff,
+                 tx_power_w, energy_budget_j):
+        # One dict update: the generated frozen __init__ calls object.__setattr__ per field.
+        self.__dict__.update(id=id, position=position, indoor=indoor, shard_size=shard_size,
+                             cycles_per_sample=cycles_per_sample, cpu_freq_hz=cpu_freq_hz,
+                             capacitance_coeff=capacitance_coeff, tx_power_w=tx_power_w,
+                             energy_budget_j=energy_budget_j)
+        self.__post_init__()
 
     def __post_init__(self):
         size = self.shard_size

@@ -33,6 +33,7 @@ from vlcfed import (
     vlc_sinr,
 )
 from vlcfed.allocation import (
+    EMPTY_SELECTION,
     MODES,
     ORACLE_MAX_USERS,
     _LinkTable,
@@ -299,11 +300,20 @@ class TestUsba:
                 nonconverged += not res.converged
         assert nonconverged >= 5
 
+    @staticmethod
+    def start_passes(topo, cfg, mode):
+        """Passes that ``usba`` makes before its first step: one at the start,
+        and one at the solo widths of a restart unless they equal the start."""
+        start = BandwidthAllocation(*cfg.initial_bandwidth) if cfg.initial_bandwidth else None
+        start = start or default_initial_bandwidth(topo, cfg)
+        restart = not get_s(start, topo, cfg, mode) and block_widths(1, 0, cfg) != start
+        return 1 + restart, restart
+
     def test_a_fixed_point_is_confirmed_without_a_pass(self, monkeypatch):
         # A step whose widths equal the current ones finds the current
         # selection again without a pass. So a converged run makes one pass
-        # for the start, one for a solo restart and one per iteration but the
-        # last, which only confirms the fixed point.
+        # at each distinct width it tests: the start, a solo restart's widths
+        # and each iteration's but the last, which only confirms the fixed point.
         passes = PassCounter(monkeypatch)
         rng = np.random.default_rng(19)
         converged = restarted = 0
@@ -311,18 +321,28 @@ class TestUsba:
             topo, cfg = random_instance(rng, n_range=(1, 40))
             if rng.uniform() < 0.5:
                 cfg = cfg.replace(initial_bandwidth=tuple(float(10 ** rng.uniform(3, 7.5)) for _ in range(3)))
-            start = BandwidthAllocation(*cfg.initial_bandwidth) if cfg.initial_bandwidth else None
-            start = start or default_initial_bandwidth(topo, cfg)
             for mode in MODES:
-                restart = not get_s(start, topo, cfg, mode)
+                start_passes, restart = self.start_passes(topo, cfg, mode)
                 passes.count = 0
                 res = usba(topo, cfg, mode)
                 if res.converged:
-                    assert passes.count == 1 + restart + max(res.iterations - 1, 0), (mode, res)
+                    assert passes.count == start_passes + max(res.iterations - 1, 0), (mode, res)
                     converged += 1
                     restarted += restart
         assert converged >= 30
         assert restarted >= 5
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_restart_at_the_start_widths_costs_no_pass(self, monkeypatch, config, mode):
+        # One indoor user starts at the solo widths, so its restart finds the
+        # start's mask again. Infeasible everywhere, it gets the empty fixed point.
+        topo = make_topology([make_user(indoor=True, xy=(0.0, 1.0), cycles_per_sample=1e9)])
+        assert default_initial_bandwidth(topo, config) == block_widths(1, 0, config)
+        assert self.start_passes(topo, config, mode) == (1, False)
+        passes = PassCounter(monkeypatch)
+        res = usba(topo, config, mode)
+        assert (res.selection, res.iterations, res.converged) == (EMPTY_SELECTION, 0, True)
+        assert passes.count == 1
 
     @pytest.mark.parametrize(
         "seed, mode, ids",
@@ -532,18 +552,20 @@ class TestLinkTableMatchesPerUserReference:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         fov=st.sampled_from([20.0, 45.0, 90.0]),
+        half_angle=st.sampled_from([60.0, 15.0, 30.0, 45.0, 70.0]),
         widths=st.tuples(log_width, log_width, log_width),
         mode=st.sampled_from(MODES),
         backhaul=st.sampled_from([0.05, math.inf, math.nan]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_get_s_equals_reference(self, seed, fov, widths, mode, backhaul):
+    def test_get_s_equals_reference(self, seed, fov, half_angle, widths, mode, backhaul):
         topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, 40))
-        # Narrow views give VLC users rate 0. A SimConfig rejects a non-finite
-        # backhaul delay when it is built, so the delay is set on the frozen
-        # instance afterwards; the table must still charge such a delay to the
-        # VLC-served users only.
-        cfg = cfg.replace(fov_half_angle_deg=fov)
+        # Narrow views give VLC users rate 0, and away from 60 degrees the
+        # Lambertian order is not 1, so each optical gain takes a real power.
+        # A SimConfig rejects a non-finite backhaul delay when it is built, so
+        # the delay is set on the frozen instance afterwards; the table must
+        # still charge such a delay to the VLC-served users only.
+        cfg = cfg.replace(fov_half_angle_deg=fov, half_intensity_angle_deg=half_angle)
         object.__setattr__(cfg, "backhaul_delay_s", backhaul)
         bw = BandwidthAllocation(*(10.0**w for w in widths))
         expected = _reference_selection(bw, topo, cfg, mode)

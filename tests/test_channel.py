@@ -16,7 +16,7 @@ from vlcfed import (
     vlc_rate,
     vlc_sinr,
 )
-from vlcfed.channel import _cos_deg, best_ap_sinr, vlc_channel_gains, vlc_signal_powers
+from vlcfed.channel import _cos_deg, _rf_rate, _vlc_rate, best_ap_sinr, vlc_channel_gains, vlc_signal_powers
 from vlcfed.topology import distance
 from tests.conftest import make_topology, make_user
 
@@ -236,15 +236,16 @@ class TestBandwidthMonotonicity:
 
 
 def _scalar_gain(ap, user, p):
-    """vlc_channel_gain as it was written before the batched form: one pair,
-    np.linalg.norm and Python powers. Kept as the bit-exact reference."""
+    """vlc_channel_gain as it was written before the batched form: one pair
+    and np.linalg.norm, with the power as np.power. Kept as the bit-exact
+    reference."""
     d = distance(ap, user)
     cos_theta = (float(ap[2]) - float(user[2])) / d
     if cos_theta < _cos_deg(p.fov_half_angle_deg):
         return 0.0
     m = lambertian_order(p.half_intensity_angle_deg)
     g = concentrator_gain(0.0, p.fov_half_angle_deg, p.refractive_index)
-    return (m + 1.0) * p.pd_area_m2 / (2.0 * math.pi * d * d) * p.filter_gain * g * cos_theta**m * cos_theta
+    return (m + 1.0) * p.pd_area_m2 / (2.0 * math.pi * d * d) * p.filter_gain * g * float(np.power(cos_theta, m)) * cos_theta
 
 
 def _scalar_sinr(signals, rb_bandwidth_hz, noise_psd):
@@ -261,6 +262,13 @@ def _scalar_sinr(signals, rb_bandwidth_hz, noise_psd):
 coord = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
 
 
+def _layouts(x):
+    """``x`` as a pass may hand it to a ufunc, each with the indices it holds:
+    whole, one element, a strided view and a fancy-indexed copy."""
+    reverse = np.arange(x.size)[::-1]
+    return [(x, range(x.size)), (x[:1], range(x.size)[:1]), (x[::2], range(0, x.size, 2)), (x[reverse], reverse)]
+
+
 class TestBatchedEqualsScalar:
     """The array forms must give the same bits as one scalar evaluation each."""
 
@@ -271,14 +279,50 @@ class TestBatchedEqualsScalar:
         fov=st.sampled_from([10.0, 30.0, 60.0, 90.0]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_channel_gains(self, aps, receivers, half_angle, fov):
+    def test_channel_gains_equal_one_pair_calls(self, aps, receivers, half_angle, fov):
         p = VlcParams.from_config(SimConfig(half_intensity_angle_deg=half_angle, fov_half_angle_deg=fov))
         got = vlc_channel_gains(aps, receivers, p)
         assert got.shape == (len(receivers), len(aps))
         for i, user in enumerate(receivers):
             for k, ap in enumerate(aps):
                 assert got[i, k] == _scalar_gain(ap, user, p)
-                assert vlc_channel_gain(ap, user, p) == got[i, k]
+                gain = vlc_channel_gain(ap, user, p)
+                assert type(gain) is float and gain == got[i, k]
+
+    @given(
+        aps=st.lists(st.tuples(coord, coord, st.floats(min_value=2.0, max_value=6.0)), min_size=1, max_size=6),
+        receivers=st.lists(st.tuples(coord, coord), min_size=1, max_size=24),
+        half_angle=st.sampled_from([15.0, 30.0, 45.0, 60.0, 70.0]),
+        fov=st.sampled_from([10.0, 30.0, 60.0, 90.0]),
+        width=st.floats(min_value=1.0, max_value=1e9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_signal_powers_equal_one_user_calls(self, aps, receivers, half_angle, fov, width):
+        p = VlcParams.from_config(SimConfig(half_intensity_angle_deg=half_angle, fov_half_angle_deg=fov))
+        users = [make_user(id=i, indoor=True, xy=xy) for i, xy in enumerate(receivers)]
+        topo = make_topology(users, aps=aps)
+        got = vlc_signal_powers(users, topo, p)
+        sinrs = best_ap_sinr(got, width, p.noise_psd)
+        for i, user in enumerate(users):
+            assert got[i].tolist() == vlc_signal_powers([user], topo, p)[0].tolist()
+            amplitudes = [p.conversion_efficiency * vlc_channel_gain(ap, user.position, p) * p.optical_power_w for ap in aps]
+            assert got[i].tolist() == [float(np.power(a, 2)) for a in amplitudes]
+            sinr = vlc_sinr(user, topo, width, p)
+            assert type(sinr) is float and sinr == sinrs[i]
+        # A mode's view takes a subset of the users, in any order.
+        rows = list(range(len(users)))[::-2]
+        assert vlc_signal_powers([users[i] for i in rows], topo, p).tolist() == got[rows].tolist()
+
+    def test_signal_powers_of_many_users(self):
+        # Python's x ** 2 (libm pow) and numpy's x * x differ on 9 of these
+        # 10,000 amplitudes, so a square taken another way for arrays shows here.
+        rng = np.random.default_rng(3)
+        p = VlcParams.from_config(SimConfig())
+        aps = [(x, y, 3.35) for x, y in rng.uniform(-20.0, 20.0, size=(4, 2))]
+        users = [make_user(id=i, indoor=True, xy=tuple(xy)) for i, xy in enumerate(rng.uniform(-25.0, 25.0, (2500, 2)))]
+        topo = make_topology(users, aps=aps)
+        got = vlc_signal_powers(users, topo, p)
+        assert got.tolist() == [vlc_signal_powers([u], topo, p)[0].tolist() for u in users]
 
     @given(
         n_aps=st.integers(min_value=1, max_value=12),  # a pairwise sum would reorder from 8 APs on
@@ -296,40 +340,40 @@ class TestBatchedEqualsScalar:
         assert got.tolist() == [_scalar_sinr(row, width, 1e-21) for row in signals]
 
     @given(
-        powers=st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=0, max_size=12),
+        powers=st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=0, max_size=40),
         width=st.floats(min_value=1.0, max_value=1e8),
         interference=st.floats(min_value=0.0, max_value=1e-9),
     )
     @settings(max_examples=150, deadline=None)
     def test_rates(self, powers, width, interference):
         gains = [rf_channel_gain(5.0 + 4.0 * i, i % 2 == 0, RfParams.from_config(SimConfig())) for i in range(len(powers))]
-        rates = rf_rate(np.array(powers), np.array(gains), interference, width, 1e-21)
-        assert rates.tolist() == [rf_rate(pw, h, interference, width, 1e-21) for pw, h in zip(powers, gains)]
+        rf_rates = [rf_rate(pw, h, interference, width, 1e-21) for pw, h in zip(powers, gains)]
+        assert rf_rate(np.array(powers), np.array(gains), interference, width, 1e-21).tolist() == rf_rates
         sinrs = np.array(powers) * 1e5
-        assert vlc_rate(sinrs, width).tolist() == [vlc_rate(s, width) for s in sinrs.tolist()]
+        vlc_rates = [vlc_rate(s, width) for s in sinrs.tolist()]
+        assert vlc_rate(sinrs, width).tolist() == vlc_rates
+        assert all(type(r) is float for r in rf_rates + vlc_rates)
+        # The kernels as a pass calls them, on each layout it may hand them.
+        for x, rows in _layouts(np.array(powers) * np.array(gains)):
+            assert _rf_rate(x, interference, width, 1e-21).tolist() == [rf_rates[i] for i in rows]
+        for x, rows in _layouts(sinrs):
+            assert _vlc_rate(x, width).tolist() == [vlc_rates[i] for i in rows]
 
     # 1 + sinr values at which np.log2 and math.log2 differ in the last bit
-    # (numpy 2.4.6, x86-64 AVX-512); the array rate must follow math.log2.
+    # (numpy 2.4.6, x86-64 AVX-512). Alone, inside a vector and in a loop's
+    # tail, each must give the scalar rate, which follows np.log2.
     LOG2_SPLITS = ("0x1.dc04a5e27288ep+9", "0x1.88608fffc13b9p+9", "0x1.e0f28c85b8b9dp+8", "0x1.a3b68fc52d086p+5")
 
-    def test_rates_take_math_log2(self):
-        sinrs = np.array([float.fromhex(x) - 1.0 for x in self.LOG2_SPLITS])
-        # tx * 1 / (0 + 1 * 1) is the sinr itself, and 1 + sinr is exact
-        assert rf_rate(sinrs, np.ones(sinrs.size), 0.0, 1.0, 1.0).tolist() == [math.log2(1.0 + s) for s in sinrs]
-
-    def test_signal_powers(self):
-        # Python's x ** 2 (libm pow) and numpy's x * x differ on 9 of these
-        # 10,000 amplitudes, so a vectorised square shows here.
-        rng = np.random.default_rng(3)
-        p = VlcParams.from_config(SimConfig())
-        aps = [(x, y, 3.35) for x, y in rng.uniform(-20.0, 20.0, size=(4, 2))]
-        users = [make_user(id=i, indoor=True, xy=tuple(xy)) for i, xy in enumerate(rng.uniform(-25.0, 25.0, (2500, 2)))]
-        got = vlc_signal_powers(users, make_topology(users, aps=aps), p)
-        expected = [
-            [(p.conversion_efficiency * _scalar_gain(ap, u.position, p) * p.optical_power_w) ** 2 for ap in aps]
-            for u in users
-        ]
-        assert got.tolist() == expected
+    @pytest.mark.parametrize("split", LOG2_SPLITS)
+    def test_rates_agree_at_log2_splits(self, split):
+        sinr = float.fromhex(split) - 1.0  # 1 + sinr is exact
+        # tx * 1 / (0 + 1 * 1) is the sinr itself
+        rate = rf_rate(sinr, 1.0, 0.0, 1.0, 1.0)
+        assert rate == float(np.log2(float.fromhex(split)))
+        scale = 2.0 / (math.pi * math.e)  # so that 1 + scale * sinr is near the split
+        for x, rows in _layouts(np.full(19, sinr)):
+            assert _rf_rate(x, 0.0, 1.0, 1.0).tolist() == [rate] * len(rows)
+            assert _vlc_rate(x / scale, 2.0).tolist() == [vlc_rate(sinr / scale, 2.0)] * len(rows)
 
     def test_array_rates_reject_bad_elements(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ from vlcfed import (
     make_synthetic,
     usba,
 )
+from vlcfed import runner
+from vlcfed.allocation import MODES, _UserTerms
 from vlcfed.config import _SCALAR_RULES, _TUPLE_RULES, _Interval
 from vlcfed.runner import (
     ExperimentError,
@@ -88,6 +90,43 @@ class TestRunExperiment:
         bad = SimConfig(n_users=200, global_rounds=5)  # more users than rows
         with pytest.raises(ExperimentError, match="seed 7"):
             run_experiment(bad, [7], data, train=False)
+
+    def test_each_seed_is_drawn_and_built_once(self, monkeypatch):
+        # Both modes run on one draw per seed, so they share its link terms.
+        draws, builds = [], []
+        draw, build = runner.generate_topology, _UserTerms.__init__
+
+        def counted_draw(cfg, seed):
+            draws.append(seed)
+            return draw(cfg, seed)
+
+        def counted_build(terms, *args):
+            builds.append(args)
+            build(terms, *args)
+
+        monkeypatch.setattr(runner, "generate_topology", counted_draw)
+        monkeypatch.setattr(_UserTerms, "__init__", counted_build)
+        report = run_experiment(SimConfig(), [0, 1], load_bundled_dataset(), train=False)
+        assert [(r.seed, r.mode) for r in report.records] == [(0, "hybrid"), (0, "rf_only"), (1, "hybrid"), (1, "rf_only")]
+        assert draws == [0, 1]
+        assert len(builds) == 2
+
+    def test_modes_on_a_shared_draw_match_runs_of_one_mode(self, small_setup):
+        cfg, data = small_setup
+        both = run_experiment(cfg, [3, 1], data)
+        alone = {mode: run_experiment(cfg, [3, 1], data, modes=(mode,)).records for mode in MODES}
+        for mode in MODES:
+            assert [r for r in both.records if r.mode == mode] == alone[mode]
+
+    def test_a_failed_draw_names_its_seed_and_first_mode(self, small_setup, monkeypatch):
+        cfg, data = small_setup
+
+        def broken_draw(cfg, seed):
+            raise ValueError("no room for the users")
+
+        monkeypatch.setattr(runner, "generate_topology", broken_draw)
+        with pytest.raises(ExperimentError, match="seed 4, mode rf_only: no room for the users"):
+            run_experiment(cfg, [4], data, modes=("rf_only", "hybrid"))
 
     def test_requires_seeds(self, small_setup):
         cfg, data = small_setup

@@ -173,3 +173,21 @@ def test_user_accepts_an_integer_shard_size(size):
 def test_user_rejects_a_shard_size_that_is_no_positive_integer(size):
     with pytest.raises(ValueError, match="user 5: shard_size must be an integer >= 1"):
         make_user(id=5, shard_size=size)
+
+
+def test_user_keeps_the_frozen_dataclass_contract():
+    # UserNode sets its fields in its own __init__; the generated methods and
+    # the checks must behave as for the dataclass's.
+    user = make_user(id=4, xy=(3.0, -2.0), indoor=True)
+    terms = [getattr(user, f.name) for f in dataclasses.fields(user)]
+    positional = type(user)(*terms)
+    assert positional == user and hash(positional) == hash(user) and repr(positional) == repr(user)
+    assert list(vars(user)) == [f.name for f in dataclasses.fields(user)]
+    moved = dataclasses.replace(user, shard_size=3)
+    assert moved.shard_size == 3 and moved != user and dataclasses.replace(moved, shard_size=9) == user
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        user.shard_size = 3
+    with pytest.raises(ValueError, match="user 4: shard_size must be an integer >= 1"):
+        dataclasses.replace(user, shard_size=0)
+    with pytest.raises(TypeError):
+        type(user)(*terms[:-1])
