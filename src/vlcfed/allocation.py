@@ -22,12 +22,14 @@ time and energy, transmit power and energy budget) is built once per
 builds it for its one user. The build checks the RF gains once. A mode is a
 cheap view of it (``_LinkTable``): which downlinks are VLC, the backhaul
 delay, the RF downlink powers and, in hybrid mode only, the per-AP optical
-signal powers of indoor users. One pass over a view at given block widths
+signal powers of indoor users and their interference. One pass over a view
 calls the unchecked rate and cost kernels, whose formulas live in
 ``channel`` and ``compute``: it computes every user's up/down rates and
-round cost as arrays and yields one feasibility mask. The view remembers
-the read-only mask at each width that ``usba`` or the oracle tests, at most
-one per selection-count pair, so neither tests a width twice.
+round cost as arrays and yields a feasibility mask. A pass takes block
+widths as floats, for one mask, or as (P, 1) arrays, for P masks at once,
+each equal bit for bit to the pass at its own widths. Nothing is
+remembered between passes: ``usba`` tests each visited state once, and the
+oracle makes one batched pass.
 
 ``usba`` alternates the two from the full-selection widths until the pair is a
 fixed point, which it knows without a pass once the widths repeat. The
@@ -36,9 +38,8 @@ each step also tests whether the state it steps from supports itself; a
 revisit, an empty state or the iteration limit ends the alternation with the
 best self-supporting state flagged non-converged.
 ``oracle_enumerate`` finds the exact optimum on small instances as an
-independent check. Bandwidth depends only on the selection *counts*, and the
-count pairs that can be filled at their own widths are closed downward, so it
-walks their staircase boundary with at most N + 1 passes.
+independent check. Bandwidth depends only on the selection *counts*, so it
+scores every count pair from one pass batched over their widths.
 
 In ``rf_only`` mode VLC is disabled: indoor users take their downlink over
 RF blocks too (so blocks shrink to B_rf / (2 |S|)), keep their penetration
@@ -63,6 +64,7 @@ from .channel import (  # noqa: F401
     _rf_rate,
     _vlc_rate,
     best_ap_sinr,
+    best_ap_terms,
     rf_rate,
     vlc_signal_powers,
     vlc_sinr,
@@ -169,18 +171,16 @@ class _LinkTable:
 
     Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
     RF otherwise, so only the downlink terms and the backhaul are the view's
-    own; the hybrid view computes the VLC signal powers once. A link without
-    rate (no AP in view, or an RF SINR below 2**-53) costs inf seconds and
-    joules, so its user fails. A pass only adds, multiplies, divides,
-    compares and takes ``np.log2``, the ufunc the scalar rate functions run
-    on one value, so the mask holds the per-user answers.
+    own; the hybrid view computes the VLC signal powers and their
+    interference once. A link without rate (no AP in view, or an RF SINR
+    below 2**-53) costs inf seconds and joules, so its user fails. A pass
+    only adds, multiplies, divides, compares, takes maxima and takes
+    ``np.log2``, the ufunc the scalar rate functions run on one value, so the
+    mask holds the per-user answers.
 
-    The user terms are checked by ``UserNode``, and the widths, noise PSDs
-    and interference that a pass also uses by ``BandwidthAllocation`` and
-    ``SimConfig``, so a pass checks nothing. ``mask`` remembers the pass at
-    each width that ``usba`` or the oracle tests. Each is a function of the
-    config, so the memo holds at most one mask per selection-count pair,
-    plus the solo widths and a configured start; ``get_s`` keeps none.
+    The user terms are checked by ``UserNode``, the widths by
+    ``BandwidthAllocation`` or the count rule that gives them, and the noise
+    PSDs and interference by ``SimConfig``, so a pass checks nothing.
     """
 
     def __init__(self, terms: _UserTerms, topology: Topology, mode: str):
@@ -200,36 +200,36 @@ class _LinkTable:
         if mode == "hybrid":
             vlc = VlcParams.from_config(config)
             self.vlc_noise_psd = vlc.noise_psd
-            self.signals = vlc_signal_powers([u for u in terms.users if u.indoor], topology, vlc)
+            signals = vlc_signal_powers([u for u in terms.users if u.indoor], topology, vlc)
+            self.signals, self.interference = best_ap_terms(signals)
         # Received RF downlink powers, as rf_rate forms them.
         self.down_power = rf.bs_power_w * terms.gain[self.rf_rows]
-        self._masks: dict[BandwidthAllocation, np.ndarray] = {}
 
-    def feasible(self, bw: BandwidthAllocation) -> np.ndarray:
-        """Boolean mask: which users finish a round within both budgets at ``bw``."""
+    def feasible(self, b_up, b_down, b_vlc) -> np.ndarray:
+        """Boolean mask: which users finish a round within both budgets at these block widths.
+
+        Float widths give one mask over the users. (P, 1) arrays of widths
+        give a (P, users) mask: every term broadcasts, so each element goes
+        through the same operations and ufuncs as at float widths, and row p
+        equals the mask at the p-th widths bit for bit.
+        """
         rf = self.rf
-        up = _rf_rate(self.up_power, rf.uplink_interference_w, bw.b_up_hz, rf.noise_psd)
+        up = _rf_rate(self.up_power, rf.uplink_interference_w, b_up, rf.noise_psd)
         down = np.empty_like(up)
         if self.vlc_rows.size:
-            down[self.vlc_rows] = _vlc_rate(best_ap_sinr(self.signals, bw.b_vlc_hz, self.vlc_noise_psd), bw.b_vlc_hz)
+            sinr = best_ap_sinr(self.signals, self.interference, b_vlc, self.vlc_noise_psd)
+            down[..., self.vlc_rows] = _vlc_rate(sinr, b_vlc)
         if self.rf_rows.size:
-            down[self.rf_rows] = _rf_rate(self.down_power, rf.downlink_interference_w, bw.b_down_hz, rf.noise_psd)
+            down[..., self.rf_rows] = _rf_rate(self.down_power, rf.downlink_interference_w, b_down, rf.noise_psd)
         # A link without rate takes payload / 0 = inf seconds and joules, so it
         # fails both tests like any slow link.
         with np.errstate(divide="ignore"):
             cost = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, self.config)
         return (cost.round_time <= self.config.t_round_s) & (cost.total_energy <= self.budget)
 
-    def mask(self, bw: BandwidthAllocation) -> np.ndarray:
-        """``feasible(bw)``, remembered and read-only; for widths the config fixes."""
-        mask = self._masks.get(bw)
-        if mask is None:
-            mask = self._masks[bw] = self.feasible(bw)
-            mask.flags.writeable = False
-        return mask
-
-    def select(self, mask: np.ndarray) -> Selection:
-        """The users that a feasibility mask admits."""
+    def select(self, bw: BandwidthAllocation) -> Selection:
+        """The users feasible at ``bw``, from one pass."""
+        mask = self.feasible(bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)
         return Selection(
             frozenset(self.ids[mask & self.indoor].tolist()),
             frozenset(self.ids[mask & ~self.indoor].tolist()),
@@ -263,7 +263,8 @@ def is_feasible(
     mode: str = "hybrid",
 ) -> bool:
     """Can this user finish a round within the time budget and energy cap?"""
-    return bool(_LinkTable(_UserTerms((user,), topology, config), topology, mode).feasible(bw)[0])
+    links = _LinkTable(_UserTerms((user,), topology, config), topology, mode)
+    return bool(links.feasible(bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)[0])
 
 
 def get_s(
@@ -273,8 +274,7 @@ def get_s(
     mode: str = "hybrid",
 ) -> Selection:
     """Select every user that is feasible at the given block widths."""
-    links = _links(topology, config, mode)
-    return links.select(links.feasible(bw))
+    return _links(topology, config, mode).select(bw)
 
 
 def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
@@ -285,11 +285,17 @@ def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid")
     indoor users split B_vlc; with no VLC block issued the width is unused
     and reported as B_vlc. Callers pass a checked mode.
     """
+    b_rf, b_vlc = _block_widths(n_in, n_out, config, mode)
+    return BandwidthAllocation(b_rf, b_rf, b_vlc)
+
+
+def _block_widths(n_in, n_out, config: SimConfig, mode: str):
+    """``block_widths``' RF and VLC widths, for counts given as ints (giving
+    floats) or as int arrays (giving arrays of the same float divisions)."""
     n = n_in + n_out
     rf_blocks = 2 * n if mode == "rf_only" else n + n_out
-    vlc_blocks = n_in if mode == "hybrid" and n_in > 0 else 1
-    b_rf = config.rf_total_bandwidth_hz / rf_blocks
-    return BandwidthAllocation(b_rf, b_rf, config.vlc_total_bandwidth_hz / vlc_blocks)
+    vlc_blocks = n_in + (n_in == 0) if mode == "hybrid" else 1
+    return config.rf_total_bandwidth_hz / rf_blocks, config.vlc_total_bandwidth_hz / vlc_blocks
 
 
 def get_b(selection: Selection, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
@@ -347,10 +353,11 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
         bw = default_initial_bandwidth(topology, config)
 
     links = _links(topology, config, mode)
-    selection = links.select(links.mask(bw))
+    selection = links.select(bw)
     if not selection:
         widest = block_widths(1, 0, config)  # widest solo widths, B_rf and B_vlc
-        selection = links.select(links.mask(widest))
+        if widest != bw:  # at the start's widths the selection is known
+            selection = links.select(widest)
         if not selection:
             # Not even a solo allocation admits anyone: empty is a fixed point.
             return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
@@ -361,10 +368,11 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     best_obj = -1.0
     predecessors: set[Selection] = set()
     iterations = 0
-    # selection == links.select(links.mask(bw)) holds here and after every step.
+    # selection == links.select(bw) holds here and after every step, so a step
+    # to the current widths takes the current selection without a pass.
     while True:
         new_bw = get_b(selection, config, mode)
-        new_selection = selection if new_bw == bw else links.select(links.mask(new_bw))
+        new_selection = selection if new_bw == bw else links.select(new_bw)
         if selection.indoor_ids <= new_selection.indoor_ids and selection.outdoor_ids <= new_selection.outdoor_ids:
             obj = _objective(selection, shard_sizes)  # a self-supporting state
             if obj > best_obj:
@@ -389,70 +397,42 @@ ORACLE_MAX_USERS = 14
 
 
 def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaResult:
-    """Exact optimum by a walk over selection counts, for small instances.
+    """Exact optimum over selection counts, from one batched pass, for small instances.
 
     Block widths depend on the selection only through the indoor/outdoor
-    counts (k1, k2). A pair passes when at least k1 indoor and k2 outdoor
-    users are feasible at ``block_widths(k1, k2)``; its candidate takes the
-    largest feasible shards of each kind. Widths shrink as either count grows
-    and feasibility is monotone in width, so the passing pairs are closed
-    downward: their boundary is a staircase that never rises as k1 grows.
-    The walk takes k1 upward from 0 and lowers k2 from n_out until the pair
-    passes, and the next row starts from that k2: at most N + 1 feasibility
-    passes. With equal shards, which ``generate_topology`` always gives, the
-    boundary pair is the best in its row. Otherwise the pairs below it are
-    scored too. Ties go to the first pair in k1-then-k2 order.
+    counts (k1, k2), so one feasibility pass evaluates the widths of every
+    pair but (0, 0) at once. Pair (k1, k2) is filled when at least k1 indoor
+    and k2 outdoor users are feasible at its widths; it then takes the first
+    k1 and k2 of them in the oracle's order (largest shards first) and scores
+    their shard total. The best filled pair wins; ties go to the first pair
+    in k1-then-k2 order. At ``ORACLE_MAX_USERS`` there are at most 63 pairs.
+    Their number grows as N^2 / 4, so lifting the cap needs a search over the
+    counts, not a larger pass.
     """
     if topology.n_users > ORACLE_MAX_USERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_USERS} users, got {topology.n_users}"
         )
     users = topology.users
-    # Indoor first, then largest shards first; id breaks ties
-    # deterministically. The shared table keeps topology order, so ``rows``
-    # picks its rows in this order.
-    order = sorted(range(len(users)), key=lambda i: (not users[i].indoor, -users[i].shard_size, users[i].id))
-    indoor = [users[i] for i in order if users[i].indoor]
-    outdoor = [users[i] for i in order if not users[i].indoor]
-    rows = np.array(order, dtype=np.intp)
+    # Indoor first, then largest shards first; id breaks ties deterministically.
+    # The shared table keeps topology order, so ``rows`` picks its columns in this order.
+    rows = np.array(sorted(range(len(users)), key=lambda i: (not users[i].indoor, -users[i].shard_size, users[i].id)))
     links = _links(topology, config, mode)
-
-    def candidate(k1: int, k2: int):
-        """The pair's widths and chosen users, or None if the pair fails."""
-        bw = block_widths(k1, k2, config, mode)
-        mask = links.mask(bw)[rows]
-        chosen_in = [u for u, ok in zip(indoor, mask[: len(indoor)]) if ok][:k1]
-        chosen_out = [u for u, ok in zip(outdoor, mask[len(indoor) :]) if ok][:k2]
-        if len(chosen_in) < k1 or len(chosen_out) < k2:
-            return None
-        return bw, chosen_in, chosen_out
-
-    equal_shards = len({u.shard_size for u in topology.users}) <= 1
-    best_obj = 0.0
-    best_sel = EMPTY_SELECTION
-    best_bw = None
-    k2 = len(outdoor)
-    for k1 in range(len(indoor) + 1):
-        boundary = None
-        while k2 >= 0 and (k1 or k2):  # (0, 0) passes and selects nobody
-            boundary = candidate(k1, k2)
-            if boundary:
-                break
-            k2 -= 1
-        if k2 < 0:
-            break  # not even (k1, 0) passes, so no larger k1 does either
-        row = [] if equal_shards else [candidate(k1, j) for j in range(0 if k1 else 1, k2)]
-        if boundary:
-            row.append(boundary)
-        for bw, chosen_in, chosen_out in row:
-            obj = float(sum(u.shard_size for u in chosen_in + chosen_out))
-            if obj > best_obj:
-                best_obj = obj
-                best_sel = Selection(
-                    frozenset(u.id for u in chosen_in),
-                    frozenset(u.id for u in chosen_out),
-                )
-                best_bw = bw
-    if best_bw is None:
-        best_bw = default_initial_bandwidth(topology, config)
-    return UsbaResult(best_sel, best_bw, 0, True, best_obj)
+    indoor = links.indoor[rows]
+    n_in, n_out = topology.n_indoor, topology.n_outdoor
+    # Every count pair but (0, 0), in k1-then-k2 order, as (P, 1) columns.
+    k1, k2 = np.divmod(np.arange(1, (n_in + 1) * (n_out + 1))[:, None], n_out + 1)
+    b_rf, b_vlc = _block_widths(k1, k2, config, mode)
+    feasible = links.feasible(b_rf, b_rf, b_vlc)[:, rows]
+    # Each feasible user's rank among the feasible users of its kind.
+    rank = np.concatenate((feasible[:, :n_in].cumsum(axis=1), feasible[:, n_in:].cumsum(axis=1)), axis=1)
+    chosen = feasible & (rank <= np.where(indoor, k1, k2))
+    filled = chosen.sum(axis=1) == (k1 + k2)[:, 0]
+    objectives = np.where(filled, chosen @ np.array([users[i].shard_size for i in rows]), 0)
+    if not objectives.any():
+        return UsbaResult(EMPTY_SELECTION, default_initial_bandwidth(topology, config), 0, True, 0.0)
+    best = int(objectives.argmax())  # the first of equal maxima
+    ids, kinds = links.ids[rows][chosen[best]], indoor[chosen[best]]
+    selection = Selection(frozenset(ids[kinds].tolist()), frozenset(ids[~kinds].tolist()))
+    bw = block_widths(int(k1[best, 0]), int(k2[best, 0]), config, mode)
+    return UsbaResult(selection, bw, 0, True, float(objectives[best]))

@@ -189,25 +189,36 @@ def vlc_signal_powers(users, topology: Topology, p: VlcParams) -> np.ndarray:
     return np.power(p.conversion_efficiency * gains * p.optical_power_w, 2)
 
 
-def best_ap_sinr(signals: np.ndarray, rb_bandwidth_hz: float, noise_psd: float) -> np.ndarray:
-    """Best-AP SINR of each row of a (users, APs) array of signal powers.
+def best_ap_terms(signals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The width-free terms of ``best_ap_sinr`` from a (users, APs) array of signal powers.
 
-    Each AP k is scored as s_k / (N0 B + sum_{l != k} s_l) >= 0, with the row
-    sum taken left to right (so never below one of its terms), and the best
-    score is returned: 0 when no AP is in view. The serving AP is the best one.
+    Returns the signals AP-major, as an (APs, users) array, and each one's
+    interference: its user's total over all APs, summed in AP order (so
+    never below one of its terms), minus the signal itself.
     """
-    if rb_bandwidth_hz <= 0:
-        raise ValueError("rb_bandwidth_hz must be > 0")
-    noise = noise_psd * rb_bandwidth_hz
-    total = np.cumsum(signals, axis=1)[:, -1:]  # sequential, unlike a pairwise np.sum
-    scores = signals / (noise + (total - signals))
-    return scores.max(axis=1, initial=0.0)
+    signals = np.ascontiguousarray(signals.T)
+    return signals, np.cumsum(signals, axis=0)[-1:] - signals  # sequential, unlike a pairwise np.sum
+
+
+def best_ap_sinr(signals: np.ndarray, interference: np.ndarray, rb_bandwidth_hz, noise_psd: float) -> np.ndarray:
+    """Best-AP SINR of each user from the AP-major terms of ``best_ap_terms``.
+
+    Each AP k is scored as s_k / (N0 B + sum_{l != k} s_l) >= 0 and the best
+    score is returned: 0 when no AP is in view. The serving AP is the best one.
+    A float width gives one SINR per user; a (P, 1) array of widths gives a
+    (P, users) array whose row p holds, bit for bit, the SINRs at width p.
+    The width is not checked.
+    """
+    noise = np.multiply(noise_psd, rb_bandwidth_hz)[..., None]  # broadcast over APs and users
+    return (signals / (noise + interference)).max(axis=-2, initial=0.0)
 
 
 def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, p: VlcParams) -> float:
     """Best-AP electrical SINR for an indoor user (see ``best_ap_sinr``)."""
-    signals = vlc_signal_powers([user], topology, p)
-    return float(best_ap_sinr(signals, rb_bandwidth_hz, p.noise_psd)[0])
+    if rb_bandwidth_hz <= 0:
+        raise ValueError("rb_bandwidth_hz must be > 0")
+    terms = best_ap_terms(vlc_signal_powers([user], topology, p))
+    return float(best_ap_sinr(*terms, rb_bandwidth_hz, p.noise_psd)[0])
 
 
 def _float_or_array(x):

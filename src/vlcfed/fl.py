@@ -24,6 +24,10 @@ from .dataset import DataShard
 N_INPUTS = 13
 N_HIDDEN = 10
 INIT_SCALE = 0.5  # initial parameters are uniform on [-INIT_SCALE, INIT_SCALE]
+# Targets are standardized, so predicting their mean gives a training loss of
+# 0.5. A loss above this bound only comes from steps that diverge, even while
+# it is finite.
+DIVERGED_LOSS = 1e6
 
 
 class NoParticipantsError(ValueError):
@@ -253,8 +257,8 @@ def run_federated_training(
     keeps paired comparisons on one seed apples-to-apples). The recorded
     loss is the shard-size-weighted training loss; the recorded metric is
     test R^2 on the raw target scale. Raises FloatingPointError, naming the
-    round, as soon as the averaged parameters, the loss or R^2 stop being
-    finite.
+    round and the learning rate, as soon as the averaged parameters or R^2
+    stop being finite or the loss exceeds ``DIVERGED_LOSS``.
     """
     participants = sorted(selection.all_ids)
     if not participants:
@@ -299,10 +303,10 @@ def run_federated_training(
         model = _from_flat(flat)
         loss = mse_loss(model, train_x, train_y)
         r2 = r_squared(scaler.inverse_y(forward_batch(model, test_x)), test_y)
-        if not (np.isfinite(flat).all() and math.isfinite(loss) and math.isfinite(r2)):
+        if not (np.isfinite(flat).all() and loss <= DIVERGED_LOSS and math.isfinite(r2)):  # a nan loss fails too
             raise FloatingPointError(
-                f"round {round_no}: training diverged (learning rate "
-                f"{config.learning_rate!r}): the aggregated parameters, loss or R^2 are not finite"
+                f"round {round_no}: training diverged (learning rate {config.learning_rate!r}): the aggregated "
+                f"parameters or R^2 are not finite, or the loss {loss!r} exceeds {DIVERGED_LOSS!r}"
             )
         report.loss_per_round.append(loss)
         report.r2_per_round.append(r2)

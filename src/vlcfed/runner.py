@@ -16,10 +16,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allocation import MODES, usba
+from .allocation import MODES, UsbaResult, usba
 from .config import SimConfig
 from .dataset import Dataset, shard_size, split_and_partition
-from .fl import required_global_rounds, run_federated_training
+from .fl import TrainingReport, required_global_rounds, run_federated_training
 from .topology import Topology, generate_topology
 
 
@@ -61,19 +61,8 @@ class ExperimentReport:
     run_configs: tuple[SimConfig, ...] = ()
 
 
-def _run_single(
-    cfg: SimConfig, topology: Topology, data: Dataset, seed: int, mode: str, train: bool
-) -> ExperimentRecord:
-    result = usba(topology, cfg, mode=mode)
-    if train and result.selection:
-        # Only training reads the rows, so selection-only records skip the partition.
-        shards, test = split_and_partition(data, cfg.n_users, cfg.test_size, seed)
-        report = run_federated_training(result.selection, shards, test, cfg, seed)
-        final_r2 = report.final_r2
-        trace = tuple(report.r2_per_round)
-    else:
-        final_r2 = float("nan")
-        trace = ()
+def _record(cfg: SimConfig, seed: int, mode: str, result: UsbaResult, report: TrainingReport) -> ExperimentRecord:
+    """One (seed, mode) run's record; ``report`` is empty when it did not train."""
     return ExperimentRecord(
         mode=mode,
         seed=seed,
@@ -89,8 +78,8 @@ def _run_single(
         usba_iterations=result.iterations,
         converged=result.converged,
         objective=result.objective,
-        final_r2=final_r2,
-        r2_trace=trace,
+        final_r2=report.final_r2,
+        r2_trace=tuple(report.r2_per_round),
     )
 
 
@@ -105,8 +94,11 @@ def _run_records(
     """One record per (config, seed, mode), in that order, as a report on ``config``.
 
     Each config runs with the shard size its user count gives on ``data``, and
-    each seed's one topology draw serves every mode. A failure, the derivation's
-    and the draw's included, names the (seed, mode) it hit.
+    each seed's one topology draw and one shard partition serve every mode.
+    Only training reads the rows, so the first mode that trains makes the
+    partition, and selection-only seeds make none. A failure, the
+    derivation's, the draw's and the partition's included, names the
+    (seed, mode) it hit.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -115,7 +107,7 @@ def _run_records(
     for base in configs:
         cfg = None
         for seed in seeds:
-            topology = None
+            topology = partition = None
             for mode in modes:
                 try:
                     if cfg is None:
@@ -123,7 +115,13 @@ def _run_records(
                         run_configs.append(cfg)
                     if topology is None:
                         topology = generate_topology(cfg, seed)
-                    records.append(_run_single(cfg, topology, data, seed, mode, train))
+                    result = usba(topology, cfg, mode=mode)
+                    report = TrainingReport()
+                    if train and result.selection:
+                        if partition is None:
+                            partition = split_and_partition(data, cfg.n_users, cfg.test_size, seed)
+                        report = run_federated_training(result.selection, *partition, cfg, seed)
+                    records.append(_record(cfg, seed, mode, result, report))
                 except Exception as exc:
                     raise ExperimentError(f"seed {seed}, mode {mode}: {exc}") from exc
     return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs))

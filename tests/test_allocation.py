@@ -16,6 +16,7 @@ from vlcfed import (
     RfParams,
     Selection,
     SimConfig,
+    UsbaResult,
     VlcParams,
     computation_energy,
     computation_time,
@@ -36,14 +37,17 @@ from vlcfed.allocation import (
     EMPTY_SELECTION,
     MODES,
     ORACLE_MAX_USERS,
+    _block_widths,
     _LinkTable,
     _links,
     _UserTerms,
     block_widths,
     default_initial_bandwidth,
 )
+from vlcfed.channel import best_ap_sinr, vlc_signal_powers
 from vlcfed.runner import random_instance
 from tests.conftest import make_topology, make_user
+from tests.test_channel import _row_wise_sinr
 
 
 def sel(indoor=(), outdoor=()):
@@ -51,17 +55,73 @@ def sel(indoor=(), outdoor=()):
 
 
 class PassCounter:
-    """Counts link-table feasibility passes while the test runs."""
+    """Counts link-table feasibility passes while the test runs; a batched
+    pass over many widths counts once."""
 
     def __init__(self, monkeypatch):
         self.count = 0
         feasible = _LinkTable.feasible
 
-        def counted(table, bw):
+        def counted(table, *widths):
             self.count += 1
-            return feasible(table, bw)
+            return feasible(table, *widths)
 
         monkeypatch.setattr(_LinkTable, "feasible", counted)
+
+
+def widths_of(bw):
+    """A ``BandwidthAllocation``'s widths, as ``_LinkTable.feasible`` takes them."""
+    return bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz
+
+
+def staircase_oracle(topo, cfg, mode):
+    """The oracle as a walk over the staircase of count pairs, one scalar pass
+    per step, as it ran before the batched pass. Kept as the reference.
+
+    A pair (k1, k2) passes when at least k1 indoor and k2 outdoor users are
+    feasible at ``block_widths(k1, k2)``; its candidate takes the largest
+    feasible shards of each kind. The passing pairs are closed downward, so
+    the walk takes k1 upward from 0 and lowers k2 from n_out until the pair
+    passes, and the next row starts from that k2. With equal shards the
+    boundary pair is the best in its row; otherwise the pairs below it are
+    scored too. Ties go to the first pair in k1-then-k2 order.
+    """
+    users = topo.users
+    order = sorted(range(len(users)), key=lambda i: (not users[i].indoor, -users[i].shard_size, users[i].id))
+    indoor = [users[i] for i in order if users[i].indoor]
+    outdoor = [users[i] for i in order if not users[i].indoor]
+    links = _links(topo, cfg, mode)
+
+    def candidate(k1, k2):
+        bw = block_widths(k1, k2, cfg, mode)
+        mask = links.feasible(*widths_of(bw))[order]
+        chosen_in = [u for u, ok in zip(indoor, mask[: len(indoor)]) if ok][:k1]
+        chosen_out = [u for u, ok in zip(outdoor, mask[len(indoor) :]) if ok][:k2]
+        if len(chosen_in) < k1 or len(chosen_out) < k2:
+            return None
+        return bw, chosen_in, chosen_out
+
+    equal_shards = len({u.shard_size for u in users}) <= 1
+    best_obj, best_sel, best_bw = 0.0, EMPTY_SELECTION, None
+    k2 = len(outdoor)
+    for k1 in range(len(indoor) + 1):
+        boundary = None
+        while k2 >= 0 and (k1 or k2):  # (0, 0) passes and selects nobody
+            boundary = candidate(k1, k2)
+            if boundary:
+                break
+            k2 -= 1
+        if k2 < 0:
+            break  # not even (k1, 0) passes, so no larger k1 does either
+        row = [] if equal_shards else [candidate(k1, j) for j in range(0 if k1 else 1, k2)]
+        if boundary:
+            row.append(boundary)
+        for bw, chosen_in, chosen_out in filter(None, row):
+            obj = float(sum(u.shard_size for u in chosen_in + chosen_out))
+            if obj > best_obj:
+                best_obj, best_bw = obj, bw
+                best_sel = sel([u.id for u in chosen_in], [u.id for u in chosen_out])
+    return UsbaResult(best_sel, best_bw or default_initial_bandwidth(topo, cfg), 0, True, best_obj)
 
 
 def with_unequal_shards(topo, rng, high=6):
@@ -456,19 +516,58 @@ class TestOracle:
         assert nonempty >= 20
 
     def test_at_most_one_pass_per_user_plus_one(self, monkeypatch):
-        # Equal shards, as generate_topology gives: one pass per step of the
-        # staircase walk, not one per (k1, k2) count pair.
+        # One batched pass per call, over every (k1, k2) count pair, with
+        # equal and with unequal shards.
         passes = PassCounter(monkeypatch)
         rng = np.random.default_rng(37)
         grid_larger = 0
         for _ in range(30):
             topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
             grid_larger += (topo.n_indoor + 1) * (topo.n_outdoor + 1) - 1 > topo.n_users + 1
-            for mode in MODES:
-                passes.count = 0
-                oracle_enumerate(topo, cfg, mode)
-                assert passes.count <= topo.n_users + 1, (mode, topo.n_indoor, topo.n_outdoor)
+            for t in (topo, with_unequal_shards(topo, rng)):
+                for mode in MODES:
+                    passes.count = 0
+                    oracle_enumerate(t, cfg, mode)
+                    assert passes.count == 1, (mode, topo.n_indoor, topo.n_outdoor)
         assert grid_larger >= 10
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_staircase_walk(self, mode):
+        # 1,100 draws, each with equal and with unequal shards: 2,200
+        # instances per mode, widths and objectives compared exactly.
+        rng = np.random.default_rng(53)
+        nonempty = 0
+        for _ in range(1100):
+            topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
+            for t in (topo, with_unequal_shards(topo, rng)):
+                got = oracle_enumerate(t, cfg, mode)
+                assert got == staircase_oracle(t, cfg, mode), (mode, t)
+                nonempty += bool(got.selection)
+        assert nonempty >= 1000
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), mode=st.sampled_from(MODES))
+    @settings(max_examples=80, deadline=None)
+    def test_batched_rows_equal_passes_at_one_width(self, seed, mode):
+        # Each row of a pass over (P, 1) width arrays is the mask at that
+        # pair's widths, bit for bit, for every count pair.
+        topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, ORACLE_MAX_USERS))
+        links = _links(topo, cfg, mode)
+        pairs = [(k1, k2) for k1 in range(topo.n_indoor + 1) for k2 in range(topo.n_outdoor + 1) if k1 or k2]
+        k1, k2 = np.array(pairs).T[:, :, None]
+        b_rf, b_vlc = _block_widths(k1, k2, cfg, mode)
+        batched = links.feasible(b_rf, b_rf, b_vlc)
+        assert batched.shape == (len(pairs), topo.n_users)
+        if mode == "hybrid" and topo.n_indoor:
+            # The view's AP-major SINRs equal the user-major form bit for bit.
+            got = best_ap_sinr(links.signals, links.interference, b_vlc, links.vlc_noise_psd)
+            signals = vlc_signal_powers(topo.indoor_users(), topo, VlcParams.from_config(cfg))
+            for p, width in enumerate(b_vlc[:, 0].tolist()):
+                assert got[p].tolist() == _row_wise_sinr(signals, width, links.vlc_noise_psd).tolist()
+        b_vlc = np.broadcast_to(b_vlc, b_rf.shape)  # a float in rf_only mode
+        for p, (n_in, n_out) in enumerate(pairs):
+            bw = block_widths(n_in, n_out, cfg, mode)
+            assert (b_rf[p, 0], b_vlc[p, 0]) == (bw.b_up_hz, bw.b_vlc_hz)
+            assert batched[p].tolist() == links.feasible(*widths_of(bw)).tolist()
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), mode=st.sampled_from(MODES))
     @settings(max_examples=60, deadline=None)
@@ -476,14 +575,15 @@ class TestOracle:
         # (k1, k2) passes when at least k1 indoor and k2 outdoor users are
         # feasible at block_widths(k1, k2). Widths shrink as either count
         # grows and feasibility is monotone in width, so a passing pair's
-        # lower neighbours pass too: the fact the oracle's walk rests on.
+        # lower neighbours pass too. The oracle scores every pair without
+        # relying on this; ``staircase_oracle``, its reference, still does.
         topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, ORACLE_MAX_USERS))
         indoor = np.array([u.indoor for u in topo.users], dtype=bool)
         links = _links(topo, cfg, mode)
         passes = np.ones((topo.n_indoor + 1, topo.n_outdoor + 1), dtype=bool)
         for k1, k2 in itertools.product(range(topo.n_indoor + 1), range(topo.n_outdoor + 1)):
             if k1 or k2:
-                mask = links.feasible(block_widths(k1, k2, cfg, mode))
+                mask = links.feasible(*widths_of(block_widths(k1, k2, cfg, mode)))
                 passes[k1, k2] = mask[indoor].sum() >= k1 and mask[~indoor].sum() >= k2
         assert (passes[1:, :] <= passes[:-1, :]).all()
         assert (passes[:, 1:] <= passes[:, :-1]).all()
@@ -642,7 +742,7 @@ class TestLinkTableMatchesPerUserReference:
 
 
 class TestSharedLinkTable:
-    """One build per (topology, config); a mode is a view, a tested width a memo."""
+    """One build per (topology, config); a mode is a view of it."""
 
     @staticmethod
     def count_calls(monkeypatch, cls):
@@ -689,7 +789,7 @@ class TestSharedLinkTable:
     )
     def test_a_changed_config_gives_what_a_fresh_topology_gives(self, change):
         # The topology keeps one table, for the last config; a config that
-        # differs in one field must find neither its table nor its masks.
+        # differs in one field gets a table of its own.
         rng = np.random.default_rng(43)
         for _ in range(8):
             topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
@@ -709,31 +809,6 @@ class TestSharedLinkTable:
                 call(topo, config, "hybrid")
             assert usba(topo, config, "rf_only") == expected
             assert oracle_enumerate(topo, config, "rf_only").selection == expected.selection
-
-    def test_remembered_masks_are_read_only_and_bounded(self):
-        rng = np.random.default_rng(47)
-        for _ in range(20):
-            topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
-            for mode in MODES:
-                usba(topo, cfg, mode)
-                oracle_enumerate(topo, cfg, mode)
-                links = _links(topo, cfg, mode)
-                # Count pairs, the solo widths and the configured start.
-                assert len(links._masks) <= (topo.n_indoor + 1) * (topo.n_outdoor + 1) + 1
-                for bw, mask in links._masks.items():
-                    assert np.array_equal(mask, links.feasible(bw))
-                    with pytest.raises(ValueError, match="read-only"):
-                        mask[0] = not mask[0]
-
-    def test_get_s_remembers_no_mask(self):
-        cfg = SimConfig(n_users=30)
-        topo = generate_topology(cfg, 0)
-        usba(topo, cfg)
-        links = _links(topo, cfg, "hybrid")
-        remembered = dict(links._masks)
-        bw = BandwidthAllocation(1.234e5, 2.345e5, 3.456e6)
-        assert get_s(bw, topo, cfg) == get_s(bw, generate_topology(cfg, 0), cfg)
-        assert links._masks.keys() == remembered.keys()
 
     def test_an_allocated_topology_keeps_its_value(self):
         cfg = SimConfig(n_users=20)

@@ -16,7 +16,15 @@ from vlcfed import (
     vlc_rate,
     vlc_sinr,
 )
-from vlcfed.channel import _cos_deg, _rf_rate, _vlc_rate, best_ap_sinr, vlc_channel_gains, vlc_signal_powers
+from vlcfed.channel import (
+    _cos_deg,
+    _rf_rate,
+    _vlc_rate,
+    best_ap_sinr,
+    best_ap_terms,
+    vlc_channel_gains,
+    vlc_signal_powers,
+)
 from vlcfed.topology import distance
 from tests.conftest import make_topology, make_user
 
@@ -259,6 +267,14 @@ def _scalar_sinr(signals, rb_bandwidth_hz, noise_psd):
     return best
 
 
+def _row_wise_sinr(signals, rb_bandwidth_hz, noise_psd):
+    """The user-major form that the AP-major best_ap_sinr replaced: one row
+    of signal powers per user, the interference taken per call."""
+    noise = noise_psd * rb_bandwidth_hz
+    total = np.cumsum(signals, axis=1)[:, -1:]
+    return (signals / (noise + (total - signals))).max(axis=1, initial=0.0)
+
+
 coord = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
 
 
@@ -302,7 +318,7 @@ class TestBatchedEqualsScalar:
         users = [make_user(id=i, indoor=True, xy=xy) for i, xy in enumerate(receivers)]
         topo = make_topology(users, aps=aps)
         got = vlc_signal_powers(users, topo, p)
-        sinrs = best_ap_sinr(got, width, p.noise_psd)
+        sinrs = best_ap_sinr(*best_ap_terms(got), width, p.noise_psd)
         for i, user in enumerate(users):
             assert got[i].tolist() == vlc_signal_powers([user], topo, p)[0].tolist()
             amplitudes = [p.conversion_efficiency * vlc_channel_gain(ap, user.position, p) * p.optical_power_w for ap in aps]
@@ -331,13 +347,20 @@ class TestBatchedEqualsScalar:
             min_size=0,
             max_size=6,
         ),
-        width=st.floats(min_value=1.0, max_value=1e9),
+        widths=st.lists(st.floats(min_value=1.0, max_value=1e9), min_size=1, max_size=5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_best_ap_sinr(self, n_aps, signals, width):
-        signals = [row[:n_aps] for row in signals]
-        got = best_ap_sinr(np.array(signals).reshape(len(signals), n_aps), width, 1e-21)
-        assert got.tolist() == [_scalar_sinr(row, width, 1e-21) for row in signals]
+    def test_best_ap_sinr(self, n_aps, signals, widths):
+        signals = np.array([row[:n_aps] for row in signals]).reshape(len(signals), n_aps)
+        terms = best_ap_terms(signals)
+        assert [t.shape for t in terms] == [(n_aps, len(signals))] * 2
+        for width in widths:
+            got = best_ap_sinr(*terms, width, 1e-21)
+            assert got.tolist() == _row_wise_sinr(signals, width, 1e-21).tolist()
+            assert got.tolist() == [_scalar_sinr(row, width, 1e-21) for row in signals.tolist()]
+        # A (P, 1) column of widths gives one row per width, bit for bit.
+        batched = best_ap_sinr(*terms, np.array(widths)[:, None], 1e-21)
+        assert batched.tolist() == [best_ap_sinr(*terms, width, 1e-21).tolist() for width in widths]
 
     @given(
         powers=st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=0, max_size=40),

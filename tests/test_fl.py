@@ -230,6 +230,21 @@ class TestRunFederatedTraining:
                 Selection(frozenset(), frozenset([99])), shards, test, cfg, 0
             )
 
+    def test_finite_divergence_is_loud(self):
+        # At this step size the first round's loss is about 3e33, and without
+        # the bound R^2 would fall to -9e170 by round 5, all finite.
+        data = make_synthetic(120, seed=0)
+        shards, test = split_and_partition(data, n_users=8, test_size=20, seed=0)
+        cfg = SimConfig(global_rounds=5, learning_rate=1e3)
+        everyone = Selection(frozenset(), frozenset(range(8)))
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match=r"round 1: training diverged \(learning rate 1000\.0\)"):
+                run_federated_training(everyone, shards, test, cfg, 0)
+        # Below the bound nothing is raised: a stable step size keeps the loss
+        # near the 0.5 that predicting the mean gives.
+        rep = run_federated_training(everyone, shards, test, cfg.replace(learning_rate=0.1), 0)
+        assert max(rep.loss_per_round) < 10.0 < fl.DIVERGED_LOSS
+
     def test_single_user_round_equals_centralized_descent(self):
         # With all data on one user, one aggregation round is exactly plain
         # full-batch gradient descent with the same epochs and step size.

@@ -111,6 +111,31 @@ class TestRunExperiment:
         assert draws == [0, 1]
         assert len(builds) == 2
 
+    def test_each_seed_is_partitioned_once(self, monkeypatch):
+        # Both modes train on one partition per seed, made by the first of them.
+        calls = []
+        partition = runner.split_and_partition
+
+        def counted(data, n_users, test_size, seed):
+            calls.append(seed)
+            return partition(data, n_users, test_size, seed)
+
+        monkeypatch.setattr(runner, "split_and_partition", counted)
+        report = run_experiment(SimConfig(global_rounds=2), [0, 1], load_bundled_dataset())
+        assert [(r.seed, r.mode) for r in report.records] == [(0, "hybrid"), (0, "rf_only"), (1, "hybrid"), (1, "rf_only")]
+        assert all(r.r2_trace for r in report.records)
+        assert calls == [0, 1]
+
+    def test_a_failed_partition_names_its_seed_and_first_mode(self, small_setup, monkeypatch):
+        cfg, data = small_setup
+
+        def broken_partition(*args):
+            raise ValueError("no rows to deal")
+
+        monkeypatch.setattr(runner, "split_and_partition", broken_partition)
+        with pytest.raises(ExperimentError, match="seed 2, mode rf_only: no rows to deal"):
+            run_experiment(cfg, [2], data, modes=("rf_only", "hybrid"))
+
     def test_modes_on_a_shared_draw_match_runs_of_one_mode(self, small_setup):
         cfg, data = small_setup
         both = run_experiment(cfg, [3, 1], data)
