@@ -6,6 +6,8 @@ fixed-point iteration, and trains a small regression network federatedly to
 compare the hybrid system against an RF-only baseline.
 """
 
+__version__ = "0.1.0"  # set before the submodules load: runner.py reads it
+
 from .allocation import (
     BandwidthAllocation,
     EmptySelectionError,
@@ -76,4 +78,3 @@ from .runner import (
 )
 from .topology import Topology, UserNode, distance, generate_topology
 
-__version__ = "0.1.0"

@@ -9,7 +9,9 @@ bundled default corpus.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -33,6 +35,16 @@ class Dataset:
     features: np.ndarray  # (n, 13)
     targets: np.ndarray   # (n,)
     name: str
+    source: bytes | None = field(default=None, repr=False, compare=False)  # the CSV bytes it was loaded from
+
+    @cached_property
+    def sha256(self) -> str | None:
+        """sha256 of ``source``, computed once; None for a dataset built in memory."""
+        if self.source is None:
+            return None
+        import hashlib  # it loads OpenSSL, about 5 ms: on first use, not at start-up
+
+        return hashlib.sha256(self.source).hexdigest()
 
     @property
     def n_rows(self) -> int:
@@ -65,8 +77,9 @@ def _is_header(cells: list[str]) -> bool:
 
 def load_dataset(path: str, name: str | None = None) -> Dataset:
     """Read a 14-column numeric CSV into a Dataset, validating every cell."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
     rows = [(i + 1, r) for i, r in enumerate(rows) if r]  # keep original line numbers
     if rows and _is_header(rows[0][1]):
         if len(rows[0][1]) != N_FEATURES + 1:
@@ -98,7 +111,7 @@ def load_dataset(path: str, name: str | None = None) -> Dataset:
                 features[out_i, j] = value
             else:
                 targets[out_i] = value
-    return Dataset(features, targets, name or path)
+    return Dataset(features, targets, name or path, raw)
 
 
 def save_dataset(data: Dataset, path: str) -> None:

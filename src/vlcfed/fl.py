@@ -2,17 +2,19 @@
 
 Each participant runs full-batch gradient descent on its shard against the
 mean squared error J_n = (1/D_n) * sum_i 0.5 * (pred_i - y_i)^2, then the
-server averages parameters weighted by shard size. All participants of a
-round train together as one stacked batch per shard size, and the average
-adds their models in participant order, so results match training and
-averaging them one by one bit for bit. Inputs and targets are
-standardized with statistics of the training partition only; the accuracy
-metric (coefficient of determination) is computed on the original target
-scale.
+server averages parameters weighted by shard size. The participants of a
+round with one shard size train together: their models are the rows of one
+flat (K, 151) parameter stack, each epoch writes their gradients into a
+second stack and updates the first in place, and the average adds the rows in
+participant order. Results match training and averaging the models one by
+one bit for bit. Inputs and targets are standardized with statistics of the
+training partition only; the accuracy metric (coefficient of determination)
+is computed on the original target scale.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,22 +49,12 @@ class MlpModel:
 
     @classmethod
     def init_random(cls, seed: int) -> "MlpModel":
-        rng = np.random.default_rng(seed)
-        return cls(
-            w1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(N_INPUTS, N_HIDDEN)),
-            b1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=N_HIDDEN),
-            w2=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(N_HIDDEN, 1)),
-            b2=rng.uniform(-INIT_SCALE, INIT_SCALE, size=1),
-        )
+        # One draw in layout order: the values of drawing w1, b1, w2, b2 in turn.
+        return _from_flat(np.random.default_rng(seed).uniform(-INIT_SCALE, INIT_SCALE, size=_N_PARAMS))
 
     @classmethod
     def zeros(cls) -> "MlpModel":
-        return cls(
-            w1=np.zeros((N_INPUTS, N_HIDDEN)),
-            b1=np.zeros(N_HIDDEN),
-            w2=np.zeros((N_HIDDEN, 1)),
-            b2=np.zeros(1),
-        )
+        return _from_flat(np.zeros(_N_PARAMS))
 
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2)
@@ -71,25 +63,29 @@ class MlpModel:
         return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
 
-# Flat parameter layout (w1, b1, w2, b2), used to stack and average models.
+# Flat parameter layout (w1, b1, w2, b2): K models are one (K, _N_PARAMS) stack.
 _SHAPES = ((N_INPUTS, N_HIDDEN), (N_HIDDEN,), (N_HIDDEN, 1), (1,))
-_SPLITS = np.cumsum([math.prod(shape) for shape in _SHAPES])[:-1]
-_N_PARAMS = sum(math.prod(shape) for shape in _SHAPES)
+_ENDS = tuple(itertools.accumulate(math.prod(shape) for shape in _SHAPES))
+_N_PARAMS = _ENDS[-1]
 
 
 def _flatten(model: MlpModel) -> np.ndarray:
     return np.concatenate([p.ravel() for p in model.params()])
 
 
-def _from_flat(flat: np.ndarray) -> MlpModel:
-    return MlpModel(*(p.reshape(shape) for p, shape in zip(np.split(flat, _SPLITS), _SHAPES)))
+def _from_flat(stack: np.ndarray) -> MlpModel:
+    """The parameters of one model, or of K along a leading axis, as views of the stack."""
+    lead = stack.shape[:-1]
+    return MlpModel(*(stack[..., end - math.prod(s):end].reshape(lead + s) for s, end in zip(_SHAPES, _ENDS)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) cannot overflow, and each branch gets the bits of its
-    # two-branch form: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below.
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    # exp(min(z, -z)) = exp(-|z|) cannot overflow and keeps a nan's sign. With
+    # numerator 1 for z >= 0 and exp(z) below, each branch divides as its
+    # two-branch form does: 1/(1+exp(-z)), exp(z)/(1+exp(z)).
+    ez = np.negative(z)
+    np.exp(np.minimum(z, ez, out=ez), out=ez)
+    return np.maximum(ez, z >= 0) / (1.0 + ez)
 
 
 def forward(model: MlpModel, x) -> float:
@@ -109,51 +105,52 @@ def mse_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(0.5 * np.mean(err * err))
 
 
-def _stacked_gradients(w1, b1, w2, b2, x, y):
-    """Gradients of mse_loss for K models on K shards of n rows each.
+def _gradients(p: MlpModel, x: np.ndarray, y: np.ndarray, g: MlpModel) -> None:
+    """Writes into ``g`` the gradients of mse_loss for K models on K shards.
 
-    Every argument carries a leading K axis: w1 (K, 13, 10), b1 (K, 10),
-    w2 (K, 10, 1), b2 (K, 1), x (K, n, 13) and y (K, n). Batched matmul runs
-    each slice through the same BLAS call as the 2-D product, and every
-    reduction runs along the same axis as for one shard, so slice k equals
-    the gradient of model k alone bit for bit.
+    ``p`` and ``g`` are ``_from_flat`` views of (K, _N_PARAMS) stacks, x is
+    (K, n, 13) and y is (K, n). Batched matmul runs each slice through the
+    same BLAS call as the 2-D product, and every reduction runs along the same
+    axis as for one shard, so row k equals the gradient of model k alone bit
+    for bit.
     """
-    n = x.shape[1]
-    hidden = _sigmoid(x @ w1 + b1[:, None, :])
-    pred = (hidden @ w2)[:, :, 0] + b2
-    err = (pred - y) / n                       # dJ/dpred_i
-    gw2 = hidden.transpose(0, 2, 1) @ err[:, :, None]
-    gb2 = err.sum(axis=1, keepdims=True)
-    dhidden = err[:, :, None] * w2[:, None, :, 0]
-    dz = dhidden * hidden * (1.0 - hidden)     # sigmoid derivative
-    gw1 = x.transpose(0, 2, 1) @ dz
-    gb1 = dz.sum(axis=1)
-    return gw1, gb1, gw2, gb2
+    z = x @ p.w1
+    z += p.b1[:, None, :]
+    hidden = _sigmoid(z)
+    err = ((hidden @ p.w2)[:, :, 0] + p.b2 - y) / x.shape[1]  # dJ/dpred_i
+    np.matmul(hidden.transpose(0, 2, 1), err[:, :, None], out=g.w2)
+    np.add.reduce(err, axis=1, out=g.b2[:, 0])
+    dz = np.einsum("kn,kh->knh", err, p.w2[:, :, 0])
+    dz *= hidden                                # sigmoid derivative, (dh * h) * (1 - h)
+    dz *= np.subtract(1.0, hidden, out=hidden)
+    np.matmul(x.transpose(0, 2, 1), dz, out=g.w1)
+    np.einsum("knh->kh", dz, out=g.b1)
 
 
 def loss_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Analytic gradients of mse_loss w.r.t. (w1, b1, w2, b2)."""
-    stacked = _stacked_gradients(*(p[None] for p in model.params()), x[None], y[None])
-    return tuple(g[0] for g in stacked)
+    grads = np.empty(_N_PARAMS)
+    _gradients(_from_flat(_flatten(model)[None]), x[None], y[None], _from_flat(grads[None]))
+    return _from_flat(grads).params()
 
 
 def _local_descent(model: MlpModel, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> np.ndarray:
     """Full-batch gradient descent from `model` on K equal-size shards at once.
 
     x is (K, n, 13) and y is (K, n). Returns the K trained models as a
-    (K, n_params) flat stack; row k equals local training on shard k alone.
+    (K, _N_PARAMS) stack, updated in place each epoch; row k equals local
+    training on shard k alone.
     """
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr!r}")
-    k = x.shape[0]
-    w1, b1, w2, b2 = (np.repeat(p[None], k, axis=0) for p in model.params())
+    params = np.repeat(_flatten(model)[None], x.shape[0], axis=0)
+    grads = np.empty_like(params)
+    p, g = _from_flat(params), _from_flat(grads)
     for _ in range(epochs):
-        gw1, gb1, gw2, gb2 = _stacked_gradients(w1, b1, w2, b2, x, y)
-        w1 -= lr * gw1
-        b1 -= lr * gb1
-        w2 -= lr * gw2
-        b2 -= lr * gb2
-    return np.concatenate([w1.reshape(k, -1), b1, w2.reshape(k, -1), b2], axis=1)
+        _gradients(p, x, y, g)
+        grads *= lr
+        params -= grads
+    return params
 
 
 def local_train(model: MlpModel, shard: DataShard, epochs: int, lr: float) -> MlpModel:
@@ -163,18 +160,25 @@ def local_train(model: MlpModel, shard: DataShard, epochs: int, lr: float) -> Ml
     return _from_flat(_local_descent(model, shard.x[None], shard.y[None], epochs, lr)[0])
 
 
-def _weighted_sum(stack: np.ndarray, shard_sizes) -> np.ndarray:
-    """Rows of `stack` weighted by shard_size / total, added in row order.
-
-    np.cumsum adds strictly in order, where np.sum over the rows may add
-    pairwise. Adding 0.0 turns a -0.0 total into +0.0, as accumulating from
-    zeros does.
-    """
+def _shard_weights(shard_sizes) -> np.ndarray:
     total = float(sum(shard_sizes))
     if total <= 0:
         raise ValueError("total sample count must be > 0")
-    weighted = (np.asarray(shard_sizes) / total)[:, None] * stack
-    return np.cumsum(weighted, axis=0)[-1] + 0.0
+    return (np.asarray(shard_sizes) / total)[:, None]
+
+
+def _sum_rows(stack: np.ndarray) -> np.ndarray:
+    return np.add.reduce(stack, axis=0) + 0.0
+
+
+def _weighted_sum(stack: np.ndarray, shard_sizes) -> np.ndarray:
+    """Rows of a (K, _N_PARAMS) stack weighted by shard_size / total, added in row order.
+
+    An axis-0 reduction of a (K, _N_PARAMS) stack adds its rows in order,
+    while numpy may add a (K, 1) column pairwise. Adding 0.0 turns a -0.0
+    total into +0.0, as accumulating from zeros does.
+    """
+    return _sum_rows(_shard_weights(shard_sizes) * stack)
 
 
 def aggregate(models: list[MlpModel], shard_sizes: list[int]) -> MlpModel:
@@ -194,11 +198,15 @@ def r_squared(predictions, truth) -> float:
     y = np.asarray(truth, dtype=float)
     if pred.shape != y.shape or y.size == 0:
         raise ValueError("predictions and truth must be equal-length and non-empty")
-    if np.all(y == y[0]):
-        raise UndefinedMetricError("R^2 is undefined for a constant ground truth")
-    ss_res = float(np.sum((y - pred) ** 2))
+    return _r_squared_against(y)(pred)
+
+
+def _r_squared_against(y: np.ndarray):
+    """R^2 against the ground truth ``y``, whose SS_tot is computed once."""
+    if not y.size or np.all(y == y[0]):
+        raise UndefinedMetricError("R^2 is undefined for an empty or constant ground truth")
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return 1.0 - ss_res / ss_tot
+    return lambda pred: 1.0 - float(np.sum((y - pred) ** 2)) / ss_tot
 
 
 def required_global_rounds(local_accuracy: float) -> int:
@@ -281,7 +289,7 @@ def run_federated_training(
     train_x = np.concatenate(xs, axis=0)
     train_y = np.concatenate(ys)
     test_x = scaler.transform_x(test_set.features)
-    test_y = test_set.targets
+    test_r_squared = _r_squared_against(test_set.targets)
 
     # One stacked batch per shard size (a single one for an equal partition);
     # rows of `trained` follow the sorted participants.
@@ -293,16 +301,22 @@ def run_federated_training(
         for rows in by_size.values()
     ]
     trained = np.empty((len(participants), _N_PARAMS))
+    weights = _shard_weights(sizes)
 
     model = MlpModel.init_random(seed)
     report = TrainingReport()
     for round_no in range(1, config.global_rounds + 1):
         for rows, x, y in batches:
-            trained[rows] = _local_descent(model, x, y, config.local_epochs, config.learning_rate)
-        flat = _weighted_sum(trained, sizes)
+            stack = _local_descent(model, x, y, config.local_epochs, config.learning_rate)
+            if len(batches) == 1:
+                trained = stack
+            else:
+                trained[rows] = stack
+        trained *= weights
+        flat = _sum_rows(trained)
         model = _from_flat(flat)
         loss = mse_loss(model, train_x, train_y)
-        r2 = r_squared(scaler.inverse_y(forward_batch(model, test_x)), test_y)
+        r2 = test_r_squared(scaler.inverse_y(forward_batch(model, test_x)))
         if not (np.isfinite(flat).all() and loss <= DIVERGED_LOSS and math.isfinite(r2)):  # a nan loss fails too
             raise FloatingPointError(
                 f"round {round_no}: training diverged (learning rate {config.learning_rate!r}): the aggregated "

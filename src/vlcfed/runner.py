@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import __version__
 from .allocation import MODES, UsbaResult, usba
 from .config import SimConfig
 from .dataset import Dataset, shard_size, split_and_partition
@@ -52,6 +53,7 @@ class ExperimentReport:
     """Records, the config the caller passed, and in ``run_configs`` the
     config each group of records ran with (its ``samples_per_user`` derived),
     in run order; the manifest states those, or ``config`` if there are none.
+    ``dataset_sha256`` is the loaded CSV's hash, None for data built in memory.
     """
 
     records: list[ExperimentRecord]
@@ -59,6 +61,7 @@ class ExperimentReport:
     seeds: tuple[int, ...]
     dataset_name: str
     run_configs: tuple[SimConfig, ...] = ()
+    dataset_sha256: str | None = None
 
 
 def _record(cfg: SimConfig, seed: int, mode: str, result: UsbaResult, report: TrainingReport) -> ExperimentRecord:
@@ -124,7 +127,7 @@ def _run_records(
                     records.append(_record(cfg, seed, mode, result, report))
                 except Exception as exc:
                     raise ExperimentError(f"seed {seed}, mode {mode}: {exc}") from exc
-    return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs))
+    return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs), data.sha256)
 
 
 def run_experiment(
@@ -224,7 +227,9 @@ def _summary_csv(report: ExperimentReport) -> str:
 
 def _manifest(report: ExperimentReport) -> str:
     lines = ["vlcfed experiment manifest", ""]
+    lines.append(f"vlcfed_version = {__version__}")
     lines.append(f"dataset = {report.dataset_name}")
+    lines.append(f"dataset_sha256 = {_manifest_value(report.dataset_sha256)}")
     lines.append(f"seeds = {','.join(str(s) for s in report.seeds)}")
     lines.append(f"records = {len(report.records)}")
     lines.append(

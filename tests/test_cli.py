@@ -49,3 +49,23 @@ def test_validate_subcommand_is_gone(capsys):
         main(["validate"])
     assert exc.value.code == 2
     assert "invalid choice: 'validate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option, problem",
+    [
+        (["run", "--seeds", "0,x"], "--seeds", "'x' is not a non-negative integer in '0,x'"),
+        (["run", "--seeds", "0,-1"], "--seeds", "'-1' is not a non-negative integer in '0,-1'"),
+        (["run", "--seeds", ","], "--seeds", "empty item in ','"),
+        (["sweep-users", "--n-values", "20,,30"], "--n-values", "empty item in '20,,30'"),
+        (["sweep-users", "--n-values", "20,3.5"], "--n-values", "'3.5' is not an integer in '20,3.5'"),
+        (["sweep-bandwidth", "--pairs", "10e6"], "--pairs", "'10e6' is not an rf:vlc pair of numbers in '10e6'"),
+        (["sweep-bandwidth", "--pairs", "10e6:20e6,"], "--pairs", "empty item in '10e6:20e6,'"),
+    ],
+)
+def test_bad_list_item_is_a_usage_error(argv, option, problem, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-train", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {option}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -348,7 +348,9 @@ class TestBatchedKernel:
     """The stacked kernel must reproduce per-user training bit for bit."""
 
     def test_sigmoid_matches_two_branch_form_bitwise(self):
-        edges = np.array([0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0, 1e4, -1e4])
+        edges = np.array(
+            [0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0, 1e4, -1e4, np.nan, -np.nan, np.inf, -np.inf]
+        )
         assert fl._sigmoid(edges).tobytes() == two_branch_sigmoid(edges).tobytes()
         z = np.random.default_rng(10).normal(scale=30.0, size=(48, 9, 10))
         assert fl._sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
@@ -377,6 +379,43 @@ class TestBatchedKernel:
             assert_same_model(fl._from_flat(row), single)
         assert_same_model(fl._from_flat(fl._weighted_sum(stack, sizes)), sequential_average(singles, sizes))
 
+    @given(
+        k=st.integers(1, 60),
+        rows=st.integers(1, 30),
+        epochs=st.integers(0, 6),
+        lr=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_stacked_descent_equals_per_user_descent(self, k, rows, epochs, lr, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(seed)
+        x = rng.normal(size=(k, rows, 13))
+        y = rng.normal(size=(k, rows))
+        stack = fl._local_descent(model, x, y, epochs, lr)
+        for i, row in enumerate(stack):
+            assert_same_model(fl._from_flat(row), per_user_descent(model, x[i], y[i], epochs, lr))
+
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=60),
+        negative_zero=st.booleans(),
+        big_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_weighted_sum_equals_sequential_average(self, sizes, negative_zero, big_row, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(len(sizes), fl._N_PARAMS))
+        if negative_zero:
+            stack[:, rng.integers(fl._N_PARAMS)] = -0.0  # a -0.0 total
+        if big_row:
+            stack[rng.integers(len(sizes))] *= 1e16
+        models = [fl._from_flat(row) for row in stack]
+        got = fl._from_flat(fl._weighted_sum(stack, sizes))
+        want = sequential_average(models, sizes)
+        for p, q in zip(got.params(), want.params()):
+            assert p.tobytes() == q.tobytes()
+
     def test_average_adds_in_participant_order(self):
         # numpy sums a (K, 1) column pairwise; for these b2 values that keeps
         # the ones that in-order addition rounds away against 1e16.
@@ -394,8 +433,9 @@ class TestBatchedKernel:
         models = [random_model(400 + i) for i in range(3)]
         x = rng.normal(size=(3, 6, 13))
         y = rng.normal(size=(3, 6))
-        stacked_params = [np.stack(group) for group in zip(*(m.params() for m in models))]
-        stacked = fl._stacked_gradients(*stacked_params, x, y)
+        grads = np.empty((3, fl._N_PARAMS))
+        fl._gradients(fl._from_flat(np.stack([fl._flatten(m) for m in models])), x, y, fl._from_flat(grads))
+        stacked = fl._from_flat(grads).params()
         eps = 1e-5
         for i, model in enumerate(models):
             for p_idx, param in enumerate(model.params()):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import math
 import typing
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vlcfed
 from vlcfed import (
     ConfigError,
     SimConfig,
@@ -15,7 +17,9 @@ from vlcfed import (
     generate_topology,
     load_bundled_dataset,
     load_config_file,
+    load_dataset,
     make_synthetic,
+    save_dataset,
     usba,
 )
 from vlcfed import runner
@@ -312,6 +316,31 @@ class TestEmitReport:
             "samples_per_user = 9",
             "vlc_total_bandwidth_hz = 40000000",
         ]
+
+    def test_manifest_states_version_and_dataset_hash(self, tmp_path):
+        built = make_synthetic(80, seed=3)
+        path = tmp_path / "data.csv"
+        save_dataset(built, str(path))
+        loaded = load_dataset(str(path), name=built.name)
+        cfg = SimConfig(n_users=8, global_rounds=2)
+
+        def emitted(data, name):
+            paths = emit_report(run_experiment(cfg, [0], data), str(tmp_path / name))
+            return {kind: Path(p).read_text() for kind, p in paths.items()}
+
+        from_file, in_memory = emitted(loaded, "file"), emitted(built, "memory")
+        head = from_file["manifest"].splitlines()[:5]
+        assert head == [
+            "vlcfed experiment manifest",
+            "",
+            f"vlcfed_version = {vlcfed.__version__}",
+            f"dataset = {built.name}",
+            f"dataset_sha256 = {hashlib.sha256(path.read_bytes()).hexdigest()}",
+        ]
+        assert "dataset_sha256 = none" in in_memory["manifest"].splitlines()
+        # The hash reaches the manifest only; the CSVs do not depend on it.
+        assert from_file["records"] == in_memory["records"]
+        assert from_file["summary"] == in_memory["summary"]
 
     def test_empty_report_rejected(self, small_setup, tmp_path):
         cfg, data = small_setup
