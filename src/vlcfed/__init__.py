@@ -21,8 +21,6 @@ from .allocation import (
     usba,
 )
 from .channel import (
-    RfParams,
-    VlcParams,
     concentrator_gain,
     lambertian_order,
     rf_channel_gain,

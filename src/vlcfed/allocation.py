@@ -58,8 +58,6 @@ import numpy as np
 # probes them.
 from .channel import (  # noqa: F401
     _RF_RATE_ARGS_ERROR,
-    RfParams,
-    VlcParams,
     _rf_channel_gain,
     _rf_rate,
     _vlc_rate,
@@ -144,7 +142,6 @@ class _UserTerms:
     def __init__(self, users, topology: Topology, config: SimConfig):
         self.users = users
         self.config = config
-        self.rf = rf = RfParams.from_config(config)
         bx, by = topology.bs_position
         dist = [math.hypot(u.position[0] - bx, u.position[1] - by) for u in users]
         if 0.0 in dist:  # a distance is never negative
@@ -154,7 +151,7 @@ class _UserTerms:
         log_inv_accuracy = math.log(1.0 / config.local_accuracy)
         self.ids = np.array([u.id for u in users], dtype=int)
         self.indoor = np.array([u.indoor for u in users], dtype=bool)
-        self.gain = np.array([_rf_channel_gain(d, u.indoor, rf) for u, d in zip(users, dist)])
+        self.gain = np.array([_rf_channel_gain(d, u.indoor, config) for u, d in zip(users, dist)])
         self.tx_power = np.array([u.tx_power_w for u in users])
         self.budget = np.array([u.energy_budget_j for u in users])
         self.t_cmp = np.array([_computation_time(u, log_inv_accuracy, nu) for u in users])
@@ -187,7 +184,6 @@ class _LinkTable:
         _check_mode(mode)
         # The view copies what a pass reads, so it holds no reference back.
         self.config = config = terms.config
-        self.rf = rf = terms.rf
         self.ids, self.indoor = terms.ids, terms.indoor
         self.tx_power, self.budget, self.up_power = terms.tx_power, terms.budget, terms.up_power
         self.t_cmp, self.e_cmp = terms.t_cmp, terms.e_cmp
@@ -198,12 +194,10 @@ class _LinkTable:
         self.vlc_rows = np.flatnonzero(via_vlc)
         self.rf_rows = np.flatnonzero(~via_vlc)
         if mode == "hybrid":
-            vlc = VlcParams.from_config(config)
-            self.vlc_noise_psd = vlc.noise_psd
-            signals = vlc_signal_powers([u for u in terms.users if u.indoor], topology, vlc)
+            signals = vlc_signal_powers([u for u in terms.users if u.indoor], topology, config)
             self.signals, self.interference = best_ap_terms(signals)
         # Received RF downlink powers, as rf_rate forms them.
-        self.down_power = rf.bs_power_w * terms.gain[self.rf_rows]
+        self.down_power = config.bs_tx_power_w * terms.gain[self.rf_rows]
 
     def feasible(self, b_up, b_down, b_vlc) -> np.ndarray:
         """Boolean mask: which users finish a round within both budgets at these block widths.
@@ -213,19 +207,21 @@ class _LinkTable:
         through the same operations and ufuncs as at float widths, and row p
         equals the mask at the p-th widths bit for bit.
         """
-        rf = self.rf
-        up = _rf_rate(self.up_power, rf.uplink_interference_w, b_up, rf.noise_psd)
+        config = self.config
+        up = _rf_rate(self.up_power, config.uplink_interference_w, b_up, config.rf_noise_psd)
         down = np.empty_like(up)
         if self.vlc_rows.size:
-            sinr = best_ap_sinr(self.signals, self.interference, b_vlc, self.vlc_noise_psd)
+            sinr = best_ap_sinr(self.signals, self.interference, b_vlc, config.vlc_noise_psd)
             down[..., self.vlc_rows] = _vlc_rate(sinr, b_vlc)
         if self.rf_rows.size:
-            down[..., self.rf_rows] = _rf_rate(self.down_power, rf.downlink_interference_w, b_down, rf.noise_psd)
+            down[..., self.rf_rows] = _rf_rate(
+                self.down_power, config.downlink_interference_w, b_down, config.rf_noise_psd
+            )
         # A link without rate takes payload / 0 = inf seconds and joules, so it
         # fails both tests like any slow link.
         with np.errstate(divide="ignore"):
-            cost = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, self.config)
-        return (cost.round_time <= self.config.t_round_s) & (cost.total_energy <= self.budget)
+            cost = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, config)
+        return (cost.round_time <= config.t_round_s) & (cost.total_energy <= self.budget)
 
     def select(self, bw: BandwidthAllocation) -> Selection:
         """The users feasible at ``bw``, from one pass."""

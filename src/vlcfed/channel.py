@@ -25,13 +25,16 @@ private kernel (``_rf_rate``, ``_vlc_rate``, ``_rf_channel_gain``) that holds
 the formula and checks nothing. A caller that already guarantees the
 arguments calls the kernel directly: the link table's build on each user's
 distance, its feasibility pass on the rates.
+
+The link constants live only in ``SimConfig``: the gain, signal-power and
+SINR functions take the validated config and read its fields by name, as
+the link table's build and pass do.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -61,50 +64,6 @@ def _sin_deg(angle_deg: float) -> float:
         return float(mpmath.sin(mpmath.mpf(angle_deg) * mpmath.pi / 180))
 
 
-@dataclass(frozen=True)
-class VlcParams:
-    optical_power_w: float
-    pd_area_m2: float
-    half_intensity_angle_deg: float
-    filter_gain: float
-    fov_half_angle_deg: float
-    refractive_index: float
-    conversion_efficiency: float
-    noise_psd: float            # A^2/Hz
-
-    @classmethod
-    def from_config(cls, config: SimConfig) -> "VlcParams":
-        return cls(
-            optical_power_w=config.optical_power_w,
-            pd_area_m2=config.pd_area_m2,
-            half_intensity_angle_deg=config.half_intensity_angle_deg,
-            filter_gain=config.filter_gain,
-            fov_half_angle_deg=config.fov_half_angle_deg,
-            refractive_index=config.refractive_index,
-            conversion_efficiency=config.conversion_efficiency,
-            noise_psd=config.vlc_noise_psd,
-        )
-
-
-@dataclass(frozen=True)
-class RfParams:
-    bs_power_w: float
-    noise_psd: float            # W/Hz
-    uplink_interference_w: float
-    downlink_interference_w: float
-    indoor_penetration_db: float
-
-    @classmethod
-    def from_config(cls, config: SimConfig) -> "RfParams":
-        return cls(
-            bs_power_w=config.bs_tx_power_w,
-            noise_psd=config.rf_noise_psd,
-            uplink_interference_w=config.uplink_interference_w,
-            downlink_interference_w=config.downlink_interference_w,
-            indoor_penetration_db=config.indoor_penetration_db,
-        )
-
-
 def lambertian_order(half_intensity_angle_deg: float) -> float:
     """Lambertian order m = -1 / log2(cos(theta_half)); m(60 deg) = 1."""
     if not 0.0 < half_intensity_angle_deg < 90.0:
@@ -127,7 +86,7 @@ def concentrator_gain(incidence_deg: float, fov_half_angle_deg: float, refractiv
     return refractive_index**2 / (s * s)
 
 
-def vlc_channel_gains(aps, receivers, p: VlcParams) -> np.ndarray:
+def vlc_channel_gains(aps, receivers, config: SimConfig) -> np.ndarray:
     """Line-of-sight optical gain of every (receiver, AP) pair, as a (receivers, APs) array.
 
     Points are 3-D; each AP must sit strictly above every receiver plane.
@@ -146,17 +105,17 @@ def vlc_channel_gains(aps, receivers, p: VlcParams) -> np.ndarray:
     gains = np.zeros(d.shape)
     # Incidence inside the field of view <=> cos(theta) >= cos(FoV); comparing
     # cosines avoids a degree round-trip on every geometry evaluation.
-    inside = cos_theta >= _cos_deg(p.fov_half_angle_deg)
+    inside = cos_theta >= _cos_deg(config.fov_half_angle_deg)
     if inside.any():
-        m = lambertian_order(p.half_intensity_angle_deg)
-        g = concentrator_gain(0.0, p.fov_half_angle_deg, p.refractive_index)
+        m = lambertian_order(config.half_intensity_angle_deg)
+        g = concentrator_gain(0.0, config.fov_half_angle_deg, config.refractive_index)
         c, d = cos_theta[inside], d[inside]
         # Receiver faces up, LED faces down: irradiation angle equals incidence.
         gains[inside] = (
             (m + 1.0)
-            * p.pd_area_m2
+            * config.pd_area_m2
             / (2.0 * math.pi * d * d)
-            * p.filter_gain
+            * config.filter_gain
             * g
             * np.power(c, m)
             * c
@@ -164,15 +123,15 @@ def vlc_channel_gains(aps, receivers, p: VlcParams) -> np.ndarray:
     return gains
 
 
-def vlc_channel_gain(ap, user, p: VlcParams) -> float:
+def vlc_channel_gain(ap, user, config: SimConfig) -> float:
     """Line-of-sight optical channel gain between a ceiling AP and a receiver.
 
     The one-pair case of ``vlc_channel_gains``.
     """
-    return float(vlc_channel_gains([ap], [user], p)[0, 0])
+    return float(vlc_channel_gains([ap], [user], config)[0, 0])
 
 
-def vlc_signal_powers(users, topology: Topology, p: VlcParams) -> np.ndarray:
+def vlc_signal_powers(users, topology: Topology, config: SimConfig) -> np.ndarray:
     """Electrical signal power (gamma u_k P_v)^2 of each AP k at each indoor user.
 
     Returns a (users, APs) array; it does not depend on bandwidth.
@@ -185,8 +144,8 @@ def vlc_signal_powers(users, topology: Topology, p: VlcParams) -> np.ndarray:
     # One flat float stream: np.asarray on a list of tuples costs twice as much.
     n = len(users)
     receivers = np.fromiter(itertools.chain.from_iterable(u.position for u in users), float, 3 * n).reshape(n, 3)
-    gains = vlc_channel_gains(topology.vlc_aps, receivers, p)
-    return np.power(p.conversion_efficiency * gains * p.optical_power_w, 2)
+    gains = vlc_channel_gains(topology.vlc_aps, receivers, config)
+    return np.power(config.conversion_efficiency * gains * config.optical_power_w, 2)
 
 
 def best_ap_terms(signals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,12 +172,12 @@ def best_ap_sinr(signals: np.ndarray, interference: np.ndarray, rb_bandwidth_hz,
     return (signals / (noise + interference)).max(axis=-2, initial=0.0)
 
 
-def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, p: VlcParams) -> float:
+def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, config: SimConfig) -> float:
     """Best-AP electrical SINR for an indoor user (see ``best_ap_sinr``)."""
     if rb_bandwidth_hz <= 0:
         raise ValueError("rb_bandwidth_hz must be > 0")
-    terms = best_ap_terms(vlc_signal_powers([user], topology, p))
-    return float(best_ap_sinr(*terms, rb_bandwidth_hz, p.noise_psd)[0])
+    terms = best_ap_terms(vlc_signal_powers([user], topology, config))
+    return float(best_ap_sinr(*terms, rb_bandwidth_hz, config.vlc_noise_psd)[0])
 
 
 def _float_or_array(x):
@@ -243,18 +202,18 @@ def _vlc_rate(sinr, rb_bandwidth_hz: float):
     return rb_bandwidth_hz / 2.0 * np.log2(1.0 + _OPTICAL_SNR_SCALE * sinr)
 
 
-def rf_channel_gain(dist_m: float, indoor: bool, p: RfParams) -> float:
+def rf_channel_gain(dist_m: float, indoor: bool, config: SimConfig) -> float:
     """Deterministic log-distance RF power gain (linear, dimensionless)."""
     if dist_m <= 0:
         raise ValueError(f"distance must be > 0, got {dist_m!r}")
-    return _rf_channel_gain(dist_m, indoor, p)
+    return _rf_channel_gain(dist_m, indoor, config)
 
 
-def _rf_channel_gain(dist_m: float, indoor: bool, p: RfParams) -> float:
+def _rf_channel_gain(dist_m: float, indoor: bool, config: SimConfig) -> float:
     """``rf_channel_gain`` without the distance check."""
     pl_db = 128.1 + 37.6 * math.log10(dist_m / 1000.0)
     if indoor:
-        pl_db += p.indoor_penetration_db
+        pl_db += config.indoor_penetration_db
     return 10.0 ** (-pl_db / 10.0)
 
 

@@ -12,8 +12,8 @@ import argparse
 import sys
 
 from .allocation import MODES
-from .config import build_config
-from .dataset import load_bundled_dataset, load_dataset
+from .config import ConfigError, build_config
+from .dataset import DatasetParseError, DatasetSchemaError, load_bundled_dataset, load_dataset
 from .runner import emit_report, run_experiment, sweep_bandwidth, sweep_users
 
 
@@ -109,19 +109,21 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
-
-    config = build_config(args.config)
-    data = _load_data(args)
     train = not args.no_train
 
-    if args.command == "run":
-        report = run_experiment(config, args.seeds, data, _modes(args), train)
-    elif args.command == "sweep-users":
-        report = sweep_users(config, args.seeds, data, args.n_values, _modes(args), train)
-    else:
-        report = sweep_bandwidth(config, args.seeds, data, args.pairs, _modes(args), train)
-
-    paths = emit_report(report, args.out)
+    try:
+        config = build_config(args.config)
+        data = _load_data(args)
+        if args.command == "run":
+            report = run_experiment(config, args.seeds, data, _modes(args), train)
+        elif args.command == "sweep-users":
+            report = sweep_users(config, args.seeds, data, args.n_values, _modes(args), train)
+        else:
+            report = sweep_bandwidth(config, args.seeds, data, args.pairs, _modes(args), train)
+        paths = emit_report(report, args.out)
+    except (OSError, ConfigError, DatasetSchemaError, DatasetParseError) as exc:
+        # A bad file or value is a usage error: one line naming it, exit code 2.
+        parser.error(str(exc))
     for kind, path in paths.items():
         print(f"wrote {kind}: {path}")
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -103,7 +104,7 @@ def load_dataset(path: str, name: str | None = None) -> Dataset:
                 raise DatasetParseError(
                     f"{path}: line {lineno}: column {j + 1}: not a number: {cell!r}"
                 ) from exc
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DatasetParseError(
                     f"{path}: line {lineno}: column {j + 1}: non-finite value {cell!r}"
                 )

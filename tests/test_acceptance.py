@@ -27,8 +27,6 @@ from vlcfed import (
     vlc_channel_gain,
     vlc_rate,
     vlc_sinr,
-    VlcParams,
-    RfParams,
     MlpModel,
 )
 from vlcfed.runner import emit_report, random_instance, run_experiment
@@ -143,19 +141,17 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_channel_unit_checks():
     cfg = SimConfig()
-    vlc = VlcParams.from_config(cfg)
-    rf = RfParams.from_config(cfg)
     exact_one = lambertian_order(60.0) == 1.0
 
-    narrow = VlcParams.from_config(cfg.replace(fov_half_angle_deg=35.0))
+    narrow = cfg.replace(fov_half_angle_deg=35.0)
     beyond_fov_zero = vlc_channel_gain((0.0, 0.0, 3.35), (0.0, 30.0, 0.85), narrow) == 0.0
 
     user = make_user(indoor=True, xy=(0.0, 1.2))
     topo = make_topology([user], aps=[(0.0, 0.0, 3.35)])
     widths = np.logspace(4.0, 7.6, 20)
-    vlc_rates = [vlc_rate(vlc_sinr(user, topo, b, vlc), b) for b in widths]
-    h = rf_channel_gain(35.0, False, rf)
-    rf_rates = [rf_rate(0.1, h, rf.uplink_interference_w, b, rf.noise_psd) for b in widths]
+    vlc_rates = [vlc_rate(vlc_sinr(user, topo, b, cfg), b) for b in widths]
+    h = rf_channel_gain(35.0, False, cfg)
+    rf_rates = [rf_rate(0.1, h, cfg.uplink_interference_w, b, cfg.rf_noise_psd) for b in widths]
     vlc_mono = all(a < b for a, b in zip(vlc_rates, vlc_rates[1:]))
     rf_mono = all(a < b for a, b in zip(rf_rates, rf_rates[1:]))
 

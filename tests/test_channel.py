@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlcfed import (
-    RfParams,
     SimConfig,
-    VlcParams,
     concentrator_gain,
     lambertian_order,
     rf_channel_gain,
@@ -27,16 +25,6 @@ from vlcfed.channel import (
 )
 from vlcfed.topology import distance
 from tests.conftest import make_topology, make_user
-
-
-@pytest.fixture
-def vlc(config):
-    return VlcParams.from_config(config)
-
-
-@pytest.fixture
-def rf(config):
-    return RfParams.from_config(config)
 
 
 class TestLambertianOrder:
@@ -80,72 +68,72 @@ class TestConcentratorGain:
 
 
 class TestVlcChannelGain:
-    def test_reference_geometry(self, vlc):
+    def test_reference_geometry(self, config):
         # 2.5 m drop, 1.66 m horizontal offset, default optics:
         # d = 3.000933, cos(theta) = 0.833074, g = 2.25, m = 1
-        u = vlc_channel_gain((0.0, 0.0, 3.35), (0.0, 1.66, 0.85), vlc)
+        u = vlc_channel_gain((0.0, 0.0, 3.35), (0.0, 1.66, 0.85), config)
         assert u == pytest.approx(5.5193426496331765e-06, rel=1e-9)
 
     def test_zero_outside_fov(self, config):
-        narrow = VlcParams.from_config(config.replace(fov_half_angle_deg=30.0))
+        narrow = config.replace(fov_half_angle_deg=30.0)
         # offset >> drop puts the incidence angle way past 30 degrees
         assert vlc_channel_gain((0.0, 0.0, 3.35), (0.0, 10.0, 0.85), narrow) == 0.0
 
-    def test_directly_underneath_closed_form(self, vlc):
+    def test_directly_underneath_closed_form(self, config):
         drop = 2.5
-        u = vlc_channel_gain((0.0, 0.0, 0.85 + drop), (0.0, 0.0, 0.85), vlc)
-        m = lambertian_order(vlc.half_intensity_angle_deg)
-        g = concentrator_gain(0.0, vlc.fov_half_angle_deg, vlc.refractive_index)
-        expected = (m + 1) * vlc.pd_area_m2 * vlc.filter_gain * g / (2 * math.pi * drop**2)
+        u = vlc_channel_gain((0.0, 0.0, 0.85 + drop), (0.0, 0.0, 0.85), config)
+        m = lambertian_order(config.half_intensity_angle_deg)
+        g = concentrator_gain(0.0, config.fov_half_angle_deg, config.refractive_index)
+        expected = (m + 1) * config.pd_area_m2 * config.filter_gain * g / (2 * math.pi * drop**2)
         assert u == pytest.approx(expected, rel=1e-12)
 
-    def test_decreases_with_horizontal_offset(self, vlc):
+    def test_decreases_with_horizontal_offset(self, config):
         gains = [
-            vlc_channel_gain((0.0, 0.0, 3.35), (0.0, off, 0.85), vlc)
+            vlc_channel_gain((0.0, 0.0, 3.35), (0.0, off, 0.85), config)
             for off in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
-    def test_rejects_coincident_and_below_plane(self, vlc):
+    def test_rejects_coincident_and_below_plane(self, config):
         with pytest.raises(ValueError):
-            vlc_channel_gain((0.0, 0.0, 0.85), (0.0, 0.0, 0.85), vlc)
+            vlc_channel_gain((0.0, 0.0, 0.85), (0.0, 0.0, 0.85), config)
         with pytest.raises(ValueError):
-            vlc_channel_gain((0.0, 0.0, 0.5), (1.0, 0.0, 0.85), vlc)
+            vlc_channel_gain((0.0, 0.0, 0.5), (1.0, 0.0, 0.85), config)
 
 
 class TestVlcSinr:
-    def test_single_ap_reference_value(self, config, vlc):
+    def test_single_ap_reference_value(self, config):
         user = make_user(indoor=True, xy=(0.0, 1.66))
         topo = make_topology([user], aps=[(0.0, 0.0, 3.35)])
-        s = vlc_sinr(user, topo, 4e6, vlc)
+        s = vlc_sinr(user, topo, 4e6, config)
         # (0.53 * 5.5193e-6 * 9)^2 / (1e-21 * 4e6)
         sig = (0.53 * 5.5193426496331765e-06 * 9.0) ** 2
         assert s == pytest.approx(sig / 4e-15, rel=1e-9)
         assert s == pytest.approx(1.7328e5, rel=1e-3)
 
-    def test_outdoor_user_rejected(self, config, vlc):
+    def test_outdoor_user_rejected(self, config):
         user = make_user(indoor=False)
         topo = make_topology([user])
         with pytest.raises(ValueError):
-            vlc_sinr(user, topo, 4e6, vlc)
+            vlc_sinr(user, topo, 4e6, config)
 
     def test_out_of_fov_everywhere_gives_zero(self, config):
-        narrow = VlcParams.from_config(config.replace(fov_half_angle_deg=10.0))
+        narrow = config.replace(fov_half_angle_deg=10.0)
         user = make_user(indoor=True, xy=(30.0, 0.0))
         topo = make_topology([user], aps=[(0.0, 0.0, 3.35)])
         assert vlc_sinr(user, topo, 4e6, narrow) == 0.0
 
-    def test_two_identical_aps_cap_sinr_below_one(self, config, vlc):
+    def test_two_identical_aps_cap_sinr_below_one(self, config):
         user = make_user(indoor=True, xy=(0.0, 0.0))
         topo = make_topology(
             [user], aps=[(0.0, 1.0, 3.35), (0.0, -1.0, 3.35)]
         )
-        s = vlc_sinr(user, topo, 4e6, vlc)
-        sig = (0.53 * vlc_channel_gain((0.0, 1.0, 3.35), user.position, vlc) * 9.0) ** 2
+        s = vlc_sinr(user, topo, 4e6, config)
+        sig = (0.53 * vlc_channel_gain((0.0, 1.0, 3.35), user.position, config) * 9.0) ** 2
         assert s == pytest.approx(sig / (4e-15 + sig), rel=1e-9)
         assert s < 1.0
 
-    def test_never_exceeds_interference_free_serving_sinr(self, config, vlc):
+    def test_never_exceeds_interference_free_serving_sinr(self, config):
         rng = np.random.default_rng(0)
         for _ in range(20):
             aps = [
@@ -154,9 +142,9 @@ class TestVlcSinr:
             ]
             user = make_user(indoor=True, xy=tuple(rng.uniform(-10, 10, size=2)))
             topo = make_topology([user], aps=aps)
-            s = vlc_sinr(user, topo, 4e6, vlc)
+            s = vlc_sinr(user, topo, 4e6, config)
             best = max(
-                (0.53 * vlc_channel_gain(ap, user.position, vlc) * 9.0) ** 2 / 4e-15
+                (0.53 * vlc_channel_gain(ap, user.position, config) * 9.0) ** 2 / 4e-15
                 for ap in aps
             )
             assert s <= best + 1e-12
@@ -181,25 +169,25 @@ class TestVlcRate:
 
 
 class TestRfChannelGain:
-    def test_fifty_meters_outdoor(self, rf):
+    def test_fifty_meters_outdoor(self, config):
         # PL = 128.1 + 37.6*log10(0.05) = 79.181 dB
-        assert rf_channel_gain(50.0, False, rf) == pytest.approx(
+        assert rf_channel_gain(50.0, False, config) == pytest.approx(
             1.2074600864055292e-08, rel=1e-12
         )
 
-    def test_indoor_penetration_is_additive_db(self, rf):
-        out = rf_channel_gain(50.0, False, rf)
-        ind = rf_channel_gain(50.0, True, rf)
-        assert ind == pytest.approx(out * 10 ** (-rf.indoor_penetration_db / 10.0), rel=1e-12)
+    def test_indoor_penetration_is_additive_db(self, config):
+        out = rf_channel_gain(50.0, False, config)
+        ind = rf_channel_gain(50.0, True, config)
+        assert ind == pytest.approx(out * 10 ** (-config.indoor_penetration_db / 10.0), rel=1e-12)
 
-    def test_monotone_decreasing_in_distance(self, rf):
-        gains = [rf_channel_gain(d, False, rf) for d in (1.0, 5.0, 20.0, 50.0, 200.0)]
+    def test_monotone_decreasing_in_distance(self, config):
+        gains = [rf_channel_gain(d, False, config) for d in (1.0, 5.0, 20.0, 50.0, 200.0)]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
-    def test_rejects_non_positive_distance(self, rf):
+    def test_rejects_non_positive_distance(self, config):
         for bad in (0.0, -3.0):
             with pytest.raises(ValueError):
-                rf_channel_gain(bad, False, rf)
+                rf_channel_gain(bad, False, config)
 
 
 class TestRfRate:
@@ -225,35 +213,35 @@ class TestRfRate:
 
 
 class TestBandwidthMonotonicity:
-    def test_vlc_rate_increases_with_block_width(self, config, vlc):
+    def test_vlc_rate_increases_with_block_width(self, config):
         # SINR must be recomputed at each width: wider blocks collect more
         # noise but the rate still grows.
         user = make_user(indoor=True, xy=(0.0, 1.0))
         topo = make_topology([user], aps=[(0.0, 0.0, 3.35)])
         widths = np.logspace(4, 7.6, 20)
-        rates = [vlc_rate(vlc_sinr(user, topo, b, vlc), b) for b in widths]
+        rates = [vlc_rate(vlc_sinr(user, topo, b, config), b) for b in widths]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
-    def test_rf_rate_increases_with_block_width(self, rf):
-        h = rf_channel_gain(30.0, False, rf)
+    def test_rf_rate_increases_with_block_width(self, config):
+        h = rf_channel_gain(30.0, False, config)
         widths = np.logspace(3, 7.3, 20)
         rates = [
-            rf_rate(0.1, h, rf.uplink_interference_w, b, rf.noise_psd) for b in widths
+            rf_rate(0.1, h, config.uplink_interference_w, b, config.rf_noise_psd) for b in widths
         ]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
-def _scalar_gain(ap, user, p):
+def _scalar_gain(ap, user, config):
     """vlc_channel_gain as it was written before the batched form: one pair
     and np.linalg.norm, with the power as np.power. Kept as the bit-exact
     reference."""
     d = distance(ap, user)
     cos_theta = (float(ap[2]) - float(user[2])) / d
-    if cos_theta < _cos_deg(p.fov_half_angle_deg):
+    if cos_theta < _cos_deg(config.fov_half_angle_deg):
         return 0.0
-    m = lambertian_order(p.half_intensity_angle_deg)
-    g = concentrator_gain(0.0, p.fov_half_angle_deg, p.refractive_index)
-    return (m + 1.0) * p.pd_area_m2 / (2.0 * math.pi * d * d) * p.filter_gain * g * float(np.power(cos_theta, m)) * cos_theta
+    m = lambertian_order(config.half_intensity_angle_deg)
+    g = concentrator_gain(0.0, config.fov_half_angle_deg, config.refractive_index)
+    return (m + 1.0) * config.pd_area_m2 / (2.0 * math.pi * d * d) * config.filter_gain * g * float(np.power(cos_theta, m)) * cos_theta
 
 
 def _scalar_sinr(signals, rb_bandwidth_hz, noise_psd):
@@ -296,13 +284,13 @@ class TestBatchedEqualsScalar:
     )
     @settings(max_examples=150, deadline=None)
     def test_channel_gains_equal_one_pair_calls(self, aps, receivers, half_angle, fov):
-        p = VlcParams.from_config(SimConfig(half_intensity_angle_deg=half_angle, fov_half_angle_deg=fov))
-        got = vlc_channel_gains(aps, receivers, p)
+        cfg = SimConfig(half_intensity_angle_deg=half_angle, fov_half_angle_deg=fov)
+        got = vlc_channel_gains(aps, receivers, cfg)
         assert got.shape == (len(receivers), len(aps))
         for i, user in enumerate(receivers):
             for k, ap in enumerate(aps):
-                assert got[i, k] == _scalar_gain(ap, user, p)
-                gain = vlc_channel_gain(ap, user, p)
+                assert got[i, k] == _scalar_gain(ap, user, cfg)
+                gain = vlc_channel_gain(ap, user, cfg)
                 assert type(gain) is float and gain == got[i, k]
 
     @given(
@@ -314,31 +302,31 @@ class TestBatchedEqualsScalar:
     )
     @settings(max_examples=150, deadline=None)
     def test_signal_powers_equal_one_user_calls(self, aps, receivers, half_angle, fov, width):
-        p = VlcParams.from_config(SimConfig(half_intensity_angle_deg=half_angle, fov_half_angle_deg=fov))
+        cfg = SimConfig(half_intensity_angle_deg=half_angle, fov_half_angle_deg=fov)
         users = [make_user(id=i, indoor=True, xy=xy) for i, xy in enumerate(receivers)]
         topo = make_topology(users, aps=aps)
-        got = vlc_signal_powers(users, topo, p)
-        sinrs = best_ap_sinr(*best_ap_terms(got), width, p.noise_psd)
+        got = vlc_signal_powers(users, topo, cfg)
+        sinrs = best_ap_sinr(*best_ap_terms(got), width, cfg.vlc_noise_psd)
         for i, user in enumerate(users):
-            assert got[i].tolist() == vlc_signal_powers([user], topo, p)[0].tolist()
-            amplitudes = [p.conversion_efficiency * vlc_channel_gain(ap, user.position, p) * p.optical_power_w for ap in aps]
+            assert got[i].tolist() == vlc_signal_powers([user], topo, cfg)[0].tolist()
+            amplitudes = [cfg.conversion_efficiency * vlc_channel_gain(ap, user.position, cfg) * cfg.optical_power_w for ap in aps]
             assert got[i].tolist() == [float(np.power(a, 2)) for a in amplitudes]
-            sinr = vlc_sinr(user, topo, width, p)
+            sinr = vlc_sinr(user, topo, width, cfg)
             assert type(sinr) is float and sinr == sinrs[i]
         # A mode's view takes a subset of the users, in any order.
         rows = list(range(len(users)))[::-2]
-        assert vlc_signal_powers([users[i] for i in rows], topo, p).tolist() == got[rows].tolist()
+        assert vlc_signal_powers([users[i] for i in rows], topo, cfg).tolist() == got[rows].tolist()
 
     def test_signal_powers_of_many_users(self):
         # Python's x ** 2 (libm pow) and numpy's x * x differ on 9 of these
         # 10,000 amplitudes, so a square taken another way for arrays shows here.
         rng = np.random.default_rng(3)
-        p = VlcParams.from_config(SimConfig())
+        cfg = SimConfig()
         aps = [(x, y, 3.35) for x, y in rng.uniform(-20.0, 20.0, size=(4, 2))]
         users = [make_user(id=i, indoor=True, xy=tuple(xy)) for i, xy in enumerate(rng.uniform(-25.0, 25.0, (2500, 2)))]
         topo = make_topology(users, aps=aps)
-        got = vlc_signal_powers(users, topo, p)
-        assert got.tolist() == [vlc_signal_powers([u], topo, p)[0].tolist() for u in users]
+        got = vlc_signal_powers(users, topo, cfg)
+        assert got.tolist() == [vlc_signal_powers([u], topo, cfg)[0].tolist() for u in users]
 
     @given(
         n_aps=st.integers(min_value=1, max_value=12),  # a pairwise sum would reorder from 8 APs on
@@ -369,7 +357,7 @@ class TestBatchedEqualsScalar:
     )
     @settings(max_examples=150, deadline=None)
     def test_rates(self, powers, width, interference):
-        gains = [rf_channel_gain(5.0 + 4.0 * i, i % 2 == 0, RfParams.from_config(SimConfig())) for i in range(len(powers))]
+        gains = [rf_channel_gain(5.0 + 4.0 * i, i % 2 == 0, SimConfig()) for i in range(len(powers))]
         rf_rates = [rf_rate(pw, h, interference, width, 1e-21) for pw, h in zip(powers, gains)]
         assert rf_rate(np.array(powers), np.array(gains), interference, width, 1e-21).tolist() == rf_rates
         sinrs = np.array(powers) * 1e5

@@ -69,3 +69,46 @@ def test_bad_list_item_is_a_usage_error(argv, option, problem, tmp_path, capsys)
     assert exc.value.code == 2
     assert f"argument {option}: {problem}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+GOOD_ROW = ",".join(["1.0"] * 14)
+
+
+@pytest.mark.parametrize(
+    "argv, files, problem",
+    [
+        (["run", "--dataset", "{tmp}/missing.csv"], {}, "No such file or directory: '{tmp}/missing.csv'"),
+        (["run", "--config", "{tmp}/missing.cfg"], {}, "No such file or directory: '{tmp}/missing.cfg'"),
+        (["run", "--config", "{tmp}/zero.cfg"], {"zero.cfg": "n_users = 0\n"}, "n_users must be finite and >= 1, got 0"),
+        (["sweep-users", "--n-values", "0"], {}, "n_users must be finite and >= 1, got 0"),
+        (["run", "--dataset", "{tmp}/short.csv"], {"short.csv": "1.0,2.0\n"}, "{tmp}/short.csv: line 1: expected 14 columns"),
+        (
+            ["run", "--dataset", "{tmp}/word.csv"],
+            {"word.csv": GOOD_ROW + "\n" + GOOD_ROW.replace("1.0", "oops", 1) + "\n"},
+            "{tmp}/word.csv: line 2: column 1: not a number: 'oops'",
+        ),
+    ],
+    ids=["missing-dataset", "missing-config", "config-value", "n-values", "dataset-schema", "dataset-cell"],
+)
+def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-train", "--seeds", "0", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("vlcfed: error: ") and problem.format(tmp=tmp_path) in last
+    assert not (tmp_path / "out").exists()
+
+
+def test_other_failures_keep_their_traceback(tmp_path, monkeypatch):
+    # Only bad input becomes a usage error; a fault in the program still raises.
+    def broken(*args):
+        raise ValueError("not an input problem")
+
+    monkeypatch.setattr("vlcfed.cli.run_experiment", broken)
+    with pytest.raises(ValueError, match="not an input problem"):
+        main(["run", "--no-train", "--seeds", "0", "--out", str(tmp_path / "out")])

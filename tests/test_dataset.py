@@ -58,9 +58,10 @@ class TestLoadDataset:
             load_dataset(write(tmp_path, bad))
 
     def test_non_finite_cell_rejected(self, tmp_path):
-        bad = GOOD_ROW.replace("7.5", "nan") + "\n"
-        with pytest.raises(DatasetParseError, match="line 1"):
-            load_dataset(write(tmp_path, bad))
+        for cell in ("nan", "inf", "-inf", "1e999"):  # 1e999 overflows to inf
+            bad = GOOD_ROW.replace("7.5", cell) + "\n"
+            with pytest.raises(DatasetParseError, match=f"line 1: column 14: non-finite value '{cell}'"):
+                load_dataset(write(tmp_path, bad))
 
     def test_roundtrip_is_exact(self, tmp_path):
         data = make_synthetic(50, seed=9)
