@@ -19,7 +19,10 @@ The mode-free part (``_UserTerms``: each user's RF path gain, computation
 time and energy, transmit power and energy budget) is built once per
 (topology, config) and kept on the topology, so ``usba``,
 ``oracle_enumerate`` and ``get_s`` share it in both modes; ``is_feasible``
-builds it for its one user. The build checks the RF gains once. A mode is a
+builds it for its one user. The build reads the topology's user columns
+(``UserColumns``), as do the shard totals and the oracle's row order, so
+selection builds no ``UserNode``; ``is_feasible`` takes the columns of its
+one user. The build checks the RF gains once. A mode is a
 cheap view of it (``_LinkTable``): which downlinks are VLC, the backhaul
 delay, the RF downlink powers and, in hybrid mode only, the per-AP optical
 signal powers of indoor users and their interference. One pass over a view
@@ -48,6 +51,7 @@ loss, and drop the gateway backhaul delay.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,15 +65,15 @@ from .channel import (  # noqa: F401
     _rf_channel_gain,
     _rf_rate,
     _vlc_rate,
+    _vlc_signal_powers,
     best_ap_sinr,
     best_ap_terms,
     rf_rate,
-    vlc_signal_powers,
     vlc_sinr,
 )
 from .compute import _computation_energy, _computation_time, _round_costs, cost_breakdown  # noqa: F401
 from .config import SimConfig
-from .topology import Topology, UserNode
+from .topology import Topology, UserColumns, UserNode
 
 MODES = ("hybrid", "rf_only")
 
@@ -130,36 +134,38 @@ def _check_mode(mode: str) -> None:
 class _UserTerms:
     """The bandwidth- and mode-free terms of some users under one config.
 
-    Each term comes from the same scalar formula, in the same order, as a
-    per-user evaluation would use. The build evaluates each user's terms
-    once, on Python floats, through the unchecked gain and computation
-    kernels; ``SimConfig`` guarantees the accuracy and ``nu`` they take. It
-    raises ValueError for a user at the BS and ``rf_rate``'s ValueError on an
-    RF gain that underflows to 0 far enough from the BS. ``views`` holds the
-    link table of each mode built on these terms.
+    The build reads the users' columns, so it builds no ``UserNode``. Each
+    term comes from the same scalar formula, in the same order, as a
+    per-user evaluation would use: distances, logarithms, powers and squares
+    are libm calls on Python floats, since numpy's can differ in the last
+    bit, and sums, products and quotients run on the arrays, where IEEE
+    arithmetic gives the same bits. The RF gains come from the unchecked
+    kernel, user by user, and the computation terms from the unchecked
+    kernels on the columns; ``SimConfig`` guarantees the accuracy and ``nu``
+    they take. It raises ValueError for a user at the BS and ``rf_rate``'s
+    ValueError on an RF gain that underflows to 0 far enough from the BS.
+    ``views`` holds the link table of each mode built on these terms.
     """
 
-    def __init__(self, users, topology: Topology, config: SimConfig):
-        self.users = users
+    def __init__(self, users: UserColumns, topology: Topology, config: SimConfig):
         self.config = config
+        self.ids, self.indoor, self.position = users.id, users.indoor, users.position
+        self.tx_power, self.budget = users.tx_power_w, users.energy_budget_j
         bx, by = topology.bs_position
-        dist = [math.hypot(u.position[0] - bx, u.position[1] - by) for u in users]
-        if 0.0 in dist:  # a distance is never negative
-            user = users[dist.index(0.0)]
-            raise ValueError(f"user {user.id}: distance must be > 0, got 0.0")
-        nu = config.nu
-        log_inv_accuracy = math.log(1.0 / config.local_accuracy)
-        self.ids = np.array([u.id for u in users], dtype=int)
-        self.indoor = np.array([u.indoor for u in users], dtype=bool)
-        self.gain = np.array([_rf_channel_gain(d, u.indoor, config) for u, d in zip(users, dist)])
-        self.tx_power = np.array([u.tx_power_w for u in users])
-        self.budget = np.array([u.energy_budget_j for u in users])
-        self.t_cmp = np.array([_computation_time(u, log_inv_accuracy, nu) for u in users])
-        self.e_cmp = np.array([_computation_energy(u, log_inv_accuracy, nu) for u in users])
-        if (self.gain <= 0.0).any():
-            raise ValueError(_RF_RATE_ARGS_ERROR)
-        # Received uplink power P h, as rf_rate forms it.
-        self.up_power = self.tx_power * self.gain
+        # A term that overflows is inf, as on Python floats, and fails its user.
+        with np.errstate(over="ignore"):
+            dx, dy = (users.position[:, 0] - bx).tolist(), (users.position[:, 1] - by).tolist()
+            dist = list(map(math.hypot, dx, dy))
+            if 0.0 in dist:  # a distance is never negative
+                raise ValueError(f"user {users.id[dist.index(0.0)]}: distance must be > 0, got 0.0")
+            self.gain = np.array(list(map(_rf_channel_gain, dist, users.indoor.tolist(), itertools.repeat(config))))
+            log_inv_accuracy = math.log(1.0 / config.local_accuracy)
+            self.t_cmp = _computation_time(users, log_inv_accuracy, config.nu)
+            self.e_cmp = _computation_energy(users, log_inv_accuracy, config.nu)
+            if (self.gain <= 0.0).any():
+                raise ValueError(_RF_RATE_ARGS_ERROR)
+            # Received uplink power P h, as rf_rate forms it.
+            self.up_power = self.tx_power * self.gain
         self.views: dict[str, _LinkTable] = {}
 
 
@@ -175,7 +181,8 @@ class _LinkTable:
     ``np.log2``, the ufunc the scalar rate functions run on one value, so the
     mask holds the per-user answers.
 
-    The user terms are checked by ``UserNode``, the widths by
+    The user terms are checked by ``UserNode`` or, for a drawn topology,
+    by its draw, the widths by
     ``BandwidthAllocation`` or the count rule that gives them, and the noise
     PSDs and interference by ``SimConfig``, so a pass checks nothing.
     """
@@ -194,7 +201,7 @@ class _LinkTable:
         self.vlc_rows = np.flatnonzero(via_vlc)
         self.rf_rows = np.flatnonzero(~via_vlc)
         if mode == "hybrid":
-            signals = vlc_signal_powers([u for u in terms.users if u.indoor], topology, config)
+            signals = _vlc_signal_powers(terms.position[self.vlc_rows], topology, config)
             self.signals, self.interference = best_ap_terms(signals)
         # Received RF downlink powers, as rf_rate forms them.
         self.down_power = config.bs_tx_power_w * terms.gain[self.rf_rows]
@@ -259,7 +266,7 @@ def is_feasible(
     mode: str = "hybrid",
 ) -> bool:
     """Can this user finish a round within the time budget and energy cap?"""
-    links = _LinkTable(_UserTerms((user,), topology, config), topology, mode)
+    links = _LinkTable(_UserTerms(UserColumns.of((user,)), topology, config), topology, mode)
     return bool(links.feasible(bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)[0])
 
 
@@ -304,7 +311,12 @@ def get_b(selection: Selection, config: SimConfig, mode: str = "hybrid") -> Band
 
 def selection_objective(selection: Selection, topology: Topology) -> float:
     """Total training samples contributed by the selected users."""
-    return _objective(selection, {u.id: u.shard_size for u in topology.users})
+    return _objective(selection, _shard_sizes(topology.users))
+
+
+def _shard_sizes(users: UserColumns) -> dict:
+    """Each user's id mapped to its shard size, as Python ints."""
+    return dict(zip(users.id.tolist(), users.shard_size.tolist()))
 
 
 def _objective(selection: Selection, shard_sizes: dict) -> float:
@@ -359,7 +371,7 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
             return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
         bw = widest
 
-    shard_sizes = {u.id: u.shard_size for u in topology.users}
+    shard_sizes = _shard_sizes(topology.users)
     best: tuple[Selection, BandwidthAllocation] | None = None
     best_obj = -1.0
     predecessors: set[Selection] = set()
@@ -412,7 +424,7 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
     users = topology.users
     # Indoor first, then largest shards first; id breaks ties deterministically.
     # The shared table keeps topology order, so ``rows`` picks its columns in this order.
-    rows = np.array(sorted(range(len(users)), key=lambda i: (not users[i].indoor, -users[i].shard_size, users[i].id)))
+    rows = np.lexsort((users.id, -users.shard_size, ~users.indoor))
     links = _links(topology, config, mode)
     indoor = links.indoor[rows]
     n_in, n_out = topology.n_indoor, topology.n_outdoor
@@ -424,7 +436,7 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
     rank = np.concatenate((feasible[:, :n_in].cumsum(axis=1), feasible[:, n_in:].cumsum(axis=1)), axis=1)
     chosen = feasible & (rank <= np.where(indoor, k1, k2))
     filled = chosen.sum(axis=1) == (k1 + k2)[:, 0]
-    objectives = np.where(filled, chosen @ np.array([users[i].shard_size for i in rows]), 0)
+    objectives = np.where(filled, chosen @ users.shard_size[rows], 0)
     if not objectives.any():
         return UsbaResult(EMPTY_SELECTION, default_initial_bandwidth(topology, config), 0, True, 0.0)
     best = int(objectives.argmax())  # the first of equal maxima

@@ -20,11 +20,12 @@ also take arrays over users. On one value or many, each logarithm and power
 is one numpy ufunc (``np.log2``, ``np.power``), so an array result holds the
 same bits as the scalar calls, which return a Python float.
 
-The public rate and RF-gain functions check their arguments, then call a
-private kernel (``_rf_rate``, ``_vlc_rate``, ``_rf_channel_gain``) that holds
-the formula and checks nothing. A caller that already guarantees the
-arguments calls the kernel directly: the link table's build on each user's
-distance, its feasibility pass on the rates.
+The public rate, RF-gain and signal-power functions check their arguments,
+then call a private kernel (``_rf_rate``, ``_vlc_rate``, ``_rf_channel_gain``,
+``_vlc_signal_powers``) that holds the formula and checks nothing. A caller
+that already guarantees the arguments calls the kernel directly: the link
+table's build on each user's distance and on the indoor users' positions,
+its feasibility pass on the rates.
 
 The link constants live only in ``SimConfig``: the gain, signal-power and
 SINR functions take the validated config and read its fields by name, as
@@ -139,11 +140,17 @@ def vlc_signal_powers(users, topology: Topology, config: SimConfig) -> np.ndarra
     for user in users:
         if not user.indoor:
             raise ValueError(f"user {user.id} is outdoor; VLC serves indoor users only")
-    if users and not topology.vlc_aps:
-        raise ValueError("topology has no VLC APs")
     # One flat float stream: np.asarray on a list of tuples costs twice as much.
     n = len(users)
     receivers = np.fromiter(itertools.chain.from_iterable(u.position for u in users), float, 3 * n).reshape(n, 3)
+    return _vlc_signal_powers(receivers, topology, config)
+
+
+def _vlc_signal_powers(receivers: np.ndarray, topology: Topology, config: SimConfig) -> np.ndarray:
+    """``vlc_signal_powers`` at an (n, 3) array of receiver positions, which
+    it does not check for indoor users."""
+    if len(receivers) and not topology.vlc_aps:
+        raise ValueError("topology has no VLC APs")
     gains = vlc_channel_gains(topology.vlc_aps, receivers, config)
     return np.power(config.conversion_efficiency * gains * config.optical_power_w, 2)
 

@@ -10,7 +10,8 @@ in time and e_cmp + e_com in energy, where e_com = t_up * P_n.
 ``_round_costs``) that holds the formula and checks nothing. The computation
 kernels take ln(1/accuracy), so a caller evaluating many users takes the
 logarithm once: the link table's build does, on a config that already
-guarantees the accuracy and ``nu``. Its feasibility pass calls
+guarantees the accuracy and ``nu``, and on the ``UserColumns`` of a
+topology, for arrays over its users. Its feasibility pass calls
 ``_round_costs`` on every user, where a zero rate costs inf seconds and joules.
 """
 
@@ -23,6 +24,10 @@ import numpy as np
 
 from .config import SimConfig
 from .topology import UserNode
+
+
+# The least float whose square overflows: (2**512)**2 = 2**1024.
+_SQUARE_OVERFLOWS = 2.0**512
 
 
 class InfeasibleLinkError(RuntimeError):
@@ -63,13 +68,22 @@ def computation_energy(user: UserNode, local_accuracy: float, nu: float) -> floa
     return _computation_energy(user, math.log(1.0 / local_accuracy), nu)
 
 
-def _computation_energy(user: UserNode, log_inv_accuracy: float, nu: float) -> float:
-    """``computation_energy`` given ln(1/accuracy), without the checks."""
+def _computation_energy(user, log_inv_accuracy: float, nu: float):
+    """``computation_energy`` given ln(1/accuracy), without the checks.
+
+    ``user`` may be a ``UserColumns``, for an array over its users. Each
+    frequency is squared by CPython's float power: numpy squares an array
+    by multiplying, which rounds some values differently.
+    """
     cycles_total = user.cycles_per_sample * user.shard_size
+    freq = user.cpu_freq_hz
     try:
-        return nu * user.capacitance_coeff * cycles_total / 2.0 * user.cpu_freq_hz**2 * log_inv_accuracy
+        squared = np.array([f**2 for f in freq.tolist()]) if isinstance(freq, np.ndarray) else freq**2
+        return nu * user.capacitance_coeff * cycles_total / 2.0 * squared * log_inv_accuracy
     except OverflowError:  # a UserNode allows any finite f; only ** raises, products give inf
-        raise ValueError(f"user {user.id}: cpu_freq_hz={user.cpu_freq_hz!r} overflows a float when squared") from None
+        ids, freqs = np.atleast_1d(user.id).tolist(), np.atleast_1d(freq).tolist()
+        i = next((i for i, f in enumerate(freqs) if abs(f) >= _SQUARE_OVERFLOWS), 0)
+        raise ValueError(f"user {ids[i]}: cpu_freq_hz={freqs[i]!r} overflows a float when squared") from None
 
 
 def computation_time(user: UserNode, local_accuracy: float, nu: float) -> float:
@@ -78,8 +92,9 @@ def computation_time(user: UserNode, local_accuracy: float, nu: float) -> float:
     return _computation_time(user, math.log(1.0 / local_accuracy), nu)
 
 
-def _computation_time(user: UserNode, log_inv_accuracy: float, nu: float) -> float:
-    """``computation_time`` given ln(1/accuracy), without the checks."""
+def _computation_time(user, log_inv_accuracy: float, nu: float):
+    """``computation_time`` given ln(1/accuracy), without the checks; an
+    array over the users of a ``UserColumns``."""
     return nu * user.cycles_per_sample * user.shard_size * log_inv_accuracy / user.cpu_freq_hz
 
 

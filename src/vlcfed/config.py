@@ -216,8 +216,14 @@ def load_config_file(path: str) -> dict:
     rejected so typos do not silently fall back to defaults, and so are
     non-integral values of integer fields.
     """
+    return _read_config_file(path)[0]
+
+
+def _read_config_file(path: str) -> tuple[dict, dict]:
+    """``load_config_file``'s overrides, and the line that set each key."""
     hints = typing.get_type_hints(SimConfig)
     overrides: dict = {}
+    lines: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -233,9 +239,26 @@ def load_config_file(path: str) -> dict:
                 overrides[key] = _coerce(hints[key], value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return overrides
+            lines[key] = lineno
+    return overrides, lines
 
 
 def build_config(file_path: Optional[str] = None) -> SimConfig:
-    """Resolve a config: the compiled defaults, overridden by the config file if one is given."""
-    return SimConfig(**(load_config_file(file_path) if file_path else {}))
+    """Resolve a config: the compiled defaults, overridden by the config file if one is given.
+
+    A value the file sets that ``SimConfig`` rejects is named by ``path:line:``.
+    """
+    if not file_path:
+        return SimConfig()
+    overrides, lines = _read_config_file(file_path)
+    try:
+        return SimConfig(**overrides)
+    except ConfigError:
+        # Each field's rule reads that field alone, so the line at fault is
+        # the first whose value is rejected on its own.
+        for key, lineno in sorted(lines.items(), key=lambda item: item[1]):
+            try:
+                SimConfig(**{key: overrides[key]})
+            except ConfigError as exc:
+                raise ConfigError(f"{file_path}:{lineno}: {exc}") from None
+        raise

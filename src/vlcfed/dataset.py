@@ -28,7 +28,8 @@ class DatasetSchemaError(ValueError):
 
 
 class DatasetParseError(ValueError):
-    """Cell-level problem: a non-numeric or non-finite value, with its line."""
+    """Cell-level problem: a non-numeric or non-finite value, with its line,
+    or bytes that are not UTF-8, with their line and offset."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,12 @@ def load_dataset(path: str, name: str | None = None) -> Dataset:
     """Read a 14-column numeric CSV into a Dataset, validating every cell."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetParseError(f"{path}: line {lineno}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     rows = [(i + 1, r) for i, r in enumerate(rows) if r]  # keep original line numbers
     if rows and _is_header(rows[0][1]):
         if len(rows[0][1]) != N_FEATURES + 1:

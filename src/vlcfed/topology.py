@@ -3,12 +3,19 @@
 Users are dropped uniformly over the disk area. A configured fraction is
 indoor; indoor users are re-positioned within a small radius of a uniformly
 chosen VLC AP so that every indoor user has line-of-sight light coverage.
+
+A topology keeps its users as columns (``UserColumns``): one array per
+``UserNode`` field. Link terms and selection read the columns, so they build
+no ``UserNode``; the rows are built, through ``UserNode``'s constructor, when
+a caller first reads one. A topology built from nodes keeps them as its rows
+and takes its columns from them once.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,15 +68,87 @@ class UserNode:
         raise ValueError(f"user {self.id}: {name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
+class UserColumns(Sequence):
+    """Users as one read-only array per ``UserNode`` field, in user order.
+
+    ``position`` is an (N, 3) array; the others hold one value per user. As a
+    sequence it holds the ``UserNode`` rows, built on first read, and it
+    compares and hashes as ``tuple(self)``.
+    """
+
+    __slots__ = ("id", "position", "indoor", "shard_size", "cycles_per_sample", "cpu_freq_hz",
+                 "capacitance_coeff", "tx_power_w", "energy_budget_j", "_rows")
+
+    def __init__(self, id, position, indoor, shard_size, cycles_per_sample, cpu_freq_hz, capacitance_coeff,
+                 tx_power_w, energy_budget_j, rows=None):
+        # The order is UserNode's field order; the arrays are not checked.
+        columns = (id, position, indoor, shard_size, cycles_per_sample, cpu_freq_hz, capacitance_coeff,
+                   tx_power_w, energy_budget_j)
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._rows = rows
+
+    @classmethod
+    def of(cls, users) -> "UserColumns":
+        """The columns of some ``UserNode``s, which stay the rows."""
+        rows = tuple(users)
+        return cls(
+            np.array([u.id for u in rows], dtype=int),
+            np.array([u.position for u in rows], dtype=float).reshape(-1, 3),
+            np.array([u.indoor for u in rows], dtype=bool),
+            np.array([u.shard_size for u in rows]),
+            *(np.array([getattr(u, name) for u in rows], dtype=float) for name in cls.__slots__[4:-1]),
+            rows=rows,
+        )
+
+    def _all_rows(self) -> tuple[UserNode, ...]:
+        if self._rows is None:
+            # Python values, as the draw made them: tolist() gives int, bool and float.
+            self._rows = tuple(map(
+                UserNode, self.id.tolist(), map(tuple, self.position.tolist()),
+                *(getattr(self, name).tolist() for name in self.__slots__[2:-1]),
+            ))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, index):
+        return self._all_rows()[index]
+
+    def __iter__(self):
+        return iter(self._all_rows())
+
+    def __eq__(self, other):
+        if isinstance(other, UserColumns):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._all_rows())
+
+    def __repr__(self) -> str:
+        return repr(self._all_rows())
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so a copy's columns are read-only too.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 @dataclass(frozen=True)
 class Topology:
     cell_radius_m: float
     bs_position: tuple[float, float]
     vlc_aps: tuple[tuple[float, float, float], ...]  # ceiling height, meters
-    users: tuple[UserNode, ...]
+    users: Sequence[UserNode]  # kept as UserColumns, which compare and hash as a tuple of nodes
     # allocation's link-table cache: the users' bandwidth-free terms under the
     # last config used. Not part of the value, so equality and hashing ignore it.
     _link_terms: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.users, UserColumns):
+            object.__setattr__(self, "users", UserColumns.of(self.users))  # Topology is frozen
 
     @property
     def n_users(self) -> int:
@@ -77,11 +156,11 @@ class Topology:
 
     @property
     def n_indoor(self) -> int:
-        return sum(1 for u in self.users if u.indoor)
+        return int(np.count_nonzero(self.users.indoor))
 
     @property
     def n_outdoor(self) -> int:
-        return sum(1 for u in self.users if not u.indoor)
+        return len(self.users) - self.n_indoor
 
     def indoor_users(self) -> list[UserNode]:
         return [u for u in self.users if u.indoor]
@@ -123,6 +202,7 @@ def generate_topology(config: SimConfig, seed: int) -> Topology:
 
     Positions are uniform over the disk area (radius sampled as r*sqrt(U)).
     Exactly round(indoor_fraction * n_users) users are indoor, listed first.
+    The users are kept as ``UserColumns``, whose rows are built on first read.
     """
     rng = np.random.default_rng(seed)
     n = config.n_users
@@ -132,37 +212,47 @@ def generate_topology(config: SimConfig, seed: int) -> Topology:
 
     radii = config.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    # Python floats from here on: indexing numpy scalars user by user costs
-    # more than the arithmetic, which IEEE doubles do alike either way.
-    xs = (radii * np.cos(angles)).tolist()
-    ys = (radii * np.sin(angles)).tolist()
+    position = np.full((n, 3), z_plane, dtype=float)
+    position[:, 0] = radii * np.cos(angles)
+    position[:, 1] = radii * np.sin(angles)
 
     # Indoor users are re-drawn near a uniformly chosen AP so they are covered
     # by at least one light. AP ring + spread stays inside the cell.
     if n_indoor > 0:
-        ap_choice = rng.integers(0, len(aps), size=n_indoor).tolist()
-        spread_r = (config.indoor_spread_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_indoor))).tolist()
+        ap_choice = rng.integers(0, len(aps), size=n_indoor)
+        spread_r = config.indoor_spread_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_indoor))
         spread_a = rng.uniform(0.0, 2.0 * math.pi, size=n_indoor).tolist()
-        for i, (k, r, a) in enumerate(zip(ap_choice, spread_r, spread_a)):
-            ap_x, ap_y, _ = aps[k]
-            xs[i] = ap_x + r * math.cos(a)
-            ys[i] = ap_y + r * math.sin(a)
+        # libm's cos and sin, which can differ from numpy's in the last bit;
+        # the sums and products are IEEE operations, equal on either side.
+        # A sum that overflows is caught by the check below.
+        ap_xy = np.array(aps)[ap_choice]
+        with np.errstate(over="ignore"):
+            position[:n_indoor, 0] = ap_xy[:, 0] + spread_r * np.array(list(map(math.cos, spread_a)))
+            position[:n_indoor, 1] = ap_xy[:, 1] + spread_r * np.array(list(map(math.sin, spread_a)))
 
     cps_lo, cps_hi = config.cycles_per_sample_range
     f_lo, f_hi = config.cpu_freq_range_hz
     p_lo, p_hi = config.tx_power_range_w
-    cycles = rng.uniform(cps_lo, cps_hi, size=n).tolist()
-    freqs = rng.uniform(f_lo, f_hi, size=n).tolist()
+    cycles = rng.uniform(cps_lo, cps_hi, size=n)
+    freqs = rng.uniform(f_lo, f_hi, size=n)
     # Log-uniform: device power classes spread over decades, not linearly.
-    powers = (10.0 ** rng.uniform(math.log10(p_lo), math.log10(p_hi), size=n)).tolist()
+    powers = 10.0 ** rng.uniform(math.log10(p_lo), math.log10(p_hi), size=n)
 
-    # Positional arguments: keyword arguments to a class call cost a dict per
-    # user. The order is UserNode's field order.
-    shard, coeff, budget = config.samples_per_user, config.capacitance_coeff, config.energy_budget_j
-    users = tuple(
-        UserNode(i, (x, y, z_plane), i < n_indoor, shard, c, f, coeff, p, budget)
-        for i, (x, y, c, f, p) in enumerate(zip(xs, ys, cycles, freqs, powers))
+    # UserNode's rules hold without building a row. SimConfig's rules imply
+    # most: shard sizes are a Count, the capacitance and energy budget are
+    # Positive, and a uniform draw over a checked range lies in it, so its
+    # cycles and frequencies are finite and > 0. A log-uniform power can
+    # round to 0 or inf, and an AP ring plus the spread can overflow, so
+    # these are checked here; if one fails, building the rows raises the
+    # error of the first user that fails.
+    ids = np.arange(n)
+    users = UserColumns(
+        ids, position, ids < n_indoor, np.full(n, config.samples_per_user), cycles, freqs,
+        np.full(n, config.capacitance_coeff, dtype=float), powers,
+        np.full(n, config.energy_budget_j, dtype=float),
     )
+    if not (np.isfinite(position).all() and 0.0 < powers.min() and powers.max() < math.inf):
+        users._all_rows()
     return Topology(
         cell_radius_m=config.cell_radius_m,
         bs_position=(0.0, 0.0),

@@ -16,6 +16,7 @@ from vlcfed import (
     Selection,
     SimConfig,
     UsbaResult,
+    UserNode,
     computation_energy,
     computation_time,
     cost_breakdown,
@@ -23,6 +24,7 @@ from vlcfed import (
     get_b,
     get_s,
     is_feasible,
+    load_bundled_dataset,
     oracle_enumerate,
     rf_channel_gain,
     rf_rate,
@@ -43,7 +45,7 @@ from vlcfed.allocation import (
     default_initial_bandwidth,
 )
 from vlcfed.channel import best_ap_sinr, vlc_signal_powers
-from vlcfed.runner import random_instance
+from vlcfed.runner import random_instance, run_experiment
 from tests.conftest import make_topology, make_user
 from tests.test_channel import _row_wise_sinr
 
@@ -944,6 +946,58 @@ class TestSharedLinkTable:
         assert used == untouched
         assert hash(used) == hash(untouched)
         assert repr(used) == repr(untouched)
+
+
+class TestColumnPath:
+    """Selection reads a drawn topology's user columns and builds no UserNode;
+    a topology built from nodes takes the same path to the same results."""
+
+    @staticmethod
+    def count_nodes(monkeypatch):
+        built = []
+        init = UserNode.__init__
+
+        def counted(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(UserNode, "__init__", counted)
+        return built
+
+    def test_selection_builds_no_user_node(self, monkeypatch):
+        built = self.count_nodes(monkeypatch)
+        report = run_experiment(SimConfig(n_users=60), [0, 1], load_bundled_dataset(), train=False)
+        assert len(report.records) == 4 and all(r.n_selected for r in report.records)
+        rng = np.random.default_rng(51)
+        for _ in range(10):
+            topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
+            for mode in MODES:
+                usba(topo, cfg, mode)
+                oracle_enumerate(topo, cfg, mode)
+                get_s(BandwidthAllocation(2e5, 3e5, 4e6), topo, cfg, mode)
+            selection_objective(usba(topo, cfg).selection, topo)
+            default_initial_bandwidth(topo, cfg)
+        assert built == []
+
+    @staticmethod
+    def results(topo, cfg):
+        return [
+            (usba(topo, cfg, mode), oracle_enumerate(topo, cfg, mode) if topo.n_users <= ORACLE_MAX_USERS else None)
+            for mode in MODES
+        ]
+
+    def test_a_copy_built_from_nodes_gives_the_same_results(self):
+        # Each draw makes its topology anew, so the drawn one builds no rows.
+        draws = [lambda n=n: (generate_topology(SimConfig(n_users=n), 11), SimConfig(n_users=n)) for n in (1, 13, 50, 200)]
+        draws += [
+            lambda seed=seed: random_instance(np.random.default_rng(seed))
+            for seed in np.random.default_rng(53).integers(0, 2**31, size=20).tolist()
+        ]
+        for draw in draws:
+            drawn, cfg = draw()
+            copy = dataclasses.replace(drawn, users=tuple(draw()[0].users))
+            assert self.results(copy, cfg) == self.results(drawn, cfg)
+            assert copy == drawn
 
 
 class TestLoudFailures:

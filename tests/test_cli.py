@@ -87,12 +87,24 @@ GOOD_ROW = ",".join(["1.0"] * 14)
             {"word.csv": GOOD_ROW + "\n" + GOOD_ROW.replace("1.0", "oops", 1) + "\n"},
             "{tmp}/word.csv: line 2: column 1: not a number: 'oops'",
         ),
+        (["run", "--config", "{tmp}/late.cfg"], {"late.cfg": "t_round_s = 1.5\nn_users = 0\n"}, "{tmp}/late.cfg:2: n_users"),
+        (
+            ["run", "--dataset", "{tmp}/utf16.csv"],
+            {"utf16.csv": b"\xff\xfe" + GOOD_ROW.encode("utf-16-le")},
+            "{tmp}/utf16.csv: line 1: byte 0: not UTF-8",
+        ),
     ],
-    ids=["missing-dataset", "missing-config", "config-value", "n-values", "dataset-schema", "dataset-cell"],
+    ids=[
+        "missing-dataset", "missing-config", "config-value", "n-values", "dataset-schema", "dataset-cell",
+        "config-value-line", "dataset-not-utf8",
+    ],
 )
 def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, capsys):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--no-train", "--seeds", "0", "--out", str(tmp_path / "out")])

@@ -63,6 +63,17 @@ class TestLoadDataset:
             with pytest.raises(DatasetParseError, match=f"line 1: column 14: non-finite value '{cell}'"):
                 load_dataset(write(tmp_path, bad))
 
+    def test_a_file_that_is_not_utf8_names_path_line_and_byte(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe" + GOOD_ROW.encode("utf-16-le"))
+        with pytest.raises(DatasetParseError, match=rf"^{re.escape(str(path))}: line 1: byte 0: not UTF-8"):
+            load_dataset(str(path))
+        later = tmp_path / "latin1.csv"
+        later.write_bytes((GOOD_ROW + "\n").encode() + GOOD_ROW.replace("7.5", "7\xe9").encode("latin-1"))
+        offset = len(GOOD_ROW) + 1 + GOOD_ROW.index("7.5") + 1
+        with pytest.raises(DatasetParseError, match=rf"latin1.csv: line 2: byte {offset}: not UTF-8"):
+            load_dataset(str(later))
+
     def test_roundtrip_is_exact(self, tmp_path):
         data = make_synthetic(50, seed=9)
         path = str(tmp_path / "round.csv")

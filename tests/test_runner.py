@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import re
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -504,6 +505,21 @@ class TestConfigResolution:
         path = tmp_path / "bad.cfg"
         path.write_text("backhaul_delay_s = nan\n")
         with pytest.raises(ConfigError, match="backhaul_delay_s must be finite"):
+            build_config(str(path))
+
+    @pytest.mark.parametrize(
+        "text, line, field",
+        [
+            ("n_users = 0\n", 1, "n_users"),
+            ("# comment\n\nt_round_s = 1.5\nindoor_fraction = 2\n", 4, "indoor_fraction"),
+            ("n_users = 0\nn_users = 5\nlocal_accuracy = 1\n", 3, "local_accuracy"),  # the last value counts
+            ("tx_power_range_w = 2, 1\nn_users = 0\n", 1, "tx_power_range_w"),  # the first rejected line
+        ],
+    )
+    def test_a_rejected_file_value_names_path_and_line(self, tmp_path, text, line, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:{line}: {field} must"):
             build_config(str(path))
 
     def test_table_defaults(self):

@@ -1,13 +1,15 @@
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from vlcfed import SimConfig, distance, generate_topology
+from vlcfed import SimConfig, Topology, UserNode, distance, generate_topology
 from vlcfed.config import ConfigError
-from vlcfed.topology import ap_positions
+from vlcfed.topology import UserColumns, ap_positions
 from tests.conftest import make_user
 
 
@@ -191,3 +193,70 @@ def test_user_keeps_the_frozen_dataclass_contract():
         dataclasses.replace(user, shard_size=0)
     with pytest.raises(TypeError):
         type(user)(*terms[:-1])
+
+
+class TestUserColumns:
+    """A drawn topology keeps its users as columns and builds its rows on first read."""
+
+    FIELDS = [f.name for f in dataclasses.fields(UserNode)]
+
+    @pytest.mark.parametrize("n, indoor_fraction, seed", [(1, 0.0, 0), (13, 0.3, 4), (50, 0.8, 1), (200, 0.8, 12345)])
+    def test_each_column_holds_its_rows_field(self, n, indoor_fraction, seed):
+        topo = generate_topology(SimConfig(n_users=n, indoor_fraction=indoor_fraction), seed)
+        users = topo.users
+        assert isinstance(users, UserColumns) and len(users) == n
+        for name in self.FIELDS:
+            column = getattr(users, name).tolist()
+            if name == "position":
+                column = [tuple(p) for p in column]
+            assert column == [getattr(u, name) for u in users]
+        assert topo.n_indoor == sum(u.indoor for u in users) == int(math.floor(indoor_fraction * n + 0.5))
+        assert [type(getattr(users[0], name)) for name in self.FIELDS] == [int, tuple, bool, int] + [float] * 5
+
+    def test_rows_are_built_once_on_first_read(self, monkeypatch):
+        built = []
+        init = UserNode.__init__
+
+        def counted(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(UserNode, "__init__", counted)
+        topo = generate_topology(SimConfig(n_users=30), 2)
+        assert (len(topo.users), topo.n_indoor, topo.n_outdoor) == (30, 24, 6) and built == []
+        first = topo.users[3]
+        assert built == list(range(30))
+        assert topo.users[3] is first and list(topo.users)[3] is first and built == list(range(30))
+
+    @pytest.mark.parametrize("n", [1, 13, 50, 200])
+    def test_a_copy_built_from_nodes_equals_and_hashes_as_the_draw(self, n):
+        cfg = SimConfig(n_users=n)
+        drawn = generate_topology(cfg, 7)
+        nodes = tuple(generate_topology(cfg, 7).users)
+        copy = Topology(drawn.cell_radius_m, drawn.bs_position, drawn.vlc_aps, nodes)
+        assert copy.users[0] is nodes[0]  # a hand-built topology keeps its nodes as its rows
+        assert copy == drawn and drawn == copy and hash(copy) == hash(drawn) and repr(copy) == repr(drawn)
+        assert dataclasses.replace(drawn, users=nodes) == drawn
+        assert drawn.users == nodes and nodes == drawn.users and hash(drawn.users) == hash(nodes)
+        for name in self.FIELDS:
+            a, b = getattr(copy.users, name), getattr(drawn.users, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert generate_topology(cfg, 8) != drawn
+
+    def test_columns_are_read_only_in_copies_too(self):
+        users = generate_topology(SimConfig(n_users=5), 0).users
+        for clone in (users, pickle.loads(pickle.dumps(users)), copy.deepcopy(users)):
+            assert clone == users
+            for name in self.FIELDS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(clone, name)[0] = 1
+
+    def test_an_overflowing_indoor_position_names_the_first_user(self):
+        # An AP ring and spread this wide push some indoor users past the
+        # largest float. The draw checks the column and raises that user's
+        # own error, without a numpy warning (Tier-1 turns those into errors).
+        cfg = SimConfig(
+            n_users=30, n_vlc_aps=1, indoor_fraction=1.0, ap_ring_radii_m=(1.5e308,), indoor_spread_m=1e308
+        )
+        with pytest.raises(ValueError, match=r"^user 10: position must be finite, got \(-inf, "):
+            generate_topology(cfg, 0)
