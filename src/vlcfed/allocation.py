@@ -35,7 +35,10 @@ remembered between passes: ``usba`` tests each visited state once, and the
 oracle makes one batched pass.
 
 ``usba`` alternates the two from the full-selection widths until the pair is a
-fixed point, which it knows without a pass once the widths repeat. The
+fixed point, which it knows without a pass once the widths repeat. Its state
+is a pass's mask over the table's users, not a ``Selection``: the counts that
+set the next widths, the self-support test and the revisit key all read the
+mask, and one ``Selection`` is built for the state it returns. The
 alternation can oscillate between an optimistic and a pessimistic state, so
 each step also tests whether the state it steps from supports itself; a
 revisit, an empty state or the iteration limit ends the alternation with the
@@ -227,12 +230,15 @@ class _LinkTable:
         # A link without rate takes payload / 0 = inf seconds and joules, so it
         # fails both tests like any slow link.
         with np.errstate(divide="ignore"):
-            cost = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, config)
-        return (cost.round_time <= config.t_round_s) & (cost.total_energy <= self.budget)
+            round_time, energy = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, config)
+        return (round_time <= config.t_round_s) & (energy <= self.budget)
 
-    def select(self, bw: BandwidthAllocation) -> Selection:
-        """The users feasible at ``bw``, from one pass."""
-        mask = self.feasible(bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)
+    def at(self, bw: BandwidthAllocation) -> np.ndarray:
+        """The mask of the users feasible at ``bw``, from one pass."""
+        return self.feasible(bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)
+
+    def selection(self, mask: np.ndarray) -> Selection:
+        """The users a mask marks."""
         return Selection(
             frozenset(self.ids[mask & self.indoor].tolist()),
             frozenset(self.ids[mask & ~self.indoor].tolist()),
@@ -277,7 +283,8 @@ def get_s(
     mode: str = "hybrid",
 ) -> Selection:
     """Select every user that is feasible at the given block widths."""
-    return _links(topology, config, mode).select(bw)
+    links = _links(topology, config, mode)
+    return links.selection(links.at(bw))
 
 
 def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
@@ -311,16 +318,8 @@ def get_b(selection: Selection, config: SimConfig, mode: str = "hybrid") -> Band
 
 def selection_objective(selection: Selection, topology: Topology) -> float:
     """Total training samples contributed by the selected users."""
-    return _objective(selection, _shard_sizes(topology.users))
-
-
-def _shard_sizes(users: UserColumns) -> dict:
-    """Each user's id mapped to its shard size, as Python ints."""
-    return dict(zip(users.id.tolist(), users.shard_size.tolist()))
-
-
-def _objective(selection: Selection, shard_sizes: dict) -> float:
-    """``selection_objective`` from a map of each user's id to its shard size."""
+    users = topology.users
+    shard_sizes = dict(zip(users.id.tolist(), users.shard_size.tolist()))
     return float(sum(shard_sizes[i] for i in selection.all_ids))
 
 
@@ -354,6 +353,10 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     widths, flagged non-converged, or empty if no state supports itself. A
     fixed point first reached by the step after the last iteration still ends
     non-converged.
+
+    Each state is the feasibility mask of a pass over the link table's users,
+    which is what get_s(B) selects; the result's ``Selection`` is built once,
+    from the mask it returns.
     """
     if config.initial_bandwidth is not None:
         bw = BandwidthAllocation(*config.initial_bandwidth)
@@ -361,44 +364,49 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
         bw = default_initial_bandwidth(topology, config)
 
     links = _links(topology, config, mode)
-    selection = links.select(bw)
-    if not selection:
+    mask = links.at(bw)
+    if not mask.any():
         widest = block_widths(1, 0, config)  # widest solo widths, B_rf and B_vlc
-        if widest != bw:  # at the start's widths the selection is known
-            selection = links.select(widest)
-        if not selection:
+        if widest != bw:  # at the start's widths the mask is known
+            mask = links.at(widest)
+        if not mask.any():
             # Not even a solo allocation admits anyone: empty is a fixed point.
             return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
         bw = widest
 
-    shard_sizes = _shard_sizes(topology.users)
-    best: tuple[Selection, BandwidthAllocation] | None = None
+    indoor, shard_sizes = links.indoor, topology.users.shard_size
+    best: tuple[np.ndarray, BandwidthAllocation] | None = None
     best_obj = -1.0
-    predecessors: set[Selection] = set()
+    predecessors: set[bytes] = set()
     iterations = 0
-    # selection == links.select(bw) holds here and after every step, so a step
-    # to the current widths takes the current selection without a pass.
+    # mask == links.at(bw) holds here and after every step, so a step to the
+    # current widths takes the current mask without a pass.
     while True:
-        new_bw = get_b(selection, config, mode)
-        new_selection = selection if new_bw == bw else links.select(new_bw)
-        if selection.indoor_ids <= new_selection.indoor_ids and selection.outdoor_ids <= new_selection.outdoor_ids:
-            obj = _objective(selection, shard_sizes)  # a self-supporting state
+        # get_b of the state; the counts as ints, so the widths are floats.
+        n_in = int(np.count_nonzero(mask & indoor))
+        new_bw = block_widths(n_in, int(np.count_nonzero(mask)) - n_in, config, mode)
+        new_mask = mask if new_bw == bw else links.at(new_bw)
+        if not (mask & ~new_mask).any():  # a self-supporting state
+            # Summed as Python ints, which are exact for any shard sizes.
+            obj = float(sum(shard_sizes[mask].tolist()))
             if obj > best_obj:
-                best, best_obj = (selection, new_bw), obj
+                best, best_obj = (mask, new_bw), obj
         if iterations == config.max_iterations:
             break  # that step tested the last state
         iterations += 1
-        if new_bw == bw:
-            return UsbaResult(selection, bw, iterations, True, _objective(selection, shard_sizes))
-        selection, bw, previous = new_selection, new_bw, selection
-        if not selection or selection in predecessors:
+        if new_bw == bw:  # then new_mask is mask, which supports itself and has obj
+            return UsbaResult(links.selection(mask), bw, iterations, True, obj)
+        mask, bw, previous = new_mask, new_bw, mask
+        if not mask.any() or mask.tobytes() in predecessors:
             break  # empty states and revisits both mean the alternation cycles
-        # The previous selection found again at other widths is no revisit:
+        # The previous state found again at other widths is no revisit:
         # the next step confirms it.
-        predecessors.add(previous)
+        predecessors.add(previous.tobytes())
 
-    selection, bw = best or (EMPTY_SELECTION, bw)
-    return UsbaResult(selection, bw, iterations, False, _objective(selection, shard_sizes))
+    if best is None:
+        return UsbaResult(EMPTY_SELECTION, bw, iterations, False, 0.0)
+    mask, bw = best
+    return UsbaResult(links.selection(mask), bw, iterations, False, best_obj)
 
 
 ORACLE_MAX_USERS = 14

@@ -7,12 +7,14 @@ in time and e_cmp + e_com in energy, where e_com = t_up * P_n.
 ``computation_time``, ``computation_energy``, ``transmission_time`` and
 ``cost_breakdown`` check their arguments, then call a private kernel
 (``_computation_time``, ``_computation_energy``, ``_transmission_time``,
-``_round_costs``) that holds the formula and checks nothing. The computation
+``_link_costs``) that holds the formula and checks nothing. The computation
 kernels take ln(1/accuracy), so a caller evaluating many users takes the
 logarithm once: the link table's build does, on a config that already
 guarantees the accuracy and ``nu``, and on the ``UserColumns`` of a
 topology, for arrays over its users. Its feasibility pass calls
-``_round_costs`` on every user, where a zero rate costs inf seconds and joules.
+``_round_costs`` on every user, where a zero rate costs inf seconds and
+joules; it returns only the round time and energy, which ``_round_time`` and
+``_total_energy`` sum for the pass and for ``CostBreakdown`` alike.
 """
 
 from __future__ import annotations
@@ -45,11 +47,21 @@ class CostBreakdown:
 
     @property
     def round_time(self) -> float:
-        return self.t_down + self.t_up + self.t_cmp + self.backhaul_delay
+        return _round_time(self.t_down, self.t_up, self.t_cmp, self.backhaul_delay)
 
     @property
     def total_energy(self) -> float:
-        return self.e_cmp + self.e_com
+        return _total_energy(self.e_cmp, self.e_com)
+
+
+def _round_time(t_down, t_up, t_cmp, backhaul_delay):
+    """A round's time, summed in this order for one user and for arrays alike."""
+    return t_down + t_up + t_cmp + backhaul_delay
+
+
+def _total_energy(e_cmp, e_com):
+    """A round's energy."""
+    return e_cmp + e_com
 
 
 def _check_accuracy(local_accuracy: float, nu: float) -> None:
@@ -129,32 +141,35 @@ def cost_breakdown(
     """
     _check_link(config.payload_bits, uplink_rate_bps)
     _check_link(config.payload_bits, downlink_rate_bps)
-    return _round_costs(
-        computation_time(user, config.local_accuracy, config.nu),
-        computation_energy(user, config.local_accuracy, config.nu),
-        user.tx_power_w,
-        uplink_rate_bps,
-        downlink_rate_bps,
-        config.backhaul_delay_s if include_backhaul else 0.0,
-        config,
-    )
-
-
-def _round_costs(t_cmp, e_cmp, tx_power_w, uplink_rate_bps, downlink_rate_bps, backhaul_delay_s, config):
-    """``cost_breakdown`` from the bandwidth-free terms: the computation time
-    and energy, the transmit power and the backhaul delay (0 unless the
-    downlink rides VLC), without checks; a zero rate gives inf time and energy.
-
-    Every argument but `config` may be an array over users; the fields of the
-    result then are arrays too.
-    """
-    t_up = _transmission_time(config.payload_bits, uplink_rate_bps)
-    t_down = _transmission_time(config.payload_bits, downlink_rate_bps)
+    t_cmp = computation_time(user, config.local_accuracy, config.nu)
+    e_cmp = computation_energy(user, config.local_accuracy, config.nu)
+    t_up, t_down, e_com = _link_costs(user.tx_power_w, uplink_rate_bps, downlink_rate_bps, config)
     return CostBreakdown(
         t_cmp=t_cmp,
         t_up=t_up,
         t_down=t_down,
         e_cmp=e_cmp,
-        e_com=t_up * tx_power_w,
-        backhaul_delay=backhaul_delay_s,
+        e_com=e_com,
+        backhaul_delay=config.backhaul_delay_s if include_backhaul else 0.0,
     )
+
+
+def _link_costs(tx_power_w, uplink_rate_bps, downlink_rate_bps, config):
+    """The uplink and downlink times and the uplink energy, without checks;
+    a zero rate gives inf time and energy."""
+    t_up = _transmission_time(config.payload_bits, uplink_rate_bps)
+    t_down = _transmission_time(config.payload_bits, downlink_rate_bps)
+    return t_up, t_down, t_up * tx_power_w
+
+
+def _round_costs(t_cmp, e_cmp, tx_power_w, uplink_rate_bps, downlink_rate_bps, backhaul_delay_s, config):
+    """``cost_breakdown``'s round time and total energy from the
+    bandwidth-free terms: the computation time and energy, the transmit
+    power and the backhaul delay (0 unless the downlink rides VLC), without
+    checks and without building a ``CostBreakdown``.
+
+    Every argument but `config` may be an array over users; the two results
+    then are arrays too.
+    """
+    t_up, t_down, e_com = _link_costs(tx_power_w, uplink_rate_bps, downlink_rate_bps, config)
+    return _round_time(t_down, t_up, t_cmp, backhaul_delay_s), _total_energy(e_cmp, e_com)

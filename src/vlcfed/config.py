@@ -3,20 +3,23 @@
 Defaults reproduce the reference scenario (circular 50 m cell, 50 users, 80%
 indoor, hybrid VLC downlink + shared RF band). Every physical quantity is
 config-exposed so sweeps can override it. A `SimConfig` is valid by
-construction: every way of building one (the constructor, `replace`,
-`dataclasses.replace`, `build_config`) runs `validate()`.
+construction: the constructor, `dataclasses.replace` and `build_config` run
+`validate()` on every field, and `replace` runs the same rules on the fields
+it changes. That suffices because each rule reads one field, so the fields a
+copy keeps passed theirs already.
 
 Each field's annotation carries its one rule. A scalar field has an admissible
-interval, which also words its error; `validate()` runs one loop over the
-scalar fields and rejects, by field name, a value that is not a real number
-(``bool`` included), lies outside its interval (nan and inf included) or,
-where the field is annotated ``int``, is not an integer. Each tuple field has
-its own check.
+interval, which also words its error; one loop over the scalar fields rejects,
+by field name, a value that is not a real number (``bool`` included), lies
+outside its interval (nan and inf included) or, where the field is annotated
+``int``, is not an integer. Each tuple field has its own check. The scalars are
+checked before the tuples, so a check of some fields names the same first
+error as a check of all.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import io
 import numbers
 import sys
 import typing
@@ -154,27 +157,20 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> "SimConfig":
-        for name, interval, integral in _SCALAR_RULES:
-            value = getattr(self, name)
-            kind = type(value)
-            # Exact float and int first: a numbers ABC check costs a microsecond.
-            # bool is a numbers.Integral, but True is no quantity and no count.
-            if kind is not float and kind is not int and (kind is bool or not isinstance(value, numbers.Real)):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-            low, high, closed_low, closed_high = interval
-            # Both comparisons fail on nan, and inf lies above every high.
-            if not (
-                (low <= value if closed_low else low < value) and (value <= high if closed_high else value < high)
-            ):
-                raise ConfigError(f"{name} must be finite and {interval}, got {value!r}")
-            if integral and kind is not int and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name, check in _TUPLE_RULES:
-            check(name, getattr(self, name))
+        _check_fields(self.__dict__)  # a dataclass keeps its fields, and only them, there
         return self
 
     def replace(self, **overrides) -> "SimConfig":
-        return dataclasses.replace(self, **overrides)
+        """A copy with ``overrides`` set. Each rule reads its field alone, so
+        only the overridden fields are checked; an unknown name raises
+        TypeError, as ``dataclasses.replace`` does."""
+        for name in overrides:
+            if name not in _FIELD_NAMES:
+                raise TypeError(f"SimConfig.replace() got an unexpected keyword argument {name!r}")
+        _check_fields(overrides)
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, **overrides)  # what a frozen dataclass's __init__ sets
+        return copy
 
 
 def _split_rules():
@@ -190,6 +186,33 @@ def _split_rules():
 
 
 _SCALAR_RULES, _TUPLE_RULES = _split_rules()
+_FIELD_NAMES = frozenset(name for name, *_ in _SCALAR_RULES + _TUPLE_RULES)
+
+
+def _check_fields(values: dict) -> None:
+    """Run the rule of each field that ``values`` holds on its value: the
+    scalar fields in declaration order, then the tuple fields, so the first
+    rejected field is the one a full check would name."""
+    for name, interval, integral in _SCALAR_RULES:
+        if name not in values:
+            continue
+        value = values[name]
+        kind = type(value)
+        # Exact float and int first: a numbers ABC check costs a microsecond.
+        # bool is a numbers.Integral, but True is no quantity and no count.
+        if kind is not float and kind is not int and (kind is bool or not isinstance(value, numbers.Real)):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        low, high, closed_low, closed_high = interval
+        # Both comparisons fail on nan, and inf lies above every high.
+        if not (
+            (low <= value if closed_low else low < value) and (value <= high if closed_high else value < high)
+        ):
+            raise ConfigError(f"{name} must be finite and {interval}, got {value!r}")
+        if integral and kind is not int and not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name, check in _TUPLE_RULES:
+        if name in values:
+            check(name, values[name])
 
 
 def _coerce(hint, raw: str):
@@ -224,22 +247,29 @@ def _read_config_file(path: str) -> tuple[dict, dict]:
     hints = typing.get_type_hints(SimConfig)
     overrides: dict = {}
     lines: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in hints:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                overrides[key] = _coerce(hints[key], value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-            lines[key] = lineno
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {lineno}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
+    # Universal newlines, as reading the file in text mode splits it.
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in hints:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            overrides[key] = _coerce(hints[key], value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        lines[key] = lineno
     return overrides, lines
 
 
@@ -258,7 +288,7 @@ def build_config(file_path: Optional[str] = None) -> SimConfig:
         # the first whose value is rejected on its own.
         for key, lineno in sorted(lines.items(), key=lambda item: item[1]):
             try:
-                SimConfig(**{key: overrides[key]})
+                _check_fields({key: overrides[key]})
             except ConfigError as exc:
                 raise ConfigError(f"{file_path}:{lineno}: {exc}") from None
         raise

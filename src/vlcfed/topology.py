@@ -8,7 +8,7 @@ A topology keeps its users as columns (``UserColumns``): one array per
 ``UserNode`` field. Link terms and selection read the columns, so they build
 no ``UserNode``; the rows are built, through ``UserNode``'s constructor, when
 a caller first reads one. A topology built from nodes keeps them as its rows
-and takes its columns from them once.
+and takes its columns from them once, and rejects two nodes with one id.
 """
 
 from __future__ import annotations
@@ -148,7 +148,12 @@ class Topology:
 
     def __post_init__(self):
         if not isinstance(self.users, UserColumns):
-            object.__setattr__(self, "users", UserColumns.of(self.users))  # Topology is frozen
+            users = UserColumns.of(self.users)
+            # A selection names its users by id, so two users must not share one.
+            ids, counts = np.unique(users.id, return_counts=True)
+            if (counts > 1).any():
+                raise ValueError(f"user ids must be distinct, got id {ids[counts > 1][0]} more than once")
+            object.__setattr__(self, "users", users)  # Topology is frozen
 
     @property
     def n_users(self) -> int:

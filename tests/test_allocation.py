@@ -45,7 +45,7 @@ from vlcfed.allocation import (
     default_initial_bandwidth,
 )
 from vlcfed.channel import best_ap_sinr, vlc_signal_powers
-from vlcfed.runner import random_instance, run_experiment
+from vlcfed.runner import random_instance, run_experiment, shard_size
 from tests.conftest import make_topology, make_user
 from tests.test_channel import _row_wise_sinr
 
@@ -122,6 +122,45 @@ def staircase_oracle(topo, cfg, mode):
                 best_obj, best_bw = obj, bw
                 best_sel = sel([u.id for u in chosen_in], [u.id for u in chosen_out])
     return UsbaResult(best_sel, best_bw or default_initial_bandwidth(topo, cfg), 0, True, best_obj)
+
+
+def reference_usba(topo, cfg, mode):
+    """``usba`` with a ``Selection`` as its state, through the public
+    ``get_s``, ``get_b`` and ``selection_objective``, as it ran before its
+    state became a feasibility mask. Kept as the reference."""
+    if cfg.initial_bandwidth is not None:
+        bw = BandwidthAllocation(*cfg.initial_bandwidth)
+    else:
+        bw = default_initial_bandwidth(topo, cfg)
+    selection = get_s(bw, topo, cfg, mode)
+    if not selection:
+        widest = block_widths(1, 0, cfg)
+        if widest != bw:
+            selection = get_s(widest, topo, cfg, mode)
+        if not selection:
+            return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
+        bw = widest
+    best, best_obj = None, -1.0
+    predecessors = set()
+    iterations = 0
+    while True:
+        new_bw = get_b(selection, cfg, mode)
+        new_selection = selection if new_bw == bw else get_s(new_bw, topo, cfg, mode)
+        if selection.indoor_ids <= new_selection.indoor_ids and selection.outdoor_ids <= new_selection.outdoor_ids:
+            obj = selection_objective(selection, topo)
+            if obj > best_obj:
+                best, best_obj = (selection, new_bw), obj
+        if iterations == cfg.max_iterations:
+            break
+        iterations += 1
+        if new_bw == bw:
+            return UsbaResult(selection, bw, iterations, True, selection_objective(selection, topo))
+        selection, bw, previous = new_selection, new_bw, selection
+        if not selection or selection in predecessors:
+            break
+        predecessors.add(previous)
+    selection, bw = best or (EMPTY_SELECTION, bw)
+    return UsbaResult(selection, bw, iterations, False, selection_objective(selection, topo))
 
 
 def with_unequal_shards(topo, rng, high=6):
@@ -440,6 +479,77 @@ class TestUsba:
         topo = generate_topology(cfg, seed=4)
         res = usba(topo, cfg)
         assert res.iterations >= 1  # ran the loop from the given start
+
+
+def assert_usba_equals_reference(topo, cfg, mode):
+    """``usba`` equals ``reference_usba`` field for field, and in repr, so
+    the widths stay Python floats and the selections the same sets."""
+    got, expected = usba(topo, cfg, mode), reference_usba(topo, cfg, mode)
+    assert got == expected, (mode, cfg, topo)
+    assert repr(got) == repr(expected)
+    return got
+
+
+class TestUsbaMatchesReference:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_on_random_instances(self, mode):
+        rng = np.random.default_rng(61)
+        outcomes = set()
+        for _ in range(500):
+            topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
+            res = assert_usba_equals_reference(topo, cfg, mode)
+            outcomes.add((res.converged, bool(res.selection)))
+        # Converged or not, empty or not: every exit is taken.
+        assert outcomes == set(itertools.product((True, False), repeat=2))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_at_the_default_config_over_n(self, mode):
+        nonconverged = 0
+        for seed, n_users in itertools.product(range(5), range(20, 201, 20)):
+            cfg = SimConfig(n_users=n_users)
+            cfg = cfg.replace(samples_per_user=shard_size(506, n_users, cfg.test_size))
+            nonconverged += not assert_usba_equals_reference(generate_topology(cfg, seed), cfg, mode).converged
+        assert nonconverged >= 10
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 50])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_from_configured_widths_and_short_runs(self, mode, max_iterations):
+        rng = np.random.default_rng(67 + max_iterations)
+        iterations = set()
+        for _ in range(100):
+            topo, cfg = random_instance(rng, n_range=(1, 40))
+            start = tuple(float(10 ** rng.uniform(3, 7.5)) for _ in range(3))
+            cfg = cfg.replace(initial_bandwidth=start, max_iterations=max_iterations)
+            iterations.add(assert_usba_equals_reference(topo, cfg, mode).iterations)
+        assert min(max_iterations, 2) in iterations
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_on_unequal_shards(self, mode):
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            topo, cfg = random_instance(rng, n_range=(1, 40))
+            assert_usba_equals_reference(with_unequal_shards(topo, rng, high=50), cfg, mode)
+
+    @pytest.mark.parametrize("t_round_s", [2.5, 0.1, 0.05, 0.02])
+    @pytest.mark.parametrize("max_iterations", [1, 50])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shards_near_two_to_the_63_sum_exactly(self, mode, max_iterations, t_round_s):
+        # Two shards of 2**62 sum to 2**63, which an int64 sum would wrap to -2**63.
+        big = 2**62
+        users = [
+            make_user(id=0, indoor=True, xy=(0.5, 0.0), shard_size=big, cycles_per_sample=1e-12),
+            make_user(id=1, indoor=True, xy=(0.0, 0.5), shard_size=big, cycles_per_sample=1e-12),
+            make_user(id=2, indoor=False, xy=(20.0, 0.0), shard_size=3),
+            make_user(id=3, indoor=False, xy=(45.0, 0.0), shard_size=7, tx_power_w=0.02),
+            make_user(id=4, indoor=True, xy=(1.0, 1.0), shard_size=5),
+        ]
+        topo = make_topology(users)
+        cfg = SimConfig(t_round_s=t_round_s, max_iterations=max_iterations)
+        res = assert_usba_equals_reference(topo, cfg, mode)
+        shards = {u.id: u.shard_size for u in users}
+        assert res.objective == float(sum(shards[i] for i in res.selection.all_ids))
+        if {0, 1} <= res.selection.indoor_ids:
+            assert res.objective >= 2.0**63
 
 
 class TestOracle:

@@ -93,10 +93,15 @@ GOOD_ROW = ",".join(["1.0"] * 14)
             {"utf16.csv": b"\xff\xfe" + GOOD_ROW.encode("utf-16-le")},
             "{tmp}/utf16.csv: line 1: byte 0: not UTF-8",
         ),
+        (
+            ["run", "--config", "{tmp}/bad.cfg"],
+            {"bad.cfg": b"\xff\xfe" + "n_users = 12\n".encode("utf-16-le")},
+            "{tmp}/bad.cfg: line 1: byte 0: not UTF-8",
+        ),
     ],
     ids=[
         "missing-dataset", "missing-config", "config-value", "n-values", "dataset-schema", "dataset-cell",
-        "config-value-line", "dataset-not-utf8",
+        "config-value-line", "dataset-not-utf8", "config-not-utf8",
     ],
 )
 def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, capsys):
@@ -111,6 +116,7 @@ def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, caps
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert sum(line.startswith("vlcfed: error: ") for line in err.splitlines()) == 1
     last = err.splitlines()[-1]
     assert last.startswith("vlcfed: error: ") and problem.format(tmp=tmp_path) in last
     assert not (tmp_path / "out").exists()

@@ -501,6 +501,65 @@ class TestConfigResolution:
     def test_numpy_integers_are_integers(self):
         assert SimConfig(n_users=np.int64(12), test_size=np.int32(0)).n_users == 12
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(t_round_s=0.0),
+            dict(n_users=2.5),
+            dict(indoor_fraction=math.nan),
+            dict(learning_rate=True),
+            dict(payload_bits="1e6"),
+            dict(tx_power_range_w=(1.0, 0.5)),
+            dict(initial_bandwidth=(1e6, 1e6)),
+            dict(ap_ring_radii_m=()),
+            # Several bad fields: the first in declaration order, scalars before tuples.
+            dict(max_iterations=0, indoor_fraction=2.0, t_round_s=0.0, n_users=0),
+            dict(initial_bandwidth=(0.0, 1.0, 1.0), samples_per_user=0),
+            dict(cpu_freq_range_hz=(1.0,), ap_ring_radii_m=(-1.0,)),
+        ],
+    )
+    def test_replace_rejects_what_the_constructor_rejects(self, overrides):
+        with pytest.raises(ConfigError) as built:
+            SimConfig(**{"global_rounds": 7, **overrides})
+        with pytest.raises(ConfigError) as replaced:
+            SimConfig(global_rounds=7).replace(**overrides)
+        assert str(replaced.value) == str(built.value)
+
+    def test_replace_rejects_an_unknown_field_as_dataclasses_replace_does(self):
+        with pytest.raises(TypeError, match="'n_user'"):
+            SimConfig().replace(n_user=12)
+        with pytest.raises(TypeError, match="'n_user'"):
+            dataclasses.replace(SimConfig(), n_user=12)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            dict(samples_per_user=12),
+            dict(n_users=np.int64(30), initial_bandwidth=(1e6, 2e6, 3e6), ap_ring_radii_m=None),
+            dict(rf_total_bandwidth_hz=5e6, vlc_total_bandwidth_hz=10e6, t_round_s=Fraction(5, 2)),
+        ],
+    )
+    def test_replace_equals_the_constructor(self, fields):
+        base = SimConfig(n_users=7, ap_ring_radii_m=(10.0, 20.0))
+        built = SimConfig(**{**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)}, **fields})
+        replaced = base.replace(**fields)
+        assert replaced == built and hash(replaced) == hash(built) and repr(replaced) == repr(built)
+        assert type(replaced) is SimConfig and replaced == dataclasses.replace(base, **fields)
+        assert base == SimConfig(n_users=7, ap_ring_radii_m=(10.0, 20.0))  # the original is untouched
+
+    @pytest.mark.parametrize(
+        "field, value", [("t_round_s", -1.0), ("n_users", 0), ("tx_power_range_w", (2.0, 1.0))]
+    )
+    def test_dataclasses_replace_still_checks_every_field(self, field, value, monkeypatch):
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            dataclasses.replace(SimConfig(), **{field: value})
+        # It builds through the constructor, which checks the fields it keeps too.
+        checked = []
+        monkeypatch.setattr(SimConfig, "validate", lambda self: checked.append(self))
+        dataclasses.replace(SimConfig(), samples_per_user=3)
+        assert len(checked) == 2
+
     def test_non_finite_value_in_file_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("backhaul_delay_s = nan\n")
@@ -564,6 +623,26 @@ class TestConfigResolution:
         path = tmp_path / "bad.cfg"
         path.write_text("frequencyy = 3\n")
         with pytest.raises(ConfigError, match="frequencyy"):
+            load_config_file(str(path))
+
+    @pytest.mark.parametrize(
+        "content, line, byte",
+        [
+            (b"\xff\xfen\x00_\x00u\x00", 1, 0),  # UTF-16 with its byte-order mark
+            (b"# ok\nn_users = 12\nt_round_s = 2\xe9\n", 3, 31),  # a Latin-1 byte
+        ],
+    )
+    def test_a_file_that_is_not_utf8_names_path_line_and_byte(self, tmp_path, content, line, byte):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(content)
+        for read in (load_config_file, build_config):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line {line}: byte {byte}: not UTF-8 "):
+                read(str(path))
+
+    def test_line_numbers_follow_universal_newlines(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"n_users = 12\r\nt_round_s = 2\rbroken\n")
+        with pytest.raises(ConfigError, match=r"bad.cfg:3: expected 'key = value'"):
             load_config_file(str(path))
 
     def test_non_integral_int_rejected_with_line(self, tmp_path):

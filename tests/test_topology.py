@@ -195,6 +195,16 @@ def test_user_keeps_the_frozen_dataclass_contract():
         type(user)(*terms[:-1])
 
 
+def test_a_topology_rejects_two_users_with_one_id():
+    # Selections name users by id, so a repeated id would merge two users.
+    users = [make_user(id=3), make_user(id=1, xy=(5.0, 5.0)), make_user(id=3, xy=(12.0, 0.0))]
+    with pytest.raises(ValueError, match="user ids must be distinct, got id 3 more than once"):
+        Topology(cell_radius_m=50.0, bs_position=(0.0, 0.0), vlc_aps=(), users=tuple(users))
+    topo = generate_topology(SimConfig(n_users=6), seed=0)
+    with pytest.raises(ValueError, match="got id 0 more than once"):
+        dataclasses.replace(topo, users=(*topo.users, topo.users[0]))
+
+
 class TestUserColumns:
     """A drawn topology keeps its users as columns and builds its rows on first read."""
 
