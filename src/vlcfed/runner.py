@@ -230,6 +230,10 @@ def _manifest(report: ExperimentReport) -> str:
     lines.append(f"vlcfed_version = {__version__}")
     lines.append(f"dataset = {report.dataset_name}")
     lines.append(f"dataset_sha256 = {_manifest_value(report.dataset_sha256)}")
+    # numpy's SIMD loops can differ in the last bit from one dispatch level to
+    # another, so two manifests can explain two sets of R² bytes.
+    lines.append(f"numpy_version = {np.__version__}")
+    lines.append(f"numpy_simd = {','.join(np.show_config(mode='dicts')['SIMD Extensions']['found']) or 'none'}")
     lines.append(f"seeds = {','.join(str(s) for s in report.seeds)}")
     lines.append(f"records = {len(report.records)}")
     lines.append(

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath  # the trig reference; a missing test extra fails the suite
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vlcfed
 from vlcfed import (
     SimConfig,
     concentrator_gain,
@@ -17,6 +23,7 @@ from vlcfed import (
 from vlcfed.channel import (
     _cos_deg,
     _rf_rate,
+    _sin_deg,
     _vlc_rate,
     best_ap_sinr,
     best_ap_terms,
@@ -25,6 +32,58 @@ from vlcfed.channel import (
 )
 from vlcfed.topology import distance
 from tests.conftest import make_topology, make_user
+
+
+def _mpmath_deg(fn, angle_deg):
+    with mpmath.workdps(40):
+        return float(fn(mpmath.mpf(angle_deg) * mpmath.pi / 180))
+
+
+class TestDegreeTrig:
+    @given(st.floats(min_value=0.0, max_value=90.0, exclude_min=True, exclude_max=True))
+    def test_equals_mpmath_inside_the_first_quadrant(self, angle):
+        assert _cos_deg(angle) == _mpmath_deg(mpmath.cos, angle)
+        assert _sin_deg(angle) == _mpmath_deg(mpmath.sin, angle)
+
+    def test_equals_mpmath_on_the_hundredths_grid(self):
+        for k in range(1, 9000, 7):
+            angle = k / 100
+            assert _cos_deg(angle) == _mpmath_deg(mpmath.cos, angle), angle
+            assert _sin_deg(angle) == _mpmath_deg(mpmath.sin, angle), angle
+
+    @given(st.floats(min_value=-1e6, max_value=1e6))
+    def test_equals_mpmath_on_any_angle_but_exact_zeros(self, angle):
+        # mpmath's 40-digit pi leaves about 1e-43 where the exact value is 0:
+        # cos at odd multiples of 90 degrees, sin at multiples of 180.
+        for ours, fn, zero_at in ((_cos_deg, mpmath.cos, 90.0), (_sin_deg, mpmath.sin, 0.0)):
+            exact_zero = math.fmod(abs(angle), 180.0) == zero_at
+            assert ours(angle) == (0.0 if exact_zero else _mpmath_deg(fn, angle)), angle
+
+    def test_anchors_are_exact(self):
+        assert _cos_deg(60.0) == 0.5
+        assert _sin_deg(30.0) == 0.5
+        assert _sin_deg(90.0) == 1.0
+        assert _cos_deg(90.0) == 0.0
+        assert [_cos_deg(a) for a in (0.0, 180.0, 270.0, 360.0, -90.0)] == [1.0, -1.0, 0.0, 1.0, 0.0]
+        assert [_sin_deg(a) for a in (0.0, 180.0, 270.0, 360.0, -90.0)] == [0.0, 0.0, -1.0, 0.0, -1.0]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angles_raise(self, bad):
+        for fn in (_cos_deg, _sin_deg):
+            with pytest.raises(ValueError, match="angle must be finite"):
+                fn(bad)
+
+
+def test_import_and_dataset_load_leave_mpmath_unloaded():
+    # mpmath is only the tests' trig reference; a fresh interpreter that
+    # imports vlcfed and loads the bundled dataset must not load it.
+    code = "import sys, vlcfed; vlcfed.load_bundled_dataset(); print('mpmath' in sys.modules)"
+    src = str(Path(vlcfed.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestLambertianOrder:
@@ -62,9 +121,15 @@ class TestConcentratorGain:
         assert len(set(inside)) == 1
         assert concentrator_gain(60.0, 60.0, 1.5) > 0.0
 
-    def test_rejects_negative_incidence(self):
-        with pytest.raises(ValueError):
-            concentrator_gain(-1.0, 60.0, 1.5)
+    @pytest.mark.parametrize("incidence", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_incidence(self, incidence):
+        with pytest.raises(ValueError, match=f"incidence angle must be >= 0, got {incidence!r}"):
+            concentrator_gain(incidence, 60.0, 1.5)
+
+    @pytest.mark.parametrize("fov", [math.nan, 200.0, 90.5, 0.0, -10.0, math.inf])
+    def test_rejects_a_field_of_view_outside_zero_to_ninety(self, fov):
+        with pytest.raises(ValueError, match=rf"field-of-view half angle must lie in \(0, 90\] degrees, got {fov!r}"):
+            concentrator_gain(0.0, fov, 1.5)
 
 
 class TestVlcChannelGain:

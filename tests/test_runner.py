@@ -338,6 +338,12 @@ class TestEmitReport:
             f"dataset = {built.name}",
             f"dataset_sha256 = {hashlib.sha256(path.read_bytes()).hexdigest()}",
         ]
+        # numpy's version and dispatched SIMD extensions follow the dataset hash.
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        assert from_file["manifest"].splitlines()[5:7] == [
+            f"numpy_version = {np.__version__}",
+            f"numpy_simd = {','.join(simd) or 'none'}",
+        ]
         assert "dataset_sha256 = none" in in_memory["manifest"].splitlines()
         # The hash reaches the manifest only; the CSVs do not depend on it.
         assert from_file["records"] == in_memory["records"]
