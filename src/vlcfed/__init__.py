@@ -15,9 +15,7 @@ from .allocation import (
     UsbaResult,
     get_b,
     get_s,
-    is_feasible,
     oracle_enumerate,
-    selection_objective,
     usba,
 )
 from .channel import (
@@ -29,14 +27,6 @@ from .channel import (
     vlc_rate,
     vlc_sinr,
 )
-from .compute import (
-    CostBreakdown,
-    InfeasibleLinkError,
-    computation_energy,
-    computation_time,
-    cost_breakdown,
-    transmission_time,
-)
 from .config import ConfigError, SimConfig, build_config, load_config_file
 from .dataset import (
     DataShard,
@@ -46,7 +36,6 @@ from .dataset import (
     load_bundled_dataset,
     load_dataset,
     make_synthetic,
-    save_dataset,
     split_and_partition,
 )
 from .fl import (
@@ -55,10 +44,7 @@ from .fl import (
     Standardizer,
     TrainingReport,
     UndefinedMetricError,
-    aggregate,
-    forward,
     forward_batch,
-    local_train,
     loss_gradients,
     mse_loss,
     r_squared,

@@ -18,11 +18,10 @@ Feasibility runs on a link table of what does not depend on bandwidth.
 The mode-free part (``_UserTerms``: each user's RF path gain, computation
 time and energy, transmit power and energy budget) is built once per
 (topology, config) and kept on the topology, so ``usba``,
-``oracle_enumerate`` and ``get_s`` share it in both modes; ``is_feasible``
-builds it for its one user. The build reads the topology's user columns
-(``UserColumns``), as do the shard totals and the oracle's row order, so
-selection builds no ``UserNode``; ``is_feasible`` takes the columns of its
-one user. The build checks the RF gains once. A mode is a
+``oracle_enumerate`` and ``get_s`` share it in both modes. The build reads
+the topology's user columns (``UserColumns``), as do the shard totals and
+the oracle's row order, so selection builds no ``UserNode``. The build
+checks the RF gains once. A mode is a
 cheap view of it (``_LinkTable``): which downlinks are VLC, the backhaul
 delay, the RF downlink powers and, in hybrid mode only, the per-AP optical
 signal powers of indoor users and their interference. One pass over a view
@@ -60,10 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# rf_rate, vlc_sinr and cost_breakdown are the checked, per-user forms of a
-# pass; they stay importable from this module, where perfbench/spans.py
-# probes them.
-from .channel import (  # noqa: F401
+from .channel import (
     _RF_RATE_ARGS_ERROR,
     _rf_channel_gain,
     _rf_rate,
@@ -71,12 +67,10 @@ from .channel import (  # noqa: F401
     _vlc_signal_powers,
     best_ap_sinr,
     best_ap_terms,
-    rf_rate,
-    vlc_sinr,
 )
-from .compute import _computation_energy, _computation_time, _round_costs, cost_breakdown  # noqa: F401
+from .compute import _computation_energy, _computation_time, _round_costs
 from .config import SimConfig
-from .topology import Topology, UserColumns, UserNode
+from .topology import Topology
 
 MODES = ("hybrid", "rf_only")
 
@@ -135,23 +129,24 @@ def _check_mode(mode: str) -> None:
 
 
 class _UserTerms:
-    """The bandwidth- and mode-free terms of some users under one config.
+    """The bandwidth- and mode-free terms of a topology's users under one config.
 
-    The build reads the users' columns, so it builds no ``UserNode``. Each
-    term comes from the same scalar formula, in the same order, as a
-    per-user evaluation would use: distances, logarithms, powers and squares
-    are libm calls on Python floats, since numpy's can differ in the last
-    bit, and sums, products and quotients run on the arrays, where IEEE
-    arithmetic gives the same bits. The RF gains come from the unchecked
-    kernel, user by user, and the computation terms from the unchecked
+    The build reads the topology's user columns, so it builds no
+    ``UserNode``. Each term comes from the same scalar formula, in the same
+    order, as a per-user evaluation would use: distances, logarithms, powers
+    and squares are libm calls on Python floats, since numpy's can differ in
+    the last bit, and sums, products and quotients run on the arrays, where
+    IEEE arithmetic gives the same bits. The RF gains come from the
+    unchecked kernel, user by user, and the computation terms from the
     kernels on the columns; ``SimConfig`` guarantees the accuracy and ``nu``
     they take. It raises ValueError for a user at the BS and ``rf_rate``'s
     ValueError on an RF gain that underflows to 0 far enough from the BS.
     ``views`` holds the link table of each mode built on these terms.
     """
 
-    def __init__(self, users: UserColumns, topology: Topology, config: SimConfig):
+    def __init__(self, topology: Topology, config: SimConfig):
         self.config = config
+        users = topology.users
         self.ids, self.indoor, self.position = users.id, users.indoor, users.position
         self.tx_power, self.budget = users.tx_power_w, users.energy_budget_j
         bx, by = topology.bs_position
@@ -255,25 +250,13 @@ def _links(topology: Topology, config: SimConfig, mode: str) -> _LinkTable:
     """
     terms = topology._link_terms
     if terms is None or terms.config is not config:
-        terms = _UserTerms(topology.users, topology, config)
+        terms = _UserTerms(topology, config)
         object.__setattr__(topology, "_link_terms", terms)  # Topology is frozen
     links = terms.views.get(mode)
     if links is None:
         # A view that fails to build is not kept, so the other mode stays usable.
         links = terms.views[mode] = _LinkTable(terms, topology, mode)
     return links
-
-
-def is_feasible(
-    user: UserNode,
-    bw: BandwidthAllocation,
-    topology: Topology,
-    config: SimConfig,
-    mode: str = "hybrid",
-) -> bool:
-    """Can this user finish a round within the time budget and energy cap?"""
-    links = _LinkTable(_UserTerms(UserColumns.of((user,)), topology, config), topology, mode)
-    return bool(links.feasible(bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)[0])
 
 
 def get_s(
@@ -314,13 +297,6 @@ def get_b(selection: Selection, config: SimConfig, mode: str = "hybrid") -> Band
     if not selection:
         raise EmptySelectionError("cannot allocate bandwidth to an empty selection")
     return block_widths(len(selection.indoor_ids), len(selection.outdoor_ids), config, mode)
-
-
-def selection_objective(selection: Selection, topology: Topology) -> float:
-    """Total training samples contributed by the selected users."""
-    users = topology.users
-    shard_sizes = dict(zip(users.id.tolist(), users.shard_size.tolist()))
-    return float(sum(shard_sizes[i] for i in selection.all_ids))
 
 
 def default_initial_bandwidth(topology: Topology, config: SimConfig) -> BandwidthAllocation:

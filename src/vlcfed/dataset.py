@@ -121,18 +121,6 @@ def load_dataset(path: str, name: str | None = None) -> Dataset:
     return Dataset(features, targets, name or path, raw)
 
 
-def save_dataset(data: Dataset, path: str) -> None:
-    """Write a Dataset back out in the loadable CSV format (with header)."""
-    header = [f"x{i + 1}" for i in range(N_FEATURES)] + ["y"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n_rows):
-            writer.writerow(
-                ["%.17g" % v for v in data.features[i]] + ["%.17g" % data.targets[i]]
-            )
-
-
 def load_bundled_dataset() -> Dataset:
     """Load the synthetic housing-format corpus shipped with the package."""
     ref = resources.files("vlcfed").joinpath("data").joinpath(BUNDLED_DATASET)

@@ -88,11 +88,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.maximum(ez, z >= 0) / (1.0 + ez)
 
 
-def forward(model: MlpModel, x) -> float:
-    """Prediction for a single 13-feature input."""
-    return float(forward_batch(model, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Predictions for an (n, 13) batch; sigmoid hidden layer, linear output."""
     hidden = _sigmoid(x @ model.w1 + model.b1)
@@ -153,13 +148,6 @@ def _local_descent(model: MlpModel, x: np.ndarray, y: np.ndarray, epochs: int, l
     return params
 
 
-def local_train(model: MlpModel, shard: DataShard, epochs: int, lr: float) -> MlpModel:
-    """Full-batch gradient descent on one shard; returns a new model."""
-    if shard.size == 0:
-        raise ValueError(f"user {shard.owner}: cannot train on an empty shard")
-    return _from_flat(_local_descent(model, shard.x[None], shard.y[None], epochs, lr)[0])
-
-
 def _shard_weights(shard_sizes) -> np.ndarray:
     total = float(sum(shard_sizes))
     if total <= 0:
@@ -168,28 +156,13 @@ def _shard_weights(shard_sizes) -> np.ndarray:
 
 
 def _sum_rows(stack: np.ndarray) -> np.ndarray:
-    return np.add.reduce(stack, axis=0) + 0.0
-
-
-def _weighted_sum(stack: np.ndarray, shard_sizes) -> np.ndarray:
-    """Rows of a (K, _N_PARAMS) stack weighted by shard_size / total, added in row order.
+    """The rows of a (K, _N_PARAMS) stack added in row order.
 
     An axis-0 reduction of a (K, _N_PARAMS) stack adds its rows in order,
     while numpy may add a (K, 1) column pairwise. Adding 0.0 turns a -0.0
     total into +0.0, as accumulating from zeros does.
     """
-    return _sum_rows(_shard_weights(shard_sizes) * stack)
-
-
-def aggregate(models: list[MlpModel], shard_sizes: list[int]) -> MlpModel:
-    """Parameter-wise average weighted by shard size."""
-    if not models:
-        raise ValueError("nothing to aggregate")
-    if len(models) != len(shard_sizes):
-        raise ValueError(
-            f"got {len(models)} models but {len(shard_sizes)} shard sizes"
-        )
-    return _from_flat(_weighted_sum(np.stack([_flatten(m) for m in models]), shard_sizes))
+    return np.add.reduce(stack, axis=0) + 0.0
 
 
 def r_squared(predictions, truth) -> float:

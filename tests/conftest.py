@@ -1,3 +1,6 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from vlcfed import SimConfig, Topology, UserNode
@@ -31,6 +34,15 @@ def make_user(
         tx_power_w=tx_power_w,
         energy_budget_j=energy_budget_j,
     )
+
+
+def write_dataset(data, path):
+    """Write a Dataset in the CSV format ``load_dataset`` reads, each value
+    at 17 significant digits, so it reads back exactly."""
+    rows = np.column_stack((data.features, data.targets))
+    header = [f"x{i + 1}" for i in range(data.features.shape[1])] + ["y"]
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def make_topology(users, aps=((0.0, 0.0, 3.35),), cell_radius=50.0):

@@ -17,18 +17,13 @@ from vlcfed import (
     SimConfig,
     UsbaResult,
     UserNode,
-    computation_energy,
-    computation_time,
-    cost_breakdown,
     generate_topology,
     get_b,
     get_s,
-    is_feasible,
     load_bundled_dataset,
     oracle_enumerate,
     rf_channel_gain,
     rf_rate,
-    selection_objective,
     usba,
     vlc_rate,
     vlc_sinr,
@@ -124,10 +119,16 @@ def staircase_oracle(topo, cfg, mode):
     return UsbaResult(best_sel, best_bw or default_initial_bandwidth(topo, cfg), 0, True, best_obj)
 
 
+def selection_objective(selection, topo):
+    """Total training samples contributed by the selected users."""
+    shard_sizes = {u.id: u.shard_size for u in topo.users}
+    return float(sum(shard_sizes[i] for i in selection.all_ids))
+
+
 def reference_usba(topo, cfg, mode):
     """``usba`` with a ``Selection`` as its state, through the public
-    ``get_s``, ``get_b`` and ``selection_objective``, as it ran before its
-    state became a feasibility mask. Kept as the reference."""
+    ``get_s`` and ``get_b`` and the ``selection_objective`` above, as it ran
+    before its state became a feasibility mask. Kept as the reference."""
     if cfg.initial_bandwidth is not None:
         bw = BandwidthAllocation(*cfg.initial_bandwidth)
     else:
@@ -236,35 +237,6 @@ class TestSelectionType:
         assert bool(s) and not bool(sel())
 
 
-class TestIsFeasible:
-    def test_compute_time_alone_can_kill(self, config):
-        user = make_user(indoor=False, cycles_per_sample=1e9, cpu_freq_hz=1e8)  # ~62 s
-        topo = make_topology([user])
-        bw = BandwidthAllocation(20e6, 20e6, 40e6)
-        assert not is_feasible(user, bw, topo, config)
-
-    def test_compute_energy_alone_can_kill(self, config):
-        user = make_user(indoor=False, cpu_freq_hz=1e10, cycles_per_sample=3e7,
-                         energy_budget_j=0.5)
-        topo = make_topology([user])
-        bw = BandwidthAllocation(20e6, 20e6, 40e6)
-        assert not is_feasible(user, bw, topo, config)
-
-    def test_bandwidth_flips_indoor_feasibility(self, config):
-        user = make_user(indoor=True, xy=(0.0, 1.0), tx_power_w=0.1)
-        topo = make_topology([user], aps=[(0.0, 0.0, 3.35)])
-        wide = BandwidthAllocation(1e6, 1e6, 40e6)
-        tiny = BandwidthAllocation(1e3, 1e3, 40e6)
-        assert is_feasible(user, wide, topo, config)
-        assert not is_feasible(user, tiny, topo, config)
-
-    def test_mode_validation(self, config):
-        user = make_user()
-        topo = make_topology([user])
-        with pytest.raises(ValueError):
-            is_feasible(user, BandwidthAllocation(1e6, 1e6, 1e6), topo, config, mode="other")
-
-
 class TestGetS:
     def test_huge_bandwidth_selects_compute_envelope(self, config):
         users = [
@@ -286,6 +258,19 @@ class TestGetS:
         got = get_s(BandwidthAllocation(1e6, 1e6, 1e6), make_topology([]), config)
         assert got == sel()
 
+    def test_compute_time_alone_can_kill(self, config):
+        topo = make_topology([make_user(indoor=False, cycles_per_sample=1e9, cpu_freq_hz=1e8)])  # ~62 s
+        assert get_s(BandwidthAllocation(20e6, 20e6, 40e6), topo, config) == sel()
+
+    def test_compute_energy_alone_can_kill(self, config):
+        user = make_user(indoor=False, cpu_freq_hz=1e10, cycles_per_sample=3e7, energy_budget_j=0.5)
+        assert get_s(BandwidthAllocation(20e6, 20e6, 40e6), make_topology([user]), config) == sel()
+
+    def test_bandwidth_flips_indoor_feasibility(self, config):
+        topo = make_topology([make_user(indoor=True, xy=(0.0, 1.0), tx_power_w=0.1)], aps=[(0.0, 0.0, 3.35)])
+        assert get_s(BandwidthAllocation(1e6, 1e6, 40e6), topo, config) == sel(indoor=[0])
+        assert get_s(BandwidthAllocation(1e3, 1e3, 40e6), topo, config) == sel()
+
     def test_monotone_in_bandwidth(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -299,18 +284,34 @@ class TestGetS:
 
 
 class TestSelectionObjective:
-    def test_empty_is_zero(self):
-        assert selection_objective(sel(), make_topology([])) == 0.0
+    """The objective that ``usba`` and ``oracle_enumerate`` report: the
+    training samples of the users they select."""
 
-    def test_equal_shards(self):
-        users = [make_user(id=i, shard_size=9) for i in range(30)]
-        topo = make_topology(users)
-        assert selection_objective(sel(outdoor=range(30)), topo) == 270.0
+    @staticmethod
+    def objectives(topo, cfg):
+        return [usba(topo, cfg).objective, oracle_enumerate(topo, cfg).objective]
 
-    def test_mixed_shards(self):
-        users = [make_user(id=i, shard_size=d) for i, d in enumerate((3, 5, 7))]
+    def test_empty_is_zero(self, config):
+        assert self.objectives(make_topology([]), config) == [0.0, 0.0]
+
+    def test_equal_shards(self, config):
+        users = [make_user(id=i, xy=(10.0 + i, 0.0), shard_size=9, energy_budget_j=1e3) for i in range(12)]
+        assert self.objectives(make_topology(users), config.replace(t_round_s=1e5)) == [108.0, 108.0]
+
+    def test_mixed_shards(self, config):
+        users = [make_user(id=i, xy=(10.0 + i, 0.0), shard_size=d) for i, d in enumerate((3, 5, 7))]
+        assert self.objectives(make_topology(users), config.replace(t_round_s=1e5)) == [15.0, 15.0]
+
+    def test_an_unselected_user_adds_nothing(self, config):
+        users = [
+            make_user(id=0, xy=(10.0, 0.0), shard_size=3),
+            make_user(id=1, xy=(11.0, 0.0), shard_size=5, cycles_per_sample=1e9, cpu_freq_hz=1e8),  # ~62 s of CPU
+            make_user(id=2, xy=(12.0, 0.0), shard_size=7),
+        ]
         topo = make_topology(users)
-        assert selection_objective(sel(outdoor=[0, 1, 2]), topo) == 15.0
+        result = usba(topo, config)
+        assert result.selection == sel(outdoor=[0, 2])
+        assert self.objectives(topo, config) == [10.0, 10.0]
 
 
 class TestUsba:
@@ -836,8 +837,10 @@ class TestInitialBandwidth:
 
 
 def _reference_cost(user, bw, topo, cfg, mode):
-    """One user's round cost from the public scalar functions, or None when a
-    link has no rate: the per-user evaluation that the link table replaced."""
+    """One user's round time and energy, or None when a link has no rate: the
+    per-user evaluation that the link table replaced. The rates come from the
+    public scalar channel functions; the costs are written out here on Python
+    floats, so a pass that sums or multiplies in another order fails."""
     d = math.hypot(user.position[0] - topo.bs_position[0], user.position[1] - topo.bs_position[1])
     h = rf_channel_gain(d, user.indoor, cfg)
     up = rf_rate(user.tx_power_w, h, cfg.uplink_interference_w, bw.b_up_hz, cfg.rf_noise_psd)
@@ -848,14 +851,26 @@ def _reference_cost(user, bw, topo, cfg, mode):
         down = rf_rate(cfg.bs_tx_power_w, h, cfg.downlink_interference_w, bw.b_down_hz, cfg.rf_noise_psd)
     if up <= 0.0 or down <= 0.0:
         return None
-    return cost_breakdown(user, up, down, cfg, via_vlc)
+    t_cmp, e_cmp = _reference_computation(user, cfg)
+    t_up, t_down = cfg.payload_bits / up, cfg.payload_bits / down
+    backhaul = cfg.backhaul_delay_s if via_vlc else 0.0
+    return t_down + t_up + t_cmp + backhaul, e_cmp + t_up * user.tx_power_w
+
+
+def _reference_computation(user, cfg):
+    """One user's CPU time and energy for a round of local training."""
+    log_inv_accuracy = math.log(1.0 / cfg.local_accuracy)
+    t_cmp = cfg.nu * user.cycles_per_sample * user.shard_size * log_inv_accuracy / user.cpu_freq_hz
+    cycles_total = user.cycles_per_sample * user.shard_size
+    e_cmp = cfg.nu * user.capacitance_coeff * cycles_total / 2.0 * user.cpu_freq_hz ** 2 * log_inv_accuracy
+    return t_cmp, e_cmp
 
 
 def _reference_selection(bw, topo, cfg, mode):
     indoor, outdoor = set(), set()
     for user in topo.users:
         cost = _reference_cost(user, bw, topo, cfg, mode)
-        if cost and cost.round_time <= cfg.t_round_s and cost.total_energy <= user.energy_budget_j:
+        if cost and cost[0] <= cfg.t_round_s and cost[1] <= user.energy_budget_j:
             (indoor if user.indoor else outdoor).add(user.id)
     return sel(indoor, outdoor)
 
@@ -882,7 +897,6 @@ class TestLinkTableMatchesPerUserReference:
         bw = BandwidthAllocation(*(10.0**w for w in widths))
         expected = _reference_selection(bw, topo, cfg, mode)
         assert get_s(bw, topo, cfg, mode) == expected
-        assert {u.id for u in topo.users if is_feasible(u, bw, topo, cfg, mode)} == expected.all_ids
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
@@ -924,7 +938,6 @@ class TestLinkTableMatchesPerUserReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert get_s(bw, topo, config, mode) == _reference_selection(bw, topo, config, mode) == sel(outdoor=[0])
-            assert [is_feasible(u, bw, topo, config, mode) for u in topo.users] == [True, False]
             assert usba(topo, config, mode).selection == sel(outdoor=[0])
             assert oracle_enumerate(topo, config, mode).selection == sel(outdoor=[0])
 
@@ -934,7 +947,7 @@ class TestLinkTableMatchesPerUserReference:
         topo = generate_topology(cfg, seed=5)
         bw = default_initial_bandwidth(topo, cfg)
         user = topo.users[3]
-        round_time = _reference_cost(user, bw, topo, cfg, mode).round_time
+        round_time, _ = _reference_cost(user, bw, topo, cfg, mode)
         assert user.id in get_s(bw, topo, cfg.replace(t_round_s=round_time), mode).all_ids
         below = math.nextafter(round_time, 0.0)
         assert user.id not in get_s(bw, topo, cfg.replace(t_round_s=below), mode).all_ids
@@ -945,7 +958,7 @@ class TestLinkTableMatchesPerUserReference:
         topo = generate_topology(cfg, seed=5)
         bw = default_initial_bandwidth(topo, cfg)
         user = topo.users[3]
-        energy = _reference_cost(user, bw, topo, cfg, mode).total_energy
+        _, energy = _reference_cost(user, bw, topo, cfg, mode)
 
         def with_budget(budget):
             users = list(topo.users)
@@ -956,9 +969,9 @@ class TestLinkTableMatchesPerUserReference:
         assert user.id not in get_s(bw, with_budget(math.nextafter(energy, 0.0)), cfg, mode).all_ids
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_build_terms_equal_the_public_functions(self, mode):
-        # The build calls the unchecked kernels on Python floats; each term must
-        # keep the bits of the checked public function.
+    def test_build_terms_equal_the_per_user_reference(self, mode):
+        # The build calls the kernels on the user columns; each term must keep
+        # the bits of the per-user formula on Python floats.
         rng = np.random.default_rng(1313)
         for i in range(80):
             topo, cfg = random_instance(rng, n_range=(1, 40))
@@ -974,8 +987,9 @@ class TestLinkTableMatchesPerUserReference:
             bx, by = topo.bs_position
             dists = [math.hypot(u.position[0] - bx, u.position[1] - by) for u in topo.users]
             assert links.gain.tolist() == [rf_channel_gain(d, u.indoor, cfg) for u, d in zip(topo.users, dists)]
-            assert links.t_cmp.tolist() == [computation_time(u, cfg.local_accuracy, cfg.nu) for u in topo.users]
-            assert links.e_cmp.tolist() == [computation_energy(u, cfg.local_accuracy, cfg.nu) for u in topo.users]
+            reference = [_reference_computation(u, cfg) for u in topo.users]
+            assert links.t_cmp.tolist() == [t_cmp for t_cmp, _ in reference]
+            assert links.e_cmp.tolist() == [e_cmp for _, e_cmp in reference]
 
 
 class TestSharedLinkTable:
@@ -1085,7 +1099,6 @@ class TestColumnPath:
                 usba(topo, cfg, mode)
                 oracle_enumerate(topo, cfg, mode)
                 get_s(BandwidthAllocation(2e5, 3e5, 4e6), topo, cfg, mode)
-            selection_objective(usba(topo, cfg).selection, topo)
             default_initial_bandwidth(topo, cfg)
         assert built == []
 
@@ -1141,11 +1154,10 @@ class TestLoudFailures:
         "call",
         [
             lambda topo, cfg, mode: get_s(BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, mode),
-            lambda topo, cfg, mode: is_feasible(topo.users[1], BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, mode),
             usba,
             oracle_enumerate,
         ],
-        ids=["get_s", "is_feasible", "usba", "oracle_enumerate"],
+        ids=["get_s", "usba", "oracle_enumerate"],
     )
     def test_underflowed_rf_gain_is_rejected(self, config, call, mode):
         far = make_user(id=1, xy=(1e90, 0.0))
@@ -1159,11 +1171,10 @@ class TestLoudFailures:
         "call",
         [
             lambda topo, cfg, mode: get_s(BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, mode),
-            lambda topo, cfg, mode: is_feasible(topo.users[1], BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, mode),
             usba,
             oracle_enumerate,
         ],
-        ids=["get_s", "is_feasible", "usba", "oracle_enumerate"],
+        ids=["get_s", "usba", "oracle_enumerate"],
     )
     def test_a_user_at_the_bs_is_rejected(self, config, call, mode):
         topo = make_topology([make_user(id=0, xy=(20.0, 0.0)), make_user(id=1, xy=(0.0, 0.0))])
@@ -1184,8 +1195,6 @@ class TestLoudFailures:
         topo = generate_topology(SimConfig(), 0)
         with pytest.raises(ValueError, match="block widths must be finite and > 0"):
             get_s(BandwidthAllocation(*widths), topo, config)
-        with pytest.raises(ValueError, match="block widths must be finite and > 0"):
-            is_feasible(topo.users[0], BandwidthAllocation(*widths), topo, config)
 
     def test_get_s_rejects_unknown_mode(self, config):
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -1195,12 +1204,11 @@ class TestLoudFailures:
         "call",
         [
             lambda topo, cfg: get_s(BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, "other"),
-            lambda topo, cfg: is_feasible(topo.users[0], BandwidthAllocation(1e6, 1e6, 1e6), topo, cfg, "other"),
             lambda topo, cfg: get_b(Selection(frozenset(), frozenset({0})), cfg, "other"),
             lambda topo, cfg: usba(topo, cfg, "other"),
             lambda topo, cfg: oracle_enumerate(topo, cfg, "other"),
         ],
-        ids=["get_s", "is_feasible", "get_b", "usba", "oracle_enumerate"],
+        ids=["get_s", "get_b", "usba", "oracle_enumerate"],
     )
     def test_every_entry_point_rejects_an_unknown_mode(self, config, call):
         with pytest.raises(ValueError, match="mode must be one of"):

@@ -9,10 +9,10 @@ from vlcfed import (
     load_bundled_dataset,
     load_dataset,
     make_synthetic,
-    save_dataset,
     split_and_partition,
 )
 from vlcfed.dataset import shard_size
+from tests.conftest import write_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -77,7 +77,7 @@ class TestLoadDataset:
     def test_roundtrip_is_exact(self, tmp_path):
         data = make_synthetic(50, seed=9)
         path = str(tmp_path / "round.csv")
-        save_dataset(data, path)
+        write_dataset(data, path)
         back = load_dataset(path)
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.targets, data.targets)

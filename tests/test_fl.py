@@ -12,10 +12,7 @@ from vlcfed import (
     Selection,
     SimConfig,
     UndefinedMetricError,
-    aggregate,
-    forward,
     forward_batch,
-    local_train,
     loss_gradients,
     make_synthetic,
     mse_loss,
@@ -35,6 +32,25 @@ def random_batch(rng, n=6):
     return rng.normal(size=(n, 13)), rng.normal(size=n)
 
 
+def predict(model, x):
+    """The prediction for one 13-feature input."""
+    return float(forward_batch(model, np.asarray(x, dtype=float)[None, :])[0])
+
+
+def descend(model, shard, epochs, lr):
+    """Local training on one shard: the stacked descent with K = 1."""
+    return fl._from_flat(fl._local_descent(model, shard.x[None], shard.y[None], epochs, lr)[0])
+
+
+def stack_of(models):
+    return np.stack([fl._flatten(m) for m in models])
+
+
+def average(stack, sizes):
+    """The FedAvg average of a (K, _N_PARAMS) stack, formed as training forms it."""
+    return fl._from_flat(fl._sum_rows(fl._shard_weights(sizes) * stack))
+
+
 class TestRequiredGlobalRounds:
     def test_examples(self):
         assert required_global_rounds(0.5) == 2
@@ -50,7 +66,7 @@ class TestRequiredGlobalRounds:
 class TestForward:
     def test_all_zero_model_predicts_zero(self):
         model = MlpModel.zeros()
-        assert forward(model, np.ones(13)) == 0.0
+        assert predict(model, np.ones(13)) == 0.0
 
     def test_zero_first_layer_closed_form(self):
         rng = np.random.default_rng(0)
@@ -59,7 +75,7 @@ class TestForward:
         model.b2 = rng.normal(size=1)
         # hidden activations are all sigmoid(0) = 0.5
         expected = 0.5 * model.w2.sum() + model.b2[0]
-        assert forward(model, rng.normal(size=13)) == pytest.approx(expected, rel=1e-12)
+        assert predict(model, rng.normal(size=13)) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(1)
@@ -74,7 +90,7 @@ class TestForward:
         expected = model.b2[0]
         for j in range(10):
             expected += hidden[j] * model.w2[j, 0]
-        assert forward(model, x) == pytest.approx(expected, rel=1e-12)
+        assert predict(model, x) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGradients:
@@ -107,61 +123,70 @@ class TestLocalTrain:
 
     def test_zero_learning_rate_is_identity(self):
         model = random_model(4)
-        out = local_train(model, self.shard(), epochs=3, lr=0.0)
+        out = descend(model, self.shard(), epochs=3, lr=0.0)
         for a, b in zip(model.params(), out.params()):
             assert np.array_equal(a, b)
 
     def test_does_not_mutate_input_model(self):
         model = random_model(5)
         before = [p.copy() for p in model.params()]
-        local_train(model, self.shard(), epochs=2, lr=0.1)
+        descend(model, self.shard(), epochs=2, lr=0.1)
         for a, b in zip(before, model.params()):
             assert np.array_equal(a, b)
 
     def test_loss_decreases_for_small_step(self):
         model = random_model(6)
         shard = self.shard(1)
-        out = local_train(model, shard, epochs=1, lr=0.01)
+        out = descend(model, shard, epochs=1, lr=0.01)
         assert mse_loss(out, shard.x, shard.y) < mse_loss(model, shard.x, shard.y)
 
     def test_empty_shard_rejected(self):
-        empty = DataShard(owner=0, x=np.empty((0, 13)), y=np.empty(0))
-        with pytest.raises(ValueError):
-            local_train(random_model(0), empty, epochs=1, lr=0.1)
+        empty = DataShard(owner=1, x=np.empty((0, 13)), y=np.empty(0))
+        test = make_synthetic(10, seed=0)
+        with pytest.raises(ValueError, match=r"users \[1\]: cannot train on an empty shard"):
+            run_federated_training(Selection(frozenset(), frozenset([0, 1])), [self.shard(), empty], test, SimConfig(), 0)
 
 
 class TestAggregate:
     def test_single_model_unchanged(self):
         model = random_model(7)
-        out = aggregate([model], [5])
+        out = average(stack_of([model]), [5])
         for a, b in zip(model.params(), out.params()):
             assert np.allclose(a, b, rtol=0, atol=0)
 
     def test_identical_models_any_weights(self):
         model = random_model(8)
-        out = aggregate([model, model.copy()], [1, 7])
+        out = average(stack_of([model, model.copy()]), [1, 7])
         for a, b in zip(model.params(), out.params()):
             assert np.allclose(a, b, rtol=1e-15)
 
     def test_weighted_mean_of_scalars(self):
         a, b = MlpModel.zeros(), MlpModel.zeros()
         b.b2 = np.array([4.0])
-        out = aggregate([a, b], [1, 3])
+        out = average(stack_of([a, b]), [1, 3])
         assert out.b2[0] == pytest.approx(3.0)
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([random_model(0)], [1, 2])
-        with pytest.raises(ValueError):
-            aggregate([random_model(0)], [0])
+    def test_zero_total_weight_rejected(self):
+        with pytest.raises(ValueError, match="total sample count must be > 0"):
+            fl._shard_weights([0])
+
+    def test_weights_are_shard_fractions(self):
+        weights = fl._shard_weights([1, 3, 4])
+        assert weights.shape == (3, 1)
+        assert weights[:, 0].tolist() == [1 / 8, 3 / 8, 4 / 8]
+
+    def test_a_negative_zero_total_comes_out_positive(self):
+        total = fl._sum_rows(np.array([[-0.0, 1.0], [-0.0, -1.0]]))
+        assert total.tolist() == [0.0, 0.0]
+        assert math.copysign(1.0, total[0]) == 1.0
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.permutations(range(4)))
     @settings(max_examples=25, deadline=None)
     def test_permutation_invariant_and_in_hull(self, seed, order):
         models = [random_model(seed + i) for i in range(4)]
         sizes = [1, 2, 3, 4]
-        base = aggregate(models, sizes)
-        shuffled = aggregate([models[i] for i in order], [sizes[i] for i in order])
+        base = average(stack_of(models), sizes)
+        shuffled = average(stack_of([models[i] for i in order]), [sizes[i] for i in order])
         for a, b in zip(base.params(), shuffled.params()):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
         for p_idx, param in enumerate(base.params()):
@@ -258,7 +283,7 @@ class TestRunFederatedTraining:
 
         scaler = Standardizer.fit(shards[0].x, shards[0].y)
         shard_std = DataShard(0, scaler.transform_x(shards[0].x), scaler.transform_y(shards[0].y))
-        model = local_train(MlpModel.init_random(3), shard_std, epochs=4, lr=0.2)
+        model = descend(MlpModel.init_random(3), shard_std, epochs=4, lr=0.2)
         pred = scaler.inverse_y(forward_batch(model, scaler.transform_x(test.features)))
         assert rep.final_r2 == pytest.approx(r_squared(pred, test.targets), rel=1e-12)
 
@@ -377,7 +402,7 @@ class TestBatchedKernel:
         singles = [per_user_descent(model, x[i], y[i], epochs, 0.6) for i in range(k)]
         for row, single in zip(stack, singles):
             assert_same_model(fl._from_flat(row), single)
-        assert_same_model(fl._from_flat(fl._weighted_sum(stack, sizes)), sequential_average(singles, sizes))
+        assert_same_model(average(stack, sizes), sequential_average(singles, sizes))
 
     @given(
         k=st.integers(1, 60),
@@ -411,7 +436,7 @@ class TestBatchedKernel:
         if big_row:
             stack[rng.integers(len(sizes))] *= 1e16
         models = [fl._from_flat(row) for row in stack]
-        got = fl._from_flat(fl._weighted_sum(stack, sizes))
+        got = average(stack, sizes)
         want = sequential_average(models, sizes)
         for p, q in zip(got.params(), want.params()):
             assert p.tobytes() == q.tobytes()
@@ -426,7 +451,7 @@ class TestBatchedKernel:
         column = np.array([[(1 / 16) * m.b2[0]] for m in models])
         expected = sequential_average(models, sizes).b2
         assert column.sum(axis=0) != expected  # the case tells the two orders apart
-        assert np.array_equal(aggregate(models, sizes).b2, expected)
+        assert np.array_equal(average(stack_of(models), sizes).b2, expected)
 
     def test_stacked_gradients_match_central_finite_differences(self):
         rng = np.random.default_rng(13)

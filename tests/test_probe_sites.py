@@ -12,6 +12,20 @@ import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
+# The checked per-user forms these sites named are gone from vlcfed: no vlcfed
+# code called them, since a feasibility pass and FedAvg run batched kernels,
+# so their metrics already read 0 before the removal. perfbench still lists
+# them; they must stay unresolved, so that a probe cannot silently measure a
+# function that came back under an old name.
+RETIRED = (
+    "vlcfed.allocation:rf_rate",
+    "vlcfed.allocation:vlc_sinr",
+    "vlcfed.allocation:cost_breakdown",
+    "vlcfed.allocation:is_feasible",
+    "vlcfed.fl:local_train",
+    "vlcfed.fl:aggregate",
+)
+
 
 def _probe_sites():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
@@ -20,12 +34,21 @@ def _probe_sites():
     return [site for _, _, sites, _ in spans.PROBES for site in sites]
 
 
-@pytest.mark.parametrize("site", _probe_sites())
-def test_probe_site_resolves(site):
+def _resolve(site):
+    """The function a probe at ``site`` would patch, as perfbench looks it up, or None."""
     module_name, _, path = site.partition(":")
     owner = importlib.import_module(module_name)
     *parents, attr = path.split(".")
     for part in parents:
         owner = getattr(owner, part)
-    target = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
-    assert callable(target), f"{site} does not resolve to a function"
+    return owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+
+
+@pytest.mark.parametrize("site", [site for site in _probe_sites() if site not in RETIRED])
+def test_probe_site_resolves(site):
+    assert callable(_resolve(site)), f"{site} does not resolve to a function"
+
+
+@pytest.mark.parametrize("site", RETIRED)
+def test_retired_probe_site_does_not_resolve(site):
+    assert _resolve(site) is None, f"{site} resolves again; probe it as a live site"

@@ -20,7 +20,6 @@ from vlcfed import (
     load_config_file,
     load_dataset,
     make_synthetic,
-    save_dataset,
     usba,
 )
 from vlcfed import runner
@@ -34,6 +33,7 @@ from vlcfed.runner import (
     sweep_bandwidth,
     sweep_users,
 )
+from tests.conftest import write_dataset
 
 
 SCALAR_FIELDS = tuple(name for name, _, _ in _SCALAR_RULES)
@@ -321,7 +321,7 @@ class TestEmitReport:
     def test_manifest_states_version_and_dataset_hash(self, tmp_path):
         built = make_synthetic(80, seed=3)
         path = tmp_path / "data.csv"
-        save_dataset(built, str(path))
+        write_dataset(built, path)
         loaded = load_dataset(str(path), name=built.name)
         cfg = SimConfig(n_users=8, global_rounds=2)
 
