@@ -15,33 +15,42 @@ solutions when the other side is fixed:
   get B_vlc / |S1|.
 
 Feasibility runs on a link table of what does not depend on bandwidth.
-The mode-free part (``_UserTerms``: each user's RF path gain, computation
-time and energy, transmit power and energy budget) is built once per
+The mode-free part (``_UserTerms``: each user's RF path gain, received
+uplink power and computation time and energy) is built once per
 (topology, config) and kept on the topology, so ``usba``,
 ``oracle_enumerate`` and ``get_s`` share it in both modes. The build reads
-the topology's user columns (``UserColumns``), as do the shard totals and
-the oracle's row order, so selection builds no ``UserNode``. The build
-checks the RF gains once. A mode is a
-cheap view of it (``_LinkTable``): which downlinks are VLC, the backhaul
-delay, the RF downlink powers and, in hybrid mode only, the per-AP optical
-signal powers of indoor users and their interference. One pass over a view
-calls the unchecked rate and cost kernels, whose formulas live in
-``channel`` and ``compute``: it computes every user's up/down rates and
-round cost as arrays and yields a feasibility mask. A pass takes block
-widths as floats, for one mask, or as (P, 1) arrays, for P masks at once,
-each equal bit for bit to the pass at its own widths. Nothing is
-remembered between passes: ``usba`` tests each visited state once, and the
-oracle makes one batched pass.
+the topology's user columns (``UserColumns``), so selection builds no
+``UserNode``. The build checks the RF gains once. A mode is a cheap view
+of it (``_LinkTable``) that lists the users with the VLC-downlink rows
+first, the identity for a drawn topology, and keeps their ids, indoor flags,
+shard sizes, transmit powers and energy budgets in that order: the shard
+totals, the selections and the oracle's row order read them from the view.
+It holds the backhaul delay, the received power
+and interference of every RF link (the RF downlinks, then every uplink)
+and, in hybrid mode only, the per-AP optical signal powers of indoor users
+and their interference. One pass over a view calls the unchecked rate and
+cost kernels, whose formulas live in ``channel`` and ``compute``: it
+computes one rate vector, laid out [VLC down | RF down | RF up], whose
+halves are every user's down and up rates, then each user's round cost,
+and yields a feasibility mask. A pass takes block widths as floats, for one
+mask, or as (P, 1) arrays, for P masks at once, each equal bit for bit to
+the pass at its own widths. Nothing is remembered between passes: ``usba``
+tests each visited state once, and the oracle makes one batched pass. A
+link without rate costs payload / 0 = inf, so each entry point (``get_s``,
+``usba``, ``oracle_enumerate``) silences numpy's divide warning once for
+all its passes.
 
 ``usba`` alternates the two from the full-selection widths until the pair is a
 fixed point, which it knows without a pass once the widths repeat. Its state
-is a pass's mask over the table's users, not a ``Selection``: the counts that
-set the next widths, the self-support test and the revisit key all read the
-mask, and one ``Selection`` is built for the state it returns. The
-alternation can oscillate between an optimistic and a pessimistic state, so
-each step also tests whether the state it steps from supports itself; a
-revisit, an empty state or the iteration limit ends the alternation with the
-best self-supporting state flagged non-converged.
+is a pass's mask over the view's users and its count, not a ``Selection``:
+the counts that set the next widths, the self-support test (the members
+still feasible at the next widths number as many as the state) and the
+revisit key all read the mask, the widths are compared as tuples, and one
+``Selection`` and ``BandwidthAllocation`` are built for the state it
+returns. The alternation can oscillate between an optimistic and a
+pessimistic state, so each step also tests whether the state it steps from
+supports itself; a revisit, an empty state or the iteration limit ends the
+alternation with the best self-supporting state flagged non-converged.
 ``oracle_enumerate`` finds the exact optimum on small instances as an
 independent check. Bandwidth depends only on the selection *counts*, so it
 scores every count pair from one pass batched over their widths.
@@ -147,8 +156,6 @@ class _UserTerms:
     def __init__(self, topology: Topology, config: SimConfig):
         self.config = config
         users = topology.users
-        self.ids, self.indoor, self.position = users.id, users.indoor, users.position
-        self.tx_power, self.budget = users.tx_power_w, users.energy_budget_j
         bx, by = topology.bs_position
         # A term that overflows is inf, as on Python floats, and fails its user.
         with np.errstate(over="ignore"):
@@ -163,7 +170,7 @@ class _UserTerms:
             if (self.gain <= 0.0).any():
                 raise ValueError(_RF_RATE_ARGS_ERROR)
             # Received uplink power P h, as rf_rate forms it.
-            self.up_power = self.tx_power * self.gain
+            self.up_power = users.tx_power_w * self.gain
         self.views: dict[str, _LinkTable] = {}
 
 
@@ -173,11 +180,16 @@ class _LinkTable:
     Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
     RF otherwise, so only the downlink terms and the backhaul are the view's
     own; the hybrid view computes the VLC signal powers and their
-    interference once. A link without rate (no AP in view, or an RF SINR
-    below 2**-53) costs inf seconds and joules, so its user fails. A pass
-    only adds, multiplies, divides, compares, takes maxima and takes
-    ``np.log2``, the ufunc the scalar rate functions run on one value, so the
-    mask holds the per-user answers.
+    interference once. The view lists its users with the VLC-downlink rows
+    first (``order`` maps them to the topology's rows) and keeps their ids,
+    indoor flags and shard sizes in that order; its masks follow it. So the
+    VLC users of a mask are its first ``n_vlc`` entries, and the RF links,
+    downlinks then uplinks, are one contiguous block of each pass's rates.
+    A link without rate (no AP in view, or an RF SINR below 2**-53) costs
+    inf seconds and joules, so its user fails. A pass only adds, multiplies,
+    divides, compares, takes maxima and takes ``np.log2``, the ufunc the
+    scalar rate functions run on one value, so the mask holds the per-user
+    answers.
 
     The user terms are checked by ``UserNode`` or, for a drawn topology,
     by its draw, the widths by
@@ -189,43 +201,58 @@ class _LinkTable:
         _check_mode(mode)
         # The view copies what a pass reads, so it holds no reference back.
         self.config = config = terms.config
-        self.ids, self.indoor = terms.ids, terms.indoor
-        self.tx_power, self.budget, self.up_power = terms.tx_power, terms.budget, terms.up_power
-        self.t_cmp, self.e_cmp = terms.t_cmp, terms.e_cmp
-        via_vlc = terms.indoor & (mode == "hybrid")
+        users = topology.users
+        via_vlc = users.indoor & (mode == "hybrid")
+        self.n_vlc = n_vlc = int(np.count_nonzero(via_vlc))
+        # The topology's rows in view order: VLC-downlink rows first, each
+        # part in topology order. A drawn topology lists its indoor users
+        # first, so there the order is the identity, taken as an uncopied slice.
+        self.order = order = slice(None) if via_vlc[:n_vlc].all() else np.argsort(~via_vlc, kind="stable")
+        self.ids, self.indoor, self.shard_size = users.id[order], users.indoor[order], users.shard_size[order]
+        self.tx_power, self.budget = users.tx_power_w[order], users.energy_budget_j[order]
+        self.t_cmp, self.e_cmp = terms.t_cmp[order], terms.e_cmp[order]
         # VLC users also pay the gateway backhaul.
-        self.backhaul = np.where(via_vlc, config.backhaul_delay_s, 0.0)
-        # Rows whose downlink is VLC, and rows whose downlink is RF.
-        self.vlc_rows = np.flatnonzero(via_vlc)
-        self.rf_rows = np.flatnonzero(~via_vlc)
+        self.backhaul = np.where(via_vlc[order], config.backhaul_delay_s, 0.0)
         if mode == "hybrid":
-            signals = _vlc_signal_powers(terms.position[self.vlc_rows], topology, config)
+            signals = _vlc_signal_powers(users.position[order][:n_vlc], topology, config)
             self.signals, self.interference = best_ap_terms(signals)
-        # Received RF downlink powers, as rf_rate forms them.
-        self.down_power = config.bs_tx_power_w * terms.gain[self.rf_rows]
+        # The RF part of a pass's rates: the RF downlinks, then every user's
+        # uplink. Their received powers P h, as rf_rate forms them, and their
+        # interference, one per row.
+        n = len(self.ids)
+        gain = terms.gain[order]
+        self.rf_power = np.concatenate((config.bs_tx_power_w * gain[n_vlc:], terms.up_power[order]))
+        self.rf_interference = np.repeat((config.downlink_interference_w, config.uplink_interference_w), (n - n_vlc, n))
 
     def feasible(self, b_up, b_down, b_vlc) -> np.ndarray:
-        """Boolean mask: which users finish a round within both budgets at these block widths.
+        """Boolean mask: which users finish a round within both budgets at
+        these block widths, in the view's order.
 
-        Float widths give one mask over the users. (P, 1) arrays of widths
-        give a (P, users) mask: every term broadcasts, so each element goes
-        through the same operations and ufuncs as at float widths, and row p
-        equals the mask at the p-th widths bit for bit.
+        One rate vector holds a pass's links, laid out [VLC down | RF down |
+        RF up]: its first N entries are each user's downlink rate and its
+        last N each user's uplink rate, both in the view's order. Float
+        widths give one mask over the users. (P, 1) arrays of widths give a
+        (P, users) mask: every term broadcasts, so each element goes through
+        the same operations and ufuncs as at float widths, and row p equals
+        the mask at the p-th widths bit for bit.
+
+        A link without rate takes payload / 0 = inf seconds and joules, so it
+        fails both tests like any slow link. The caller holds
+        ``np.errstate(divide="ignore")`` for that division.
         """
         config = self.config
-        up = _rf_rate(self.up_power, config.uplink_interference_w, b_up, config.rf_noise_psd)
-        down = np.empty_like(up)
-        if self.vlc_rows.size:
+        n = len(self.ids)
+        # One width for both RF directions; if they differ (or are two width
+        # arrays), one width per RF row: b_down for downlinks, b_up for uplinks.
+        b_rf = b_up
+        if not (b_up is b_down or type(b_up) is float and b_up == b_down):
+            b_rf = np.where(np.arange(len(self.rf_power)) >= n - self.n_vlc, b_up, b_down)
+        rates = _rf_rate(self.rf_power, self.rf_interference, b_rf, config.rf_noise_psd)
+        if self.n_vlc:
             sinr = best_ap_sinr(self.signals, self.interference, b_vlc, config.vlc_noise_psd)
-            down[..., self.vlc_rows] = _vlc_rate(sinr, b_vlc)
-        if self.rf_rows.size:
-            down[..., self.rf_rows] = _rf_rate(
-                self.down_power, config.downlink_interference_w, b_down, config.rf_noise_psd
-            )
-        # A link without rate takes payload / 0 = inf seconds and joules, so it
-        # fails both tests like any slow link.
-        with np.errstate(divide="ignore"):
-            round_time, energy = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, config)
+            rates = np.concatenate((_vlc_rate(sinr, b_vlc), rates), axis=-1)
+        up, down = rates[..., n:], rates[..., :n]
+        round_time, energy = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, config)
         return (round_time <= config.t_round_s) & (energy <= self.budget)
 
     def at(self, bw: BandwidthAllocation) -> np.ndarray:
@@ -267,7 +294,9 @@ def get_s(
 ) -> Selection:
     """Select every user that is feasible at the given block widths."""
     links = _links(topology, config, mode)
-    return links.selection(links.at(bw))
+    with np.errstate(divide="ignore"):  # a link without rate; see _LinkTable.feasible
+        mask = links.at(bw)
+    return links.selection(mask)
 
 
 def block_widths(n_in: int, n_out: int, config: SimConfig, mode: str = "hybrid") -> BandwidthAllocation:
@@ -331,8 +360,9 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     non-converged.
 
     Each state is the feasibility mask of a pass over the link table's users,
-    which is what get_s(B) selects; the result's ``Selection`` is built once,
-    from the mask it returns.
+    which is what get_s(B) selects, with its count; widths are compared as
+    (b_up, b_down, b_vlc) tuples. The result's ``Selection`` and
+    ``BandwidthAllocation`` are built once, for the state it returns.
     """
     if config.initial_bandwidth is not None:
         bw = BandwidthAllocation(*config.initial_bandwidth)
@@ -340,49 +370,61 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
         bw = default_initial_bandwidth(topology, config)
 
     links = _links(topology, config, mode)
-    mask = links.at(bw)
-    if not mask.any():
-        widest = block_widths(1, 0, config)  # widest solo widths, B_rf and B_vlc
-        if widest != bw:  # at the start's widths the mask is known
-            mask = links.at(widest)
-        if not mask.any():
-            # Not even a solo allocation admits anyone: empty is a fixed point.
-            return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
-        bw = widest
+    with np.errstate(divide="ignore"):  # a link without rate; see _LinkTable.feasible
+        mask = links.at(bw)
+        n = int(np.count_nonzero(mask))
+        if not n:
+            widest = block_widths(1, 0, config)  # widest solo widths, B_rf and B_vlc
+            if widest != bw:  # at the start's widths the mask is known
+                mask = links.at(widest)
+                n = int(np.count_nonzero(mask))
+            if not n:
+                # Not even a solo allocation admits anyone: empty is a fixed point.
+                return UsbaResult(EMPTY_SELECTION, bw, 0, True, 0.0)
+            bw = widest
 
-    indoor, shard_sizes = links.indoor, topology.users.shard_size
-    best: tuple[np.ndarray, BandwidthAllocation] | None = None
-    best_obj = -1.0
-    predecessors: set[bytes] = set()
-    iterations = 0
-    # mask == links.at(bw) holds here and after every step, so a step to the
-    # current widths takes the current mask without a pass.
-    while True:
-        # get_b of the state; the counts as ints, so the widths are floats.
-        n_in = int(np.count_nonzero(mask & indoor))
-        new_bw = block_widths(n_in, int(np.count_nonzero(mask)) - n_in, config, mode)
-        new_mask = mask if new_bw == bw else links.at(new_bw)
-        if not (mask & ~new_mask).any():  # a self-supporting state
-            # Summed as Python ints, which are exact for any shard sizes.
-            obj = float(sum(shard_sizes[mask].tolist()))
-            if obj > best_obj:
-                best, best_obj = (mask, new_bw), obj
-        if iterations == config.max_iterations:
-            break  # that step tested the last state
-        iterations += 1
-        if new_bw == bw:  # then new_mask is mask, which supports itself and has obj
-            return UsbaResult(links.selection(mask), bw, iterations, True, obj)
-        mask, bw, previous = new_mask, new_bw, mask
-        if not mask.any() or mask.tobytes() in predecessors:
-            break  # empty states and revisits both mean the alternation cycles
-        # The previous state found again at other widths is no revisit:
-        # the next step confirms it.
-        predecessors.add(previous.tobytes())
+        widths = (bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)
+        n_vlc, shard_sizes = links.n_vlc, links.shard_size
+        best: tuple[np.ndarray, tuple] | None = None
+        best_obj = -1.0
+        predecessors: set[bytes] = set()
+        iterations = 0
+        # mask == links.feasible(*widths) and n == its count hold here and
+        # after every step, so a step to the current widths takes the current
+        # mask without a pass.
+        while True:
+            # get_b of the state, with the counts as Python ints, so the widths
+            # are floats. The view's VLC-downlink rows come first, so the state's
+            # VLC users are a prefix count; rf_only has none, and there the
+            # widths depend on n alone.
+            n_vlc_users = int(np.count_nonzero(mask[:n_vlc]))
+            b_rf, b_vlc = _block_widths(n_vlc_users, n - n_vlc_users, config, mode)
+            new_widths = (b_rf, b_rf, b_vlc)
+            fixed = new_widths == widths
+            new_mask = mask if fixed else links.feasible(*new_widths)
+            # A self-supporting state: every member is still feasible at its widths.
+            if fixed or np.count_nonzero(mask & new_mask) == n:
+                # Summed as Python ints, which are exact for any shard sizes.
+                obj = float(sum(shard_sizes[mask].tolist()))
+                if obj > best_obj:
+                    best, best_obj = (mask, new_widths), obj
+            if iterations == config.max_iterations:
+                break  # that step tested the last state
+            iterations += 1
+            if fixed:  # then new_mask is mask, which supports itself and has obj
+                return UsbaResult(links.selection(mask), BandwidthAllocation(*widths), iterations, True, obj)
+            mask, widths, previous = new_mask, new_widths, mask
+            n = int(np.count_nonzero(mask))
+            if not n or mask.tobytes() in predecessors:
+                break  # empty states and revisits both mean the alternation cycles
+            # The previous state found again at other widths is no revisit:
+            # the next step confirms it.
+            predecessors.add(previous.tobytes())
 
     if best is None:
-        return UsbaResult(EMPTY_SELECTION, bw, iterations, False, 0.0)
-    mask, bw = best
-    return UsbaResult(links.selection(mask), bw, iterations, False, best_obj)
+        return UsbaResult(EMPTY_SELECTION, BandwidthAllocation(*widths), iterations, False, 0.0)
+    mask, widths = best
+    return UsbaResult(links.selection(mask), BandwidthAllocation(*widths), iterations, False, best_obj)
 
 
 ORACLE_MAX_USERS = 14
@@ -405,22 +447,22 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_USERS} users, got {topology.n_users}"
         )
-    users = topology.users
-    # Indoor first, then largest shards first; id breaks ties deterministically.
-    # The shared table keeps topology order, so ``rows`` picks its columns in this order.
-    rows = np.lexsort((users.id, -users.shard_size, ~users.indoor))
     links = _links(topology, config, mode)
+    # Indoor first, then largest shards first; id breaks ties deterministically.
+    # ``rows`` picks the view's columns in this order.
+    rows = np.lexsort((links.ids, -links.shard_size, ~links.indoor))
     indoor = links.indoor[rows]
     n_in, n_out = topology.n_indoor, topology.n_outdoor
     # Every count pair but (0, 0), in k1-then-k2 order, as (P, 1) columns.
     k1, k2 = np.divmod(np.arange(1, (n_in + 1) * (n_out + 1))[:, None], n_out + 1)
     b_rf, b_vlc = _block_widths(k1, k2, config, mode)
-    feasible = links.feasible(b_rf, b_rf, b_vlc)[:, rows]
+    with np.errstate(divide="ignore"):  # a link without rate; see _LinkTable.feasible
+        feasible = links.feasible(b_rf, b_rf, b_vlc)[:, rows]
     # Each feasible user's rank among the feasible users of its kind.
     rank = np.concatenate((feasible[:, :n_in].cumsum(axis=1), feasible[:, n_in:].cumsum(axis=1)), axis=1)
     chosen = feasible & (rank <= np.where(indoor, k1, k2))
     filled = chosen.sum(axis=1) == (k1 + k2)[:, 0]
-    objectives = np.where(filled, chosen @ users.shard_size[rows], 0)
+    objectives = np.where(filled, chosen @ links.shard_size[rows], 0)
     if not objectives.any():
         return UsbaResult(EMPTY_SELECTION, default_initial_bandwidth(topology, config), 0, True, 0.0)
     best = int(objectives.argmax())  # the first of equal maxima

@@ -25,7 +25,8 @@ then call a private kernel (``_rf_rate``, ``_vlc_rate``, ``_rf_channel_gain``,
 ``_vlc_signal_powers``) that holds the formula and checks nothing. A caller
 that already guarantees the arguments calls the kernel directly: the link
 table's build on each user's distance and on the indoor users' positions,
-its feasibility pass on the rates.
+its feasibility pass on the rates, both RF directions in one ``_rf_rate``
+call.
 
 The link constants live only in ``SimConfig``: the gain, signal-power and
 SINR functions take the validated config and read its fields by name, as
@@ -211,12 +212,16 @@ def best_ap_sinr(signals: np.ndarray, interference: np.ndarray, rb_bandwidth_hz,
 
     Each AP k is scored as s_k / (N0 B + sum_{l != k} s_l) >= 0 and the best
     score is returned: 0 when no AP is in view. The serving AP is the best one.
-    A float width gives one SINR per user; a (P, 1) array of widths gives a
-    (P, users) array whose row p holds, bit for bit, the SINRs at width p.
-    The width is not checked.
+    A float width gives one SINR per user, its noise N0 B a Python float; a
+    (P, 1) array of widths gives a (P, users) array whose row p holds, bit
+    for bit, the SINRs at width p. The width is not checked. The best score
+    is ``np.maximum.reduce``, the reduction ``ndarray.max`` runs through a
+    Python wrapper.
     """
-    noise = np.multiply(noise_psd, rb_bandwidth_hz)[..., None]  # broadcast over APs and users
-    return (signals / (noise + interference)).max(axis=-2, initial=0.0)
+    noise = noise_psd * rb_bandwidth_hz
+    if isinstance(noise, np.ndarray):
+        noise = noise[..., None]  # broadcast over APs and users
+    return np.maximum.reduce(signals / (noise + interference), axis=-2, initial=0.0)
 
 
 def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, config: SimConfig) -> float:
@@ -288,6 +293,11 @@ def rf_rate(
 
 
 def _rf_rate(received_w, interference_w: float, rb_bandwidth_hz: float, noise_psd: float):
-    """``rf_rate`` of the received power P h, without the argument checks."""
+    """``rf_rate`` of the received power P h, without the argument checks.
+
+    The received power, interference and width may each be an array over
+    links: the link table's pass gives one row per RF link, both directions
+    at once.
+    """
     sinr = received_w / (interference_w + rb_bandwidth_hz * noise_psd)
     return rb_bandwidth_hz * np.log2(1.0 + sinr)

@@ -86,10 +86,14 @@ def staircase_oracle(topo, cfg, mode):
     indoor = [users[i] for i in order if users[i].indoor]
     outdoor = [users[i] for i in order if not users[i].indoor]
     links = _links(topo, cfg, mode)
+    # The view lists its VLC-downlink rows first: the view column of each
+    # topology row, taken in the walk's order.
+    columns = np.argsort(np.arange(len(users))[links.order])[order]
 
     def candidate(k1, k2):
         bw = block_widths(k1, k2, cfg, mode)
-        mask = links.feasible(*widths_of(bw))[order]
+        with np.errstate(divide="ignore"):  # as the entry points hold it around their passes
+            mask = links.feasible(*widths_of(bw))[columns]
         chosen_in = [u for u, ok in zip(indoor, mask[: len(indoor)]) if ok][:k1]
         chosen_out = [u for u, ok in zip(outdoor, mask[len(indoor) :]) if ok][:k2]
         if len(chosen_in) < k1 or len(chosen_out) < k2:
@@ -666,7 +670,8 @@ class TestOracle:
         pairs = [(k1, k2) for k1 in range(topo.n_indoor + 1) for k2 in range(topo.n_outdoor + 1) if k1 or k2]
         k1, k2 = np.array(pairs).T[:, :, None]
         b_rf, b_vlc = _block_widths(k1, k2, cfg, mode)
-        batched = links.feasible(b_rf, b_rf, b_vlc)
+        with np.errstate(divide="ignore"):  # as the entry points hold it around their passes
+            batched = links.feasible(b_rf, b_rf, b_vlc)
         assert batched.shape == (len(pairs), topo.n_users)
         if mode == "hybrid" and topo.n_indoor:
             # The view's AP-major SINRs equal the user-major form bit for bit.
@@ -678,7 +683,15 @@ class TestOracle:
         for p, (n_in, n_out) in enumerate(pairs):
             bw = block_widths(n_in, n_out, cfg, mode)
             assert (b_rf[p, 0], b_vlc[p, 0]) == (bw.b_up_hz, bw.b_vlc_hz)
-            assert batched[p].tolist() == links.feasible(*widths_of(bw)).tolist()
+            with np.errstate(divide="ignore"):
+                assert batched[p].tolist() == links.feasible(*widths_of(bw)).tolist()
+        # Distinct up and down widths give each RF row its own width, batched
+        # or not; row p is still the pass at its own widths.
+        up = 1.5 * b_rf
+        with np.errstate(divide="ignore"):
+            split = links.feasible(up, b_rf, b_vlc)
+            for p, widths in enumerate(zip(up[:, 0].tolist(), b_rf[:, 0].tolist(), b_vlc[:, 0].tolist())):
+                assert split[p].tolist() == links.feasible(*widths).tolist()
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), mode=st.sampled_from(MODES))
     @settings(max_examples=60, deadline=None)
@@ -689,12 +702,13 @@ class TestOracle:
         # lower neighbours pass too. The oracle scores every pair without
         # relying on this; ``staircase_oracle``, its reference, still does.
         topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, ORACLE_MAX_USERS))
-        indoor = np.array([u.indoor for u in topo.users], dtype=bool)
         links = _links(topo, cfg, mode)
+        indoor = links.indoor  # in the view's order, as its masks are
         passes = np.ones((topo.n_indoor + 1, topo.n_outdoor + 1), dtype=bool)
         for k1, k2 in itertools.product(range(topo.n_indoor + 1), range(topo.n_outdoor + 1)):
             if k1 or k2:
-                mask = links.feasible(*widths_of(block_widths(k1, k2, cfg, mode)))
+                with np.errstate(divide="ignore"):  # as the entry points hold it around their passes
+                    mask = links.feasible(*widths_of(block_widths(k1, k2, cfg, mode)))
                 passes[k1, k2] = mask[indoor].sum() >= k1 and mask[~indoor].sum() >= k2
         assert (passes[1:, :] <= passes[:-1, :]).all()
         assert (passes[:, 1:] <= passes[:, :-1]).all()
@@ -941,6 +955,22 @@ class TestLinkTableMatchesPerUserReference:
             assert usba(topo, config, mode).selection == sel(outdoor=[0])
             assert oracle_enumerate(topo, config, mode).selection == sel(outdoor=[0])
 
+    def test_a_vlc_link_without_rate_fails_like_a_slow_link(self, config):
+        # A 45-degree field of view leaves an indoor user 30 m from the only AP
+        # out of its view: its SINR and so its VLC rate are exactly 0, while
+        # the indoor user under the AP is served.
+        cfg = config.replace(fov_half_angle_deg=45.0)
+        served, dark = make_user(id=0, indoor=True, xy=(1.0, 0.5)), make_user(id=1, indoor=True, xy=(30.0, 0.0))
+        topo = make_topology([served, dark])
+        bw = BandwidthAllocation(1e6, 1e6, 1e6)
+        assert vlc_sinr(dark, topo, bw.b_vlc_hz, cfg) == 0.0 < vlc_sinr(served, topo, bw.b_vlc_hz, cfg)
+        assert vlc_rate(0.0, bw.b_vlc_hz) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert get_s(bw, topo, cfg, "hybrid") == _reference_selection(bw, topo, cfg, "hybrid") == sel([0])
+            assert usba(topo, cfg, "hybrid").selection == sel([0])
+            assert oracle_enumerate(topo, cfg, "hybrid").selection == sel([0])
+
     @pytest.mark.parametrize("mode", MODES)
     def test_round_time_equal_to_budget_is_feasible(self, mode):
         cfg = SimConfig(n_users=12, energy_budget_j=1e9)
@@ -1123,6 +1153,74 @@ class TestColumnPath:
             assert copy == drawn
 
 
+class TestViewOrder:
+    """A mode's view lists its VLC-downlink rows first. A drawn topology lists
+    its indoor users first, so only a topology whose indoor and outdoor users
+    interleave takes the view's non-identity order; it must select as the
+    drawn order does."""
+
+    @staticmethod
+    def interleaved(topo, rng):
+        """A copy of ``topo`` built from its ``UserNode``s in a shuffled order
+        in which an outdoor user comes before an indoor one."""
+        users = list(topo.users)
+        assert 0 < topo.n_indoor < topo.n_users
+        while True:
+            users = [users[i] for i in rng.permutation(len(users)).tolist()]
+            indoor = [u.indoor for u in users]
+            if indoor != sorted(indoor, reverse=True):
+                return dataclasses.replace(topo, users=tuple(users))
+
+    @staticmethod
+    def draws(rng, count):
+        """Drawn topologies with indoor and outdoor users: default configs at
+        N = 13, 50 and 200, then small random instances, half of them with
+        unequal shards."""
+        for n in (13, 50, 200):
+            yield generate_topology(SimConfig(n_users=n), 7), SimConfig(n_users=n)
+        while count:
+            topo, cfg = random_instance(rng, n_range=(2, ORACLE_MAX_USERS))
+            if 0 < topo.n_indoor < topo.n_users:
+                count -= 1
+                yield (with_unequal_shards(topo, rng) if count % 2 else topo), cfg
+
+    def test_the_hybrid_view_puts_vlc_rows_first(self):
+        rng = np.random.default_rng(2601)
+        for drawn, cfg in self.draws(rng, 10):
+            copy = self.interleaved(drawn, rng)
+            links = _links(copy, cfg, "hybrid")
+            assert isinstance(links.order, np.ndarray)  # not the identity
+            assert links.n_vlc == copy.n_indoor and links.indoor[: links.n_vlc].all()
+            assert not links.indoor[links.n_vlc :].any()
+            assert links.ids.tolist() == copy.users.id[links.order].tolist()
+            # A drawn topology's order is the identity in both modes.
+            for mode in MODES:
+                assert _links(drawn, cfg, mode).order == slice(None)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_get_s_equals_reference_at_distinct_widths(self, mode):
+        rng = np.random.default_rng(2602)
+        for drawn, cfg in self.draws(rng, 20):
+            copy = self.interleaved(drawn, rng)
+            start = default_initial_bandwidth(drawn, cfg)
+            for up, down, vlc in ((0.6, 1.7, 1.0), (1.9, 0.8, 0.4), (3.0, 0.5, 2.5)):
+                bw = BandwidthAllocation(start.b_up_hz * up, start.b_down_hz * down, start.b_vlc_hz * vlc)
+                expected = _reference_selection(bw, copy, cfg, mode)
+                assert get_s(bw, copy, cfg, mode) == expected == get_s(bw, drawn, cfg, mode), (mode, bw, copy)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_usba_and_the_oracle_equal_the_drawn_order(self, mode):
+        rng = np.random.default_rng(2603)
+        for i, (drawn, cfg) in enumerate(self.draws(rng, 40)):
+            if i % 3 == 0:  # configured start widths, up and down distinct
+                start = default_initial_bandwidth(drawn, cfg)
+                cfg = cfg.replace(initial_bandwidth=(start.b_up_hz * 1.5, start.b_down_hz * 0.5, start.b_vlc_hz))
+            copy = self.interleaved(drawn, rng)
+            assert usba(copy, cfg, mode) == usba(drawn, cfg, mode), (mode, copy)
+            if drawn.n_users <= ORACLE_MAX_USERS:
+                assert oracle_enumerate(copy, cfg, mode) == oracle_enumerate(drawn, cfg, mode), (mode, copy)
+
+
 class TestLoudFailures:
     """A hybrid topology with indoor users but no VLC APs is a broken input."""
 
@@ -1195,10 +1293,6 @@ class TestLoudFailures:
         topo = generate_topology(SimConfig(), 0)
         with pytest.raises(ValueError, match="block widths must be finite and > 0"):
             get_s(BandwidthAllocation(*widths), topo, config)
-
-    def test_get_s_rejects_unknown_mode(self, config):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            get_s(BandwidthAllocation(1e6, 1e6, 1e6), make_topology([make_user()]), config, mode="other")
 
     @pytest.mark.parametrize(
         "call",
