@@ -60,5 +60,5 @@ from .runner import (
     sweep_bandwidth,
     sweep_users,
 )
-from .topology import Topology, UserNode, distance, generate_topology
+from .topology import Topology, UserNode, generate_topology
 

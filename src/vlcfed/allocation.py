@@ -181,7 +181,7 @@ class _LinkTable:
     RF otherwise, so only the downlink terms and the backhaul are the view's
     own; the hybrid view computes the VLC signal powers and their
     interference once. The view lists its users with the VLC-downlink rows
-    first (``order`` maps them to the topology's rows) and keeps their ids,
+    first (``order`` maps them to the topology's users) and keeps their ids,
     indoor flags and shard sizes in that order; its masks follow it. So the
     VLC users of a mask are its first ``n_vlc`` entries, and the RF links,
     downlinks then uplinks, are one contiguous block of each pass's rates.
@@ -204,7 +204,7 @@ class _LinkTable:
         users = topology.users
         via_vlc = users.indoor & (mode == "hybrid")
         self.n_vlc = n_vlc = int(np.count_nonzero(via_vlc))
-        # The topology's rows in view order: VLC-downlink rows first, each
+        # The topology's users in view order: VLC-downlink rows first, each
         # part in topology order. A drawn topology lists its indoor users
         # first, so there the order is the identity, taken as an uncopied slice.
         self.order = order = slice(None) if via_vlc[:n_vlc].all() else np.argsort(~via_vlc, kind="stable")
@@ -272,8 +272,7 @@ def _links(topology: Topology, config: SimConfig, mode: str) -> _LinkTable:
 
     The topology keeps the terms of the last config it was used with, so the
     calls on one (topology, config) share one build in both modes. The config
-    is matched by identity, which a frozen ``SimConfig`` makes safe; keying
-    on the topology's value would hash all N users per call.
+    is matched by identity, which a frozen ``SimConfig`` makes safe.
     """
     terms = topology._link_terms
     if terms is None or terms.config is not config:

@@ -20,7 +20,7 @@ also take arrays over users. On one value or many, each logarithm and power
 is one numpy ufunc (``np.log2``, ``np.power``), so an array result holds the
 same bits as the scalar calls, which return a Python float.
 
-The public rate, RF-gain and signal-power functions check their arguments,
+The public rate, RF-gain and SINR functions check their arguments,
 then call a private kernel (``_rf_rate``, ``_vlc_rate``, ``_rf_channel_gain``,
 ``_vlc_signal_powers``) that holds the formula and checks nothing. A caller
 that already guarantees the arguments calls the kernel directly: the link
@@ -41,7 +41,6 @@ The tests check it against mpmath at 40 digits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -173,23 +172,13 @@ def vlc_channel_gain(ap, user, config: SimConfig) -> float:
     return float(vlc_channel_gains([ap], [user], config)[0, 0])
 
 
-def vlc_signal_powers(users, topology: Topology, config: SimConfig) -> np.ndarray:
-    """Electrical signal power (gamma u_k P_v)^2 of each AP k at each indoor user.
+def _vlc_signal_powers(receivers, topology: Topology, config: SimConfig) -> np.ndarray:
+    """Electrical signal power (gamma u_k P_v)^2 of each AP k at each of n
+    receiver positions, as an (n, APs) array.
 
-    Returns a (users, APs) array; it does not depend on bandwidth.
+    It does not depend on bandwidth, and it does not check that the
+    receivers belong to indoor users.
     """
-    for user in users:
-        if not user.indoor:
-            raise ValueError(f"user {user.id} is outdoor; VLC serves indoor users only")
-    # One flat float stream: np.asarray on a list of tuples costs twice as much.
-    n = len(users)
-    receivers = np.fromiter(itertools.chain.from_iterable(u.position for u in users), float, 3 * n).reshape(n, 3)
-    return _vlc_signal_powers(receivers, topology, config)
-
-
-def _vlc_signal_powers(receivers: np.ndarray, topology: Topology, config: SimConfig) -> np.ndarray:
-    """``vlc_signal_powers`` at an (n, 3) array of receiver positions, which
-    it does not check for indoor users."""
     if len(receivers) and not topology.vlc_aps:
         raise ValueError("topology has no VLC APs")
     gains = vlc_channel_gains(topology.vlc_aps, receivers, config)
@@ -228,7 +217,9 @@ def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, config:
     """Best-AP electrical SINR for an indoor user (see ``best_ap_sinr``)."""
     if rb_bandwidth_hz <= 0:
         raise ValueError("rb_bandwidth_hz must be > 0")
-    terms = best_ap_terms(vlc_signal_powers([user], topology, config))
+    if not user.indoor:
+        raise ValueError(f"user {user.id} is outdoor; VLC serves indoor users only")
+    terms = best_ap_terms(_vlc_signal_powers([user.position], topology, config))
     return float(best_ap_sinr(*terms, rb_bandwidth_hz, config.vlc_noise_psd)[0])
 
 

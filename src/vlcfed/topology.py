@@ -6,16 +6,14 @@ chosen VLC AP so that every indoor user has line-of-sight light coverage.
 
 A topology keeps its users as columns (``UserColumns``): one array per
 ``UserNode`` field. Link terms and selection read the columns, so they build
-no ``UserNode``; the rows are built, through ``UserNode``'s constructor, when
-a caller first reads one. A topology built from nodes keeps them as its rows
-and takes its columns from them once, and rejects two nodes with one id.
+no ``UserNode``. A topology built from nodes takes its columns from them,
+once ``UserNode`` has checked each one, and rejects two nodes with one id.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +21,7 @@ import numpy as np
 from .config import SimConfig
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class UserNode:
     id: int
     position: tuple[float, float, float]  # receiver plane, meters
@@ -35,101 +33,76 @@ class UserNode:
     tx_power_w: float
     energy_budget_j: float
 
-    def __init__(self, id, position, indoor, shard_size, cycles_per_sample, cpu_freq_hz, capacitance_coeff,
-                 tx_power_w, energy_budget_j):
-        # One dict update: the generated frozen __init__ calls object.__setattr__ per field.
-        self.__dict__.update(id=id, position=position, indoor=indoor, shard_size=shard_size,
-                             cycles_per_sample=cycles_per_sample, cpu_freq_hz=cpu_freq_hz,
-                             capacitance_coeff=capacitance_coeff, tx_power_w=tx_power_w,
-                             energy_budget_j=energy_budget_j)
-        self.__post_init__()
-
     def __post_init__(self):
-        size = self.shard_size
-        # Exact int first: a numbers ABC check costs a microsecond.
-        if not (type(size) is int or (type(size) is not bool and isinstance(size, numbers.Integral))) or size < 1:
-            raise ValueError(f"user {self.id}: shard_size must be an integer >= 1, got {size!r}")
-        # Each chained comparison also fails on nan.
-        if not 0.0 < self.cycles_per_sample < math.inf:
-            self._reject("cycles_per_sample")
-        if not 0.0 < self.cpu_freq_hz < math.inf:
-            self._reject("cpu_freq_hz")
-        if not 0.0 < self.capacitance_coeff < math.inf:
-            self._reject("capacitance_coeff")
-        if not 0.0 < self.tx_power_w < math.inf:
-            self._reject("tx_power_w")
-        if not 0.0 < self.energy_budget_j < math.inf:
-            self._reject("energy_budget_j")
-        x, y, z = self.position
-        if not (-math.inf < x < math.inf and -math.inf < y < math.inf and -math.inf < z < math.inf):
-            raise ValueError(f"user {self.id}: position must be finite, got {self.position!r}")
-
-    def _reject(self, name: str):
-        raise ValueError(f"user {self.id}: {name} must be finite and > 0, got {getattr(self, name)!r}")
+        # UserColumns.of would silently truncate a float id, turn any value
+        # into a flag and fail on a short position without naming the user.
+        if not _is_integer(self.id):
+            raise ValueError(f"user {self.id}: id must be an integer, got {self.id!r}")
+        if not isinstance(self.indoor, bool):
+            raise ValueError(f"user {self.id}: indoor must be a bool, got {self.indoor!r}")
+        if not _is_integer(self.shard_size) or self.shard_size < 1:
+            raise ValueError(f"user {self.id}: shard_size must be an integer >= 1, got {self.shard_size!r}")
+        for name in ("cycles_per_sample", "cpu_freq_hz", "capacitance_coeff", "tx_power_w", "energy_budget_j"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # also fails on nan
+                raise ValueError(f"user {self.id}: {name} must be finite and > 0, got {value!r}")
+        xyz = self.position
+        if not (isinstance(xyz, tuple) and len(xyz) == 3 and all(isinstance(v, numbers.Real) for v in xyz)):
+            raise ValueError(f"user {self.id}: position must be a tuple of three numbers, got {xyz!r}")
+        if not all(-math.inf < v < math.inf for v in xyz):
+            raise ValueError(f"user {self.id}: position must be finite, got {xyz!r}")
 
 
-class UserColumns(Sequence):
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+class UserColumns:
     """Users as one read-only array per ``UserNode`` field, in user order.
 
-    ``position`` is an (N, 3) array; the others hold one value per user. As a
-    sequence it holds the ``UserNode`` rows, built on first read, and it
-    compares and hashes as ``tuple(self)``.
+    ``position`` is an (N, 3) array; the others hold one value per user. Two
+    are equal when their columns hold equal values; copies are read-only too.
     """
 
     __slots__ = ("id", "position", "indoor", "shard_size", "cycles_per_sample", "cpu_freq_hz",
-                 "capacitance_coeff", "tx_power_w", "energy_budget_j", "_rows")
+                 "capacitance_coeff", "tx_power_w", "energy_budget_j")
 
     def __init__(self, id, position, indoor, shard_size, cycles_per_sample, cpu_freq_hz, capacitance_coeff,
-                 tx_power_w, energy_budget_j, rows=None):
+                 tx_power_w, energy_budget_j):
         # The order is UserNode's field order; the arrays are not checked.
         columns = (id, position, indoor, shard_size, cycles_per_sample, cpu_freq_hz, capacitance_coeff,
                    tx_power_w, energy_budget_j)
         for name, column in zip(self.__slots__, columns):
             column.flags.writeable = False
             setattr(self, name, column)
-        self._rows = rows
 
     @classmethod
     def of(cls, users) -> "UserColumns":
-        """The columns of some ``UserNode``s, which stay the rows."""
-        rows = tuple(users)
+        """The columns of some ``UserNode``s."""
+        users = tuple(users)
         return cls(
-            np.array([u.id for u in rows], dtype=int),
-            np.array([u.position for u in rows], dtype=float).reshape(-1, 3),
-            np.array([u.indoor for u in rows], dtype=bool),
-            np.array([u.shard_size for u in rows]),
-            *(np.array([getattr(u, name) for u in rows], dtype=float) for name in cls.__slots__[4:-1]),
-            rows=rows,
+            np.array([u.id for u in users], dtype=int),
+            np.array([u.position for u in users], dtype=float).reshape(-1, 3),
+            np.array([u.indoor for u in users], dtype=bool),
+            np.array([u.shard_size for u in users]),
+            *(np.array([getattr(u, name) for u in users], dtype=float) for name in cls.__slots__[4:]),
         )
 
-    def _all_rows(self) -> tuple[UserNode, ...]:
-        if self._rows is None:
-            # Python values, as the draw made them: tolist() gives int, bool and float.
-            self._rows = tuple(map(
-                UserNode, self.id.tolist(), map(tuple, self.position.tolist()),
-                *(getattr(self, name).tolist() for name in self.__slots__[2:-1]),
-            ))
-        return self._rows
+    def rows(self) -> tuple[UserNode, ...]:
+        """The users as ``UserNode``s, built and checked anew on each call."""
+        # Python values, as the draw made them: tolist() gives int, bool and float.
+        return tuple(map(
+            UserNode, self.id.tolist(), map(tuple, self.position.tolist()),
+            *(getattr(self, name).tolist() for name in self.__slots__[2:]),
+        ))
 
     def __len__(self) -> int:
         return len(self.id)
 
-    def __getitem__(self, index):
-        return self._all_rows()[index]
-
-    def __iter__(self):
-        return iter(self._all_rows())
-
     def __eq__(self, other):
-        if isinstance(other, UserColumns):
-            other = tuple(other)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._all_rows())
-
-    def __repr__(self) -> str:
-        return repr(self._all_rows())
+        if not isinstance(other, UserColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__)
 
     def __reduce__(self):
         # Rebuilt through __init__, so a copy's columns are read-only too.
@@ -141,9 +114,9 @@ class Topology:
     cell_radius_m: float
     bs_position: tuple[float, float]
     vlc_aps: tuple[tuple[float, float, float], ...]  # ceiling height, meters
-    users: Sequence[UserNode]  # kept as UserColumns, which compare and hash as a tuple of nodes
+    users: UserColumns  # or UserNodes, which __post_init__ turns into columns
     # allocation's link-table cache: the users' bandwidth-free terms under the
-    # last config used. Not part of the value, so equality and hashing ignore it.
+    # last config used. Not part of the value, so equality ignores it.
     _link_terms: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -166,17 +139,6 @@ class Topology:
     @property
     def n_outdoor(self) -> int:
         return len(self.users) - self.n_indoor
-
-    def indoor_users(self) -> list[UserNode]:
-        return [u for u in self.users if u.indoor]
-
-    def outdoor_users(self) -> list[UserNode]:
-        return [u for u in self.users if not u.indoor]
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
 def ap_positions(config: SimConfig) -> tuple[tuple[float, float, float], ...]:
@@ -207,7 +169,7 @@ def generate_topology(config: SimConfig, seed: int) -> Topology:
 
     Positions are uniform over the disk area (radius sampled as r*sqrt(U)).
     Exactly round(indoor_fraction * n_users) users are indoor, listed first.
-    The users are kept as ``UserColumns``, whose rows are built on first read.
+    The users are kept as ``UserColumns``.
     """
     rng = np.random.default_rng(seed)
     n = config.n_users
@@ -257,7 +219,7 @@ def generate_topology(config: SimConfig, seed: int) -> Topology:
         np.full(n, config.energy_budget_j, dtype=float),
     )
     if not (np.isfinite(position).all() and 0.0 < powers.min() and powers.max() < math.inf):
-        users._all_rows()
+        users.rows()
     return Topology(
         cell_radius_m=config.cell_radius_m,
         bs_position=(0.0, 0.0),

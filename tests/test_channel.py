@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath  # the trig reference; a missing test extra fails the suite
@@ -25,18 +26,22 @@ from vlcfed.channel import (
     _rf_rate,
     _sin_deg,
     _vlc_rate,
+    _vlc_signal_powers,
     best_ap_sinr,
     best_ap_terms,
     vlc_channel_gains,
-    vlc_signal_powers,
 )
-from vlcfed.topology import distance
 from tests.conftest import make_topology, make_user
 
 
 def _mpmath_deg(fn, angle_deg):
     with mpmath.workdps(40):
-        return float(fn(mpmath.mpf(angle_deg) * mpmath.pi / 180))
+        value = fn(mpmath.mpf(angle_deg) * mpmath.pi / 180)
+    # float(value) rounds to 53 bits first, and a subnormal result then once
+    # more (sin 6.5463113837359344e-307 degrees); a Fraction rounds once.
+    man, exp = value.man_exp  # of the magnitude: mpmath keeps the sign apart
+    exact = Fraction(man) * Fraction(2) ** exp
+    return float(-exact if value < 0 else exact)
 
 
 class TestDegreeTrig:
@@ -179,7 +184,7 @@ class TestVlcSinr:
     def test_outdoor_user_rejected(self, config):
         user = make_user(indoor=False)
         topo = make_topology([user])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="user 0 is outdoor; VLC serves indoor users only"):
             vlc_sinr(user, topo, 4e6, config)
 
     def test_out_of_fov_everywhere_gives_zero(self, config):
@@ -300,7 +305,7 @@ def _scalar_gain(ap, user, config):
     """vlc_channel_gain as it was written before the batched form: one pair
     and np.linalg.norm, with the power as np.power. Kept as the bit-exact
     reference."""
-    d = distance(ap, user)
+    d = float(np.linalg.norm(np.asarray(ap, dtype=float) - np.asarray(user, dtype=float)))
     cos_theta = (float(ap[2]) - float(user[2])) / d
     if cos_theta < _cos_deg(config.fov_half_angle_deg):
         return 0.0
@@ -370,17 +375,18 @@ class TestBatchedEqualsScalar:
         cfg = SimConfig(half_intensity_angle_deg=half_angle, fov_half_angle_deg=fov)
         users = [make_user(id=i, indoor=True, xy=xy) for i, xy in enumerate(receivers)]
         topo = make_topology(users, aps=aps)
-        got = vlc_signal_powers(users, topo, cfg)
+        positions = topo.users.position
+        got = _vlc_signal_powers(positions, topo, cfg)
         sinrs = best_ap_sinr(*best_ap_terms(got), width, cfg.vlc_noise_psd)
         for i, user in enumerate(users):
-            assert got[i].tolist() == vlc_signal_powers([user], topo, cfg)[0].tolist()
+            assert got[i].tolist() == _vlc_signal_powers(positions[i : i + 1], topo, cfg)[0].tolist()
             amplitudes = [cfg.conversion_efficiency * vlc_channel_gain(ap, user.position, cfg) * cfg.optical_power_w for ap in aps]
             assert got[i].tolist() == [float(np.power(a, 2)) for a in amplitudes]
             sinr = vlc_sinr(user, topo, width, cfg)
             assert type(sinr) is float and sinr == sinrs[i]
         # A mode's view takes a subset of the users, in any order.
         rows = list(range(len(users)))[::-2]
-        assert vlc_signal_powers([users[i] for i in rows], topo, cfg).tolist() == got[rows].tolist()
+        assert _vlc_signal_powers(positions[rows], topo, cfg).tolist() == got[rows].tolist()
 
     def test_signal_powers_of_many_users(self):
         # Python's x ** 2 (libm pow) and numpy's x * x differ on 9 of these
@@ -388,10 +394,10 @@ class TestBatchedEqualsScalar:
         rng = np.random.default_rng(3)
         cfg = SimConfig()
         aps = [(x, y, 3.35) for x, y in rng.uniform(-20.0, 20.0, size=(4, 2))]
-        users = [make_user(id=i, indoor=True, xy=tuple(xy)) for i, xy in enumerate(rng.uniform(-25.0, 25.0, (2500, 2)))]
-        topo = make_topology(users, aps=aps)
-        got = vlc_signal_powers(users, topo, cfg)
-        assert got.tolist() == [vlc_signal_powers([u], topo, cfg)[0].tolist() for u in users]
+        positions = np.column_stack((rng.uniform(-25.0, 25.0, (2500, 2)), np.full(2500, 0.85)))
+        topo = make_topology([], aps=aps)
+        got = _vlc_signal_powers(positions, topo, cfg)
+        assert got.tolist() == [_vlc_signal_powers(p[None], topo, cfg)[0].tolist() for p in positions]
 
     @given(
         n_aps=st.integers(min_value=1, max_value=12),  # a pairwise sum would reorder from 8 APs on

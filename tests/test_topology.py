@@ -3,11 +3,12 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from vlcfed import SimConfig, Topology, UserNode, distance, generate_topology
+from vlcfed import SimConfig, Topology, UserNode, generate_topology
 from vlcfed.config import ConfigError
 from vlcfed.topology import UserColumns, ap_positions
 from tests.conftest import make_user
@@ -43,7 +44,7 @@ def test_determinism_bit_identical():
 def _user_digest(topo):
     """sha256 over every UserNode field, floats as .hex(), so a changed bit or type shows."""
     h = hashlib.sha256()
-    for user in topo.users:
+    for user in topo.users.rows():
         for f in dataclasses.fields(user):
             value = getattr(user, f.name)
             parts = value if isinstance(value, tuple) else (value,)
@@ -77,14 +78,14 @@ def test_user_bits_are_pinned(overrides, seed, digest):
 def test_all_users_inside_cell():
     for seed in range(5):
         topo = generate_topology(SimConfig(n_users=60), seed=seed)
-        for u in topo.users:
+        for u in topo.users.rows():
             assert math.hypot(u.position[0], u.position[1]) <= topo.cell_radius_m + 1e-9
 
 
 def test_indoor_users_near_an_ap():
     cfg = SimConfig(n_users=40, indoor_fraction=1.0)
     topo = generate_topology(cfg, seed=11)
-    for u in topo.users:
+    for u in topo.users.rows():
         best = min(
             math.hypot(u.position[0] - ap[0], u.position[1] - ap[1])
             for ap in topo.vlc_aps
@@ -99,7 +100,7 @@ def test_radial_distribution_is_uniform_over_area():
     scipy_stats = pytest.importorskip("scipy.stats")
     cfg = SimConfig(n_users=10_000, indoor_fraction=0.0)
     topo = generate_topology(cfg, seed=5)
-    radii = np.array([math.hypot(u.position[0], u.position[1]) for u in topo.users])
+    radii = np.array([math.hypot(u.position[0], u.position[1]) for u in topo.users.rows()])
     result = scipy_stats.kstest(radii, lambda x: (x / cfg.cell_radius_m) ** 2)
     assert result.statistic <= 0.02
 
@@ -110,7 +111,7 @@ def test_user_parameter_draws_respect_ranges():
     c_lo, c_hi = cfg.cycles_per_sample_range
     f_lo, f_hi = cfg.cpu_freq_range_hz
     p_lo, p_hi = cfg.tx_power_range_w
-    for u in topo.users:
+    for u in topo.users.rows():
         assert c_lo <= u.cycles_per_sample <= c_hi
         assert f_lo <= u.cpu_freq_hz <= f_hi
         assert p_lo <= u.tx_power_w <= p_hi
@@ -140,21 +141,24 @@ def test_rejects_bad_config():
         generate_topology(SimConfig(indoor_fraction=1.2), seed=0)
 
 
-def test_distance_examples():
-    assert distance((0, 0, 0), (0, 0, 0)) == 0.0
-    assert distance((3, 4, 0), (0, 0, 0)) == pytest.approx(5.0)
-    assert distance((0, 0, 2.5), (0, 1.66, 0)) == pytest.approx(3.000933188193299, rel=1e-12)
-    assert distance((1, 2, 3), (4, -1, 0)) == distance((4, -1, 0), (1, 2, 3))
-
-
 USER_TERMS = ("cycles_per_sample", "cpu_freq_hz", "capacitance_coeff", "tx_power_w", "energy_budget_j")
+RULES = {**dict.fromkeys(USER_TERMS, "finite and > 0"), "id": "an integer", "indoor": "a bool",
+         "position": "a tuple of three numbers"}
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("name", USER_TERMS)
+# The ids, flags and positions are values UserColumns.of would otherwise
+# convert: a float id to its integer part, any value to a flag.
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in USER_TERMS for value in (0.0, -1.0, math.nan, math.inf)]
+    + [("id", 1.5), ("id", True), ("id", "3"), ("indoor", 2), ("indoor", 0), ("indoor", None)]
+    + [("position", p) for p in [(10.0, 0.0), (10.0, 0.0, 0.85, 0.0), [10.0, 0.0, 0.85], (10.0, "0", 0.85)]],
+)
 def test_user_rejects_a_term_the_link_table_cannot_use(name, value):
-    with pytest.raises(ValueError, match=rf"user 7: {name} must be finite and > 0"):
-        make_user(id=7, **{name: value})
+    # The error names the user's id, or the rejected value when the id is bad.
+    named = value if name == "id" else 7
+    with pytest.raises(ValueError, match=rf"^user {re.escape(str(named))}: {name} must be {RULES[name]}, got "):
+        dataclasses.replace(make_user(id=7), **{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -178,8 +182,8 @@ def test_user_rejects_a_shard_size_that_is_no_positive_integer(size):
 
 
 def test_user_keeps_the_frozen_dataclass_contract():
-    # UserNode sets its fields in its own __init__; the generated methods and
-    # the checks must behave as for the dataclass's.
+    # A frozen dataclass whose __post_init__ checks every field, on
+    # construction and on dataclasses.replace.
     user = make_user(id=4, xy=(3.0, -2.0), indoor=True)
     terms = [getattr(user, f.name) for f in dataclasses.fields(user)]
     positional = type(user)(*terms)
@@ -201,12 +205,13 @@ def test_a_topology_rejects_two_users_with_one_id():
     with pytest.raises(ValueError, match="user ids must be distinct, got id 3 more than once"):
         Topology(cell_radius_m=50.0, bs_position=(0.0, 0.0), vlc_aps=(), users=tuple(users))
     topo = generate_topology(SimConfig(n_users=6), seed=0)
+    rows = topo.users.rows()
     with pytest.raises(ValueError, match="got id 0 more than once"):
-        dataclasses.replace(topo, users=(*topo.users, topo.users[0]))
+        dataclasses.replace(topo, users=(*rows, rows[0]))
 
 
 class TestUserColumns:
-    """A drawn topology keeps its users as columns and builds its rows on first read."""
+    """A drawn topology keeps its users as columns; ``rows()`` builds them as ``UserNode``s."""
 
     FIELDS = [f.name for f in dataclasses.fields(UserNode)]
 
@@ -214,40 +219,24 @@ class TestUserColumns:
     def test_each_column_holds_its_rows_field(self, n, indoor_fraction, seed):
         topo = generate_topology(SimConfig(n_users=n, indoor_fraction=indoor_fraction), seed)
         users = topo.users
-        assert isinstance(users, UserColumns) and len(users) == n
+        rows = users.rows()
+        assert isinstance(users, UserColumns) and len(users) == len(rows) == n
         for name in self.FIELDS:
             column = getattr(users, name).tolist()
             if name == "position":
                 column = [tuple(p) for p in column]
-            assert column == [getattr(u, name) for u in users]
-        assert topo.n_indoor == sum(u.indoor for u in users) == int(math.floor(indoor_fraction * n + 0.5))
-        assert [type(getattr(users[0], name)) for name in self.FIELDS] == [int, tuple, bool, int] + [float] * 5
-
-    def test_rows_are_built_once_on_first_read(self, monkeypatch):
-        built = []
-        init = UserNode.__init__
-
-        def counted(self, *args):
-            built.append(args[0])
-            init(self, *args)
-
-        monkeypatch.setattr(UserNode, "__init__", counted)
-        topo = generate_topology(SimConfig(n_users=30), 2)
-        assert (len(topo.users), topo.n_indoor, topo.n_outdoor) == (30, 24, 6) and built == []
-        first = topo.users[3]
-        assert built == list(range(30))
-        assert topo.users[3] is first and list(topo.users)[3] is first and built == list(range(30))
+            assert column == [getattr(u, name) for u in rows]
+        assert topo.n_indoor == sum(u.indoor for u in rows) == int(math.floor(indoor_fraction * n + 0.5))
+        assert [type(getattr(rows[0], name)) for name in self.FIELDS] == [int, tuple, bool, int] + [float] * 5
 
     @pytest.mark.parametrize("n", [1, 13, 50, 200])
-    def test_a_copy_built_from_nodes_equals_and_hashes_as_the_draw(self, n):
+    def test_a_copy_built_from_nodes_equals_the_draw(self, n):
         cfg = SimConfig(n_users=n)
         drawn = generate_topology(cfg, 7)
-        nodes = tuple(generate_topology(cfg, 7).users)
+        nodes = drawn.users.rows()
         copy = Topology(drawn.cell_radius_m, drawn.bs_position, drawn.vlc_aps, nodes)
-        assert copy.users[0] is nodes[0]  # a hand-built topology keeps its nodes as its rows
-        assert copy == drawn and drawn == copy and hash(copy) == hash(drawn) and repr(copy) == repr(drawn)
+        assert copy == drawn and drawn == copy and copy.users.rows() == nodes
         assert dataclasses.replace(drawn, users=nodes) == drawn
-        assert drawn.users == nodes and nodes == drawn.users and hash(drawn.users) == hash(nodes)
         for name in self.FIELDS:
             a, b = getattr(copy.users, name), getattr(drawn.users, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
