@@ -57,8 +57,6 @@ from .runner import (
     ExperimentReport,
     emit_report,
     run_experiment,
-    sweep_bandwidth,
-    sweep_users,
 )
 from .topology import Topology, UserNode, generate_topology
 

@@ -1,9 +1,7 @@
 """Command-line front end.
 
-Subcommands:
-  run              one experiment over the given seeds and modes
-  sweep-users      repeat across total-user counts
-  sweep-bandwidth  repeat across (RF, VLC) total-bandwidth pairs
+One subcommand, ``run``: one experiment over the given seeds and modes, or,
+with ``--vary FIELD=v1,v2`` repeated, one per point of the product of the axes.
 """
 
 from __future__ import annotations
@@ -12,72 +10,64 @@ import argparse
 import sys
 
 from .allocation import MODES
-from .config import ConfigError, build_config
+from .config import _HINTS, DERIVED_FIELD, ConfigError, SimConfig, _coerce, build_config
 from .dataset import DatasetParseError, DatasetSchemaError, load_bundled_dataset, load_dataset
-from .runner import emit_report, run_experiment, sweep_bandwidth, sweep_users
+from .runner import emit_report, run_experiment
 
 
-def _comma_list(parse, what: str):
-    """An argparse type for a comma-separated list, each item read by ``parse``.
+def _seeds(text: str) -> list[int]:
+    """An argparse type for comma-separated seeds.
 
-    A bad or empty item is a usage error that names the item, so argparse
-    exits with code 2 and names the option.
+    A bad, empty or repeated item is a usage error that names the item, so
+    argparse exits with code 2 and names the option.
     """
-
-    def convert(text: str) -> list:
-        values = []
-        for item in text.split(","):
-            item = item.strip()
-            try:
-                values.append(parse(item))
-            except ValueError:
-                problem = "empty item" if not item else f"{item!r} is not {what}"
-                raise argparse.ArgumentTypeError(f"{problem} in {text!r}") from None
-        return values
-
-    return convert
-
-
-def _seed(item: str) -> int:
-    seed = int(item)
-    if seed < 0:  # numpy seeds no generator from a negative integer
-        raise ValueError(item)
-    return seed
+    seeds = []
+    for item in text.split(","):
+        item = item.strip()
+        try:
+            seed = int(item)
+            if seed < 0:  # numpy seeds no generator from a negative integer
+                raise ValueError(item)
+        except ValueError:
+            problem = "empty item" if not item else f"{item!r} is not a non-negative integer"
+            raise argparse.ArgumentTypeError(f"{problem} in {text!r}") from None
+        if seed in seeds:
+            raise argparse.ArgumentTypeError(f"repeated item {item!r} in {text!r}")
+        seeds.append(seed)
+    return seeds
 
 
-def _band_pair(item: str) -> tuple[float, float]:
-    rf, sep, vlc = item.partition(":")
+def _axis(text: str) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """An argparse type for one ``--vary`` axis, ``F=v1,v2`` or ``F1:F2=a1:b1,a2:b2``.
+
+    Each value is read as a config file reads it and checked by its field's
+    rule, so a bad one is a usage error that names the item.
+    """
+    names, sep, items = text.partition("=")
+    names = tuple(name.strip() for name in names.split(":"))
     if not sep:
-        raise ValueError(item)
-    return float(rf), float(vlc)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument(
-        "--seeds",
-        type=_comma_list(_seed, "a non-negative integer"),
-        default="0,1,2,3,4",
-        help="comma-separated seeds",
-    )
-    parser.add_argument("--out", default="out", help="output directory for CSVs")
-    parser.add_argument("--mode", choices=(*MODES, "both"), default="both")
-    parser.add_argument("--dataset", help="CSV path; defaults to the bundled corpus")
-    parser.add_argument(
-        "--no-train",
-        action="store_true",
-        help="skip federated training (selection metrics only)",
-    )
-
-
-def _load_data(args):
-    if args.dataset:
-        return load_dataset(args.dataset)
-    return load_bundled_dataset()
-
-
-def _modes(args) -> tuple[str, ...]:
-    return MODES if args.mode == "both" else (args.mode,)
+        raise argparse.ArgumentTypeError(f"expected FIELD=v1,v2 or F1:F2=a1:b1,a2:b2, got {text!r}")
+    for name in names:
+        if name == DERIVED_FIELD:
+            raise argparse.ArgumentTypeError(f"{name} is set from the dataset's shard size, so {text!r} cannot vary it")
+        if name not in _HINTS:
+            raise argparse.ArgumentTypeError(f"unknown field {name!r} in {text!r}")
+    points = []
+    for item in items.split(","):
+        parts = item.split(":")
+        if not all(part.strip() for part in parts):
+            raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+        if len(parts) != len(names):
+            raise argparse.ArgumentTypeError(f"{item!r} does not give one value per field in {text!r}")
+        try:
+            point = tuple(_coerce(_HINTS[name], part) for name, part in zip(names, parts))
+            SimConfig().replace(**dict(zip(names, point)))
+        except ValueError as exc:  # a ConfigError is a ValueError
+            raise argparse.ArgumentTypeError(f"bad item {item!r}: {exc} in {text!r}") from None
+        if point in points:
+            raise argparse.ArgumentTypeError(f"repeated item {item!r} in {text!r}")
+        points.append(point)
+    return names, tuple(points)
 
 
 def main(argv=None) -> int:
@@ -86,40 +76,43 @@ def main(argv=None) -> int:
         description="Federated learning over a hybrid visible-light/RF network",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="single experiment")
-    _add_common(p_run)
-
-    p_users = sub.add_parser("sweep-users", help="vary total user count")
-    _add_common(p_users)
-    p_users.add_argument(
-        "--n-values",
-        type=_comma_list(int, "an integer"),
-        default="20,30,40,50,60,70,80,90,100",
-        help="comma-separated user counts",
+    p_run = sub.add_parser("run", help="one experiment, or one per point of the --vary grid")
+    p_run.add_argument("--config", help="flat key=value config file")
+    p_run.add_argument(
+        "--seeds",
+        type=_seeds,
+        default="0,1,2,3,4",
+        help="comma-separated seeds",
     )
-
-    p_band = sub.add_parser("sweep-bandwidth", help="vary total bandwidths")
-    _add_common(p_band)
-    p_band.add_argument(
-        "--pairs",
-        type=_comma_list(_band_pair, "an rf:vlc pair of numbers"),
-        default="10e6:20e6,20e6:40e6,40e6:80e6",
-        help="comma-separated rf:vlc total-bandwidth pairs in Hz",
+    p_run.add_argument(
+        "--vary",
+        type=_axis,
+        action="append",
+        default=[],
+        metavar="FIELD=v1,v2",
+        help="an axis of config values, F1:F2=a1:b1,a2:b2 to move fields together; "
+        "repeat for the product of the axes, the last fastest",
+    )
+    p_run.add_argument("--out", default="out", help="output directory for CSVs")
+    p_run.add_argument("--mode", choices=(*MODES, "both"), default="both")
+    p_run.add_argument("--dataset", help="CSV path; defaults to the bundled corpus")
+    p_run.add_argument(
+        "--no-train",
+        action="store_true",
+        help="skip federated training (selection metrics only)",
     )
 
     args = parser.parse_args(argv)
-    train = not args.no_train
+    varied = [name for names, _ in args.vary for name in names]
+    for name in varied:
+        if varied.count(name) > 1:
+            p_run.error(f"argument --vary: field {name!r} is varied twice")
+    modes = MODES if args.mode == "both" else (args.mode,)
 
     try:
         config = build_config(args.config)
-        data = _load_data(args)
-        if args.command == "run":
-            report = run_experiment(config, args.seeds, data, _modes(args), train)
-        elif args.command == "sweep-users":
-            report = sweep_users(config, args.seeds, data, args.n_values, _modes(args), train)
-        else:
-            report = sweep_bandwidth(config, args.seeds, data, args.pairs, _modes(args), train)
+        data = load_dataset(args.dataset) if args.dataset else load_bundled_dataset()
+        report = run_experiment(config, args.seeds, data, modes, not args.no_train, args.vary)
         paths = emit_report(report, args.out)
     except (OSError, ConfigError, DatasetSchemaError, DatasetParseError) as exc:
         # A bad file or value is a usage error: one line naming it, exit code 2.

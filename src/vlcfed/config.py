@@ -174,19 +174,22 @@ class SimConfig:
 
 
 def _split_rules():
-    """(name, interval, annotated int) of each scalar field and (name, check) of each tuple field."""
-    scalars, tuples = [], []
+    """(name, interval, annotated int) of each scalar field, (name, check) of
+    each tuple field, and each field's plain type, as ``_coerce`` reads it."""
+    scalars, tuples, hints = [], [], {}
     for name, hint in typing.get_type_hints(SimConfig, include_extras=True).items():
         base, rule = typing.get_args(hint)  # exactly one rule per field
+        hints[name] = base
         if isinstance(rule, _Interval):
             scalars.append((name, rule, base is int))  # the int that _coerce reads
         else:
             tuples.append((name, rule))
-    return tuple(scalars), tuple(tuples)
+    return tuple(scalars), tuple(tuples), hints
 
 
-_SCALAR_RULES, _TUPLE_RULES = _split_rules()
-_FIELD_NAMES = frozenset(name for name, *_ in _SCALAR_RULES + _TUPLE_RULES)
+_SCALAR_RULES, _TUPLE_RULES, _HINTS = _split_rules()
+_FIELD_NAMES = frozenset(_HINTS)
+DERIVED_FIELD = "samples_per_user"  # the runner sets it from the dataset's shard size
 
 
 def _check_fields(values: dict) -> None:
@@ -244,7 +247,6 @@ def load_config_file(path: str) -> dict:
 
 def _read_config_file(path: str) -> tuple[dict, dict]:
     """``load_config_file``'s overrides, and the line that set each key."""
-    hints = typing.get_type_hints(SimConfig)
     overrides: dict = {}
     lines: dict = {}
     with open(path, "rb") as fh:
@@ -263,10 +265,10 @@ def _read_config_file(path: str) -> tuple[dict, dict]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in hints:
+        if key not in _HINTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            overrides[key] = _coerce(hints[key], value)
+            overrides[key] = _coerce(_HINTS[key], value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno
@@ -276,11 +278,15 @@ def _read_config_file(path: str) -> tuple[dict, dict]:
 def build_config(file_path: Optional[str] = None) -> SimConfig:
     """Resolve a config: the compiled defaults, overridden by the config file if one is given.
 
-    A value the file sets that ``SimConfig`` rejects is named by ``path:line:``.
+    A value the file sets that ``SimConfig`` rejects is named by ``path:line:``,
+    and so is ``DERIVED_FIELD``, which the runner sets itself.
     """
     if not file_path:
         return SimConfig()
     overrides, lines = _read_config_file(file_path)
+    if DERIVED_FIELD in lines:
+        problem = f"{DERIVED_FIELD} is set by the runner, not by a config file"
+        raise ConfigError(f"{file_path}:{lines[DERIVED_FIELD]}: {problem}")
     try:
         return SimConfig(**overrides)
     except ConfigError:

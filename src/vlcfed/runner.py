@@ -1,9 +1,9 @@
-"""Experiment orchestration: seed sweeps over both modes, CSV reports.
+"""Experiment orchestration: seeds and modes over a grid of configs, CSV reports.
 
-A record is one (seed, mode, n_users) run: selection/bandwidth outcome plus
-the federated-training accuracy trace. Hybrid and RF-only runs on the same
-seed share the topology, the shard partition, and the test split, so their
-metrics are directly paired.
+A record is one (grid point, seed, mode) run: selection/bandwidth outcome
+plus the federated-training accuracy trace. Hybrid and RF-only runs on the
+same seed share the topology, the shard partition, and the test split, so
+their metrics are directly paired.
 """
 
 from __future__ import annotations
@@ -11,21 +11,21 @@ from __future__ import annotations
 import csv
 import io
 import os
-from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .allocation import MODES, UsbaResult, usba
-from .config import SimConfig
+from .config import DERIVED_FIELD, SimConfig
 from .dataset import Dataset, shard_size, split_and_partition
 from .fl import TrainingReport, required_global_rounds, run_federated_training
 from .topology import Topology, generate_topology
 
 
 class ExperimentError(RuntimeError):
-    """A component failure, annotated with the (seed, mode) that hit it."""
+    """A component failure, annotated with the grid point, seed and mode that hit it."""
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,21 @@ class ExperimentRecord:
     objective: float
     final_r2: float
     r2_trace: tuple[float, ...]
+    # Not a column: the grid point's index, also of its config in run_configs
+    # (an index, so that kept records do not keep a config each).
+    point: int = field(compare=False)
+
+
+_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.name != "point")
 
 
 @dataclass
 class ExperimentReport:
     """Records, the config the caller passed, and in ``run_configs`` the
-    config each group of records ran with (its ``samples_per_user`` derived),
-    in run order; the manifest states those, or ``config`` if there are none.
+    config each grid point ran with (its ``samples_per_user`` derived), in run
+    order; the manifest states those, or ``config`` if there are none.
     ``dataset_sha256`` is the loaded CSV's hash, None for data built in memory.
+    ``varied`` names the grid's fields in axis order.
     """
 
     records: list[ExperimentRecord]
@@ -62,10 +69,13 @@ class ExperimentReport:
     dataset_name: str
     run_configs: tuple[SimConfig, ...] = ()
     dataset_sha256: str | None = None
+    varied: tuple[str, ...] = ()
 
 
-def _record(cfg: SimConfig, seed: int, mode: str, result: UsbaResult, report: TrainingReport) -> ExperimentRecord:
-    """One (seed, mode) run's record; ``report`` is empty when it did not train."""
+def _record(
+    cfg: SimConfig, point: int, seed: int, mode: str, result: UsbaResult, report: TrainingReport
+) -> ExperimentRecord:
+    """One (point, seed, mode) run's record; ``report`` is empty when it did not train."""
     return ExperimentRecord(
         mode=mode,
         seed=seed,
@@ -83,31 +93,49 @@ def _record(cfg: SimConfig, seed: int, mode: str, result: UsbaResult, report: Tr
         objective=result.objective,
         final_r2=report.final_r2,
         r2_trace=tuple(report.r2_per_round),
+        point=point,
     )
 
 
-def _run_records(
+def run_experiment(
     config: SimConfig,
-    configs: Iterable[SimConfig],
     seeds: list[int],
     data: Dataset,
-    modes: tuple[str, ...],
-    train: bool,
+    modes: tuple[str, ...] = MODES,
+    train: bool = True,
+    grid: Sequence[tuple[Sequence[str], Sequence[tuple]]] = (),
 ) -> ExperimentReport:
-    """One record per (config, seed, mode), in that order, as a report on ``config``.
+    """One record per (grid point, seed, mode), in that order.
 
-    Each config runs with the shard size its user count gives on ``data``, and
+    An axis of ``grid`` is ``(fields, values)``: the names of fields that move
+    together and one tuple of their values per point. The points are the
+    product of the axes, the last fastest, and each runs ``config`` with the
+    point's values set; with no axis the one point is ``config`` itself.
+
+    Each point runs with the shard size its user count gives on ``data``, and
     each seed's one topology draw and one shard partition serve every mode.
     Only training reads the rows, so the first mode that trains makes the
     partition, and selection-only seeds make none. A failure, the
-    derivation's, the draw's and the partition's included, names the
-    (seed, mode) it hit.
+    derivation's, the draw's and the partition's included, names the point's
+    varied values, the seed and the mode it hit.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    points, varied = [{}], ()
+    for names, values in grid:
+        if not values:
+            raise ValueError(f"the axis of {', '.join(names)} has no values")
+        points = [{**point, **dict(zip(names, value, strict=True))} for point in points for value in values]
+        varied += tuple(names)
+    for name in varied:
+        if name == DERIVED_FIELD:
+            raise ValueError(f"{DERIVED_FIELD} is set from the dataset's shard size, so it cannot be varied")
+        if varied.count(name) > 1:
+            raise ValueError(f"field {name!r} is varied twice")
+    bases = [config.replace(**point) if point else config for point in points]
     records = []
     run_configs = []
-    for base in configs:
+    for index, base in enumerate(bases):
         cfg = None
         for seed in seeds:
             topology = partition = None
@@ -124,49 +152,11 @@ def _run_records(
                         if partition is None:
                             partition = split_and_partition(data, cfg.n_users, cfg.test_size, seed)
                         report = run_federated_training(result.selection, *partition, cfg, seed)
-                    records.append(_record(cfg, seed, mode, result, report))
+                    records.append(_record(cfg, index, seed, mode, result, report))
                 except Exception as exc:
-                    raise ExperimentError(f"seed {seed}, mode {mode}: {exc}") from exc
-    return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs), data.sha256)
-
-
-def run_experiment(
-    config: SimConfig,
-    seeds: list[int],
-    data: Dataset,
-    modes: tuple[str, ...] = MODES,
-    train: bool = True,
-) -> ExperimentReport:
-    """One record per (seed, mode), assembled in deterministic order."""
-    return _run_records(config, [config], seeds, data, modes, train)
-
-
-def sweep_users(
-    config: SimConfig,
-    seeds: list[int],
-    data: Dataset,
-    n_values: list[int],
-    modes: tuple[str, ...] = MODES,
-    train: bool = True,
-) -> ExperimentReport:
-    """Repeat the experiment across total-user counts."""
-    configs = (config.replace(n_users=n) for n in n_values)
-    return _run_records(config, configs, seeds, data, modes, train)
-
-
-def sweep_bandwidth(
-    config: SimConfig,
-    seeds: list[int],
-    data: Dataset,
-    band_pairs: list[tuple[float, float]],
-    modes: tuple[str, ...] = MODES,
-    train: bool = True,
-) -> ExperimentReport:
-    """Repeat the experiment across (RF total, VLC total) bandwidth pairs."""
-    configs = (
-        config.replace(rf_total_bandwidth_hz=b_rf, vlc_total_bandwidth_hz=b_vlc) for b_rf, b_vlc in band_pairs
-    )
-    return _run_records(config, configs, seeds, data, modes, train)
+                    where = "".join(f"{name}={_manifest_value(value)}, " for name, value in points[index].items())
+                    raise ExperimentError(f"{where}seed {seed}, mode {mode}: {exc}") from exc
+    return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs), data.sha256, varied)
 
 
 def _fmt(value) -> str:
@@ -180,25 +170,26 @@ def _fmt(value) -> str:
 def _records_csv(report: ExperimentReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    cols = [f.name for f in fields(ExperimentRecord)]
-    writer.writerow(cols)
+    extras = [name for name in report.varied if name not in _COLUMNS]
+    at = _COLUMNS.index("vlc_total_bandwidth_hz") + 1
+    writer.writerow([*_COLUMNS[:at], *extras, *_COLUMNS[at:]])
     for rec in report.records:
-        row = []
-        for col in cols:
-            value = getattr(rec, col)
-            if col == "r2_trace":
-                row.append(";".join("%.17g" % v for v in value))
-            else:
-                row.append(_fmt(value))
+        row = [_fmt(getattr(rec, col)) for col in _COLUMNS[:-1]]
+        row.append(";".join("%.17g" % v for v in rec.r2_trace))  # the last column
+        row[at:at] = [_manifest_value(getattr(report.run_configs[rec.point], name)) for name in extras]
         writer.writerow(row)
     return buf.getvalue()
 
 
 def _summary_csv(report: ExperimentReport) -> str:
+    # A group is a mode and a grid point. Points that differ in a column
+    # differ in the key's first fields, so the point's index only splits, in
+    # axis order, points that differ in an extra column alone.
     groups: dict[tuple, list[ExperimentRecord]] = {}
     for rec in report.records:
-        key = (rec.mode, rec.n_users, rec.rf_total_bandwidth_hz, rec.vlc_total_bandwidth_hz)
+        key = (rec.mode, rec.n_users, rec.rf_total_bandwidth_hz, rec.vlc_total_bandwidth_hz, rec.point)
         groups.setdefault(key, []).append(rec)
+    extras = [name for name in report.varied if name not in _COLUMNS]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -207,6 +198,7 @@ def _summary_csv(report: ExperimentReport) -> str:
             "n_users",
             "rf_total_bandwidth_hz",
             "vlc_total_bandwidth_hz",
+            *extras,
             "runs",
             "mean_n_selected",
             "std_n_selected",
@@ -219,13 +211,18 @@ def _summary_csv(report: ExperimentReport) -> str:
         n_sel = np.array([r.n_selected for r in recs], dtype=float)
         r2 = np.array([r.final_r2 for r in recs], dtype=float)
         writer.writerow(
-            [key[0], str(key[1]), _fmt(key[2]), _fmt(key[3]), str(len(recs))]
+            [key[0], str(key[1]), _fmt(key[2]), _fmt(key[3])]
+            + [_manifest_value(getattr(report.run_configs[key[4]], name)) for name in extras]
+            + [str(len(recs))]
             + [_fmt(float(v)) for v in (n_sel.mean(), n_sel.std(), r2.mean(), r2.std())]
         )
     return buf.getvalue()
 
 
 def _manifest(report: ExperimentReport) -> str:
+    # A field that varied lists its value in each run config, in run order,
+    # so the values of a joint axis stay aligned.
+    configs = report.run_configs or (report.config,)
     lines = ["vlcfed experiment manifest", ""]
     lines.append(f"vlcfed_version = {__version__}")
     lines.append(f"dataset = {report.dataset_name}")
@@ -236,18 +233,19 @@ def _manifest(report: ExperimentReport) -> str:
     lines.append(f"numpy_simd = {','.join(np.show_config(mode='dicts')['SIMD Extensions']['found']) or 'none'}")
     lines.append(f"seeds = {','.join(str(s) for s in report.seeds)}")
     lines.append(f"records = {len(report.records)}")
-    lines.append(
-        f"iteration_budget_bound = {required_global_rounds(report.config.local_accuracy)}"
-    )
+    bounds = (required_global_rounds(c.local_accuracy) for c in configs)
+    lines.append(f"iteration_budget_bound = {_manifest_values(bounds)}")
     lines.append("")
     lines.append("[config]")
-    # A field that varied lists its value in each run config, in run order, so
-    # the values of swept pairs stay aligned.
-    configs = report.run_configs or (report.config,)
     for f in sorted(fields(SimConfig), key=lambda f: f.name):
-        values = [_manifest_value(getattr(c, f.name)) for c in configs]
-        lines.append(f"{f.name} = {';'.join(values if len(set(values)) > 1 else values[:1])}")
+        lines.append(f"{f.name} = {_manifest_values(getattr(c, f.name) for c in configs)}")
     return "\n".join(lines) + "\n"
+
+
+def _manifest_values(values) -> str:
+    """One value, or each config's value in run order, separated by ``;``."""
+    texts = [_manifest_value(v) for v in values]
+    return ";".join(texts if len(set(texts)) > 1 else texts[:1])
 
 
 def _manifest_value(value) -> str:

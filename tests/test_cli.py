@@ -19,20 +19,29 @@ def test_run_rf_only_writes_three_files(tmp_path, capsys):
     assert "wrote records:" in capsys.readouterr().out
 
 
-def test_sweep_users_covers_the_grid(tmp_path):
+def test_vary_covers_the_grid(tmp_path):
     out = tmp_path / "out"
-    assert main(["sweep-users", "--no-train", "--seeds", "0,1", "--n-values", "8,12", "--out", str(out)]) == 0
+    assert main(["run", "--no-train", "--seeds", "0,1", "--vary", "n_users=8,12", "--out", str(out)]) == 0
     grid = [(r["n_users"], r["seed"], r["mode"]) for r in read_records(out)]
     assert grid == [(n, s, m) for n in ("8", "12") for s in ("0", "1") for m in ("hybrid", "rf_only")]
 
 
-def test_sweep_bandwidth_covers_the_grid(tmp_path):
+def test_vary_moves_a_joint_axis_together(tmp_path):
     out = tmp_path / "out"
-    argv = ["sweep-bandwidth", "--no-train", "--seeds", "0", "--pairs", "10e6:20e6,20e6:40e6", "--out", str(out)]
-    assert main(argv) == 0
+    axis = "rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,20e6:40e6"
+    assert main(["run", "--no-train", "--seeds", "0", "--vary", axis, "--out", str(out)]) == 0
     grid = [(r["rf_total_bandwidth_hz"], r["vlc_total_bandwidth_hz"], r["mode"]) for r in read_records(out)]
     pairs = [("10000000", "20000000"), ("20000000", "40000000")]
     assert grid == [(*pair, m) for pair in pairs for m in ("hybrid", "rf_only")]
+
+
+def test_vary_takes_the_product_of_its_axes(tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--no-train", "--seeds", "0", "--mode", "rf_only", "--out", str(out)]
+    assert main([*argv, "--vary", "t_round_s=1.25,2.5", "--vary", "n_users=8,12"]) == 0
+    records = read_records(out)
+    assert list(records[0])[3:6] == ["rf_total_bandwidth_hz", "vlc_total_bandwidth_hz", "t_round_s"]
+    assert [(r["t_round_s"], r["n_users"]) for r in records] == [(t, n) for t in ("1.25", "2.5") for n in ("8", "12")]
 
 
 def test_config_file_reaches_records_and_manifest(tmp_path):
@@ -44,11 +53,12 @@ def test_config_file_reaches_records_and_manifest(tmp_path):
     assert "n_users = 8" in (out / "manifest.txt").read_text().splitlines()
 
 
-def test_validate_subcommand_is_gone(capsys):
+@pytest.mark.parametrize("command", ["validate", "sweep-users", "sweep-bandwidth"])
+def test_removed_subcommands_are_gone(command, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["validate"])
+        main([command])
     assert exc.value.code == 2
-    assert "invalid choice: 'validate'" in capsys.readouterr().err
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -57,10 +67,44 @@ def test_validate_subcommand_is_gone(capsys):
         (["run", "--seeds", "0,x"], "--seeds", "'x' is not a non-negative integer in '0,x'"),
         (["run", "--seeds", "0,-1"], "--seeds", "'-1' is not a non-negative integer in '0,-1'"),
         (["run", "--seeds", ","], "--seeds", "empty item in ','"),
-        (["sweep-users", "--n-values", "20,,30"], "--n-values", "empty item in '20,,30'"),
-        (["sweep-users", "--n-values", "20,3.5"], "--n-values", "'3.5' is not an integer in '20,3.5'"),
-        (["sweep-bandwidth", "--pairs", "10e6"], "--pairs", "'10e6' is not an rf:vlc pair of numbers in '10e6'"),
-        (["sweep-bandwidth", "--pairs", "10e6:20e6,"], "--pairs", "empty item in '10e6:20e6,'"),
+        (["run", "--seeds", "0,1,0"], "--seeds", "repeated item '0' in '0,1,0'"),
+        (["run", "--vary", "n_user=20"], "--vary", "unknown field 'n_user' in 'n_user=20'"),
+        (["run", "--vary", "n_users"], "--vary", "expected FIELD=v1,v2 or F1:F2=a1:b1,a2:b2, got 'n_users'"),
+        (["run", "--vary", "n_users=20,,30"], "--vary", "empty item in 'n_users=20,,30'"),
+        (["run", "--vary", "n_users="], "--vary", "empty item in 'n_users='"),
+        (
+            ["run", "--vary", "rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,10e6"],
+            "--vary",
+            "'10e6' does not give one value per field in 'rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,10e6'",
+        ),
+        (["run", "--vary", "n_users=20:30"], "--vary", "'20:30' does not give one value per field in 'n_users=20:30'"),
+        (
+            ["run", "--vary", "n_users=20,3.5"],
+            "--vary",
+            "bad item '3.5': expected an integer, got '3.5' in 'n_users=20,3.5'",
+        ),
+        (
+            ["run", "--vary", "n_users=0"],
+            "--vary",
+            "bad item '0': n_users must be finite and >= 1, got 0 in 'n_users=0'",
+        ),
+        (["run", "--vary", "n_users=20,2e1"], "--vary", "repeated item '2e1' in 'n_users=20,2e1'"),
+        (
+            ["run", "--vary", "rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,1e7:2e7"],
+            "--vary",
+            "repeated item '1e7:2e7' in 'rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,1e7:2e7'",
+        ),
+        (["run", "--vary", "n_users:n_users=8:8"], "--vary", "field 'n_users' is varied twice"),
+        (
+            ["run", "--vary", "n_users=8", "--vary", "t_round_s:n_users=1:12"],
+            "--vary",
+            "field 'n_users' is varied twice",
+        ),
+        (
+            ["run", "--vary", "samples_per_user=30"],
+            "--vary",
+            "samples_per_user is set from the dataset's shard size, so 'samples_per_user=30' cannot vary it",
+        ),
     ],
 )
 def test_bad_list_item_is_a_usage_error(argv, option, problem, tmp_path, capsys):
@@ -80,7 +124,11 @@ GOOD_ROW = ",".join(["1.0"] * 14)
         (["run", "--dataset", "{tmp}/missing.csv"], {}, "No such file or directory: '{tmp}/missing.csv'"),
         (["run", "--config", "{tmp}/missing.cfg"], {}, "No such file or directory: '{tmp}/missing.cfg'"),
         (["run", "--config", "{tmp}/zero.cfg"], {"zero.cfg": "n_users = 0\n"}, "n_users must be finite and >= 1, got 0"),
-        (["sweep-users", "--n-values", "0"], {}, "n_users must be finite and >= 1, got 0"),
+        (
+            ["run", "--config", "{tmp}/derived.cfg"],
+            {"derived.cfg": "n_users = 20\nsamples_per_user = 30\n"},
+            "{tmp}/derived.cfg:2: samples_per_user is set by the runner, not by a config file",
+        ),
         (["run", "--dataset", "{tmp}/short.csv"], {"short.csv": "1.0,2.0\n"}, "{tmp}/short.csv: line 1: expected 14 columns"),
         (
             ["run", "--dataset", "{tmp}/word.csv"],
@@ -100,7 +148,7 @@ GOOD_ROW = ",".join(["1.0"] * 14)
         ),
     ],
     ids=[
-        "missing-dataset", "missing-config", "config-value", "n-values", "dataset-schema", "dataset-cell",
+        "missing-dataset", "missing-config", "config-value", "config-derived-field", "dataset-schema", "dataset-cell",
         "config-value-line", "dataset-not-utf8", "config-not-utf8",
     ],
 )

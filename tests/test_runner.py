@@ -24,14 +24,12 @@ from vlcfed import (
 )
 from vlcfed import runner
 from vlcfed.allocation import MODES, _UserTerms
-from vlcfed.config import _SCALAR_RULES, _TUPLE_RULES, _Interval
+from vlcfed.config import _SCALAR_RULES, _TUPLE_RULES, DERIVED_FIELD, _Interval
 from vlcfed.runner import (
     ExperimentError,
     ExperimentReport,
     emit_report,
     run_experiment,
-    sweep_bandwidth,
-    sweep_users,
 )
 from tests.conftest import write_dataset
 
@@ -223,19 +221,105 @@ class TestReferenceRun:
             assert float(row["final_r2"]) == trace[-1]
 
 
-class TestSweeps:
-    def test_sweep_users_covers_grid(self, small_setup):
-        cfg, data = small_setup
-        report = sweep_users(cfg, [0], data, [4, 8], train=False)
-        assert sorted({r.n_users for r in report.records}) == [4, 8]
-        assert len(report.records) == 4
+N_USERS_AXIS = (("n_users",), ((4,), (8,)))
+BAND_AXIS = (("rf_total_bandwidth_hz", "vlc_total_bandwidth_hz"), ((10e6, 20e6), (20e6, 40e6)))
 
-    def test_sweep_bandwidth_covers_grid(self, small_setup):
+
+class TestGrid:
+    def test_an_axis_of_one_field_covers_its_values(self, small_setup):
         cfg, data = small_setup
-        pairs = [(10e6, 20e6), (20e6, 40e6)]
-        report = sweep_bandwidth(cfg, [0], data, pairs, train=False)
-        got = sorted({(r.rf_total_bandwidth_hz, r.vlc_total_bandwidth_hz) for r in report.records})
-        assert got == sorted(pairs)
+        report = run_experiment(cfg, [0], data, train=False, grid=[N_USERS_AXIS])
+        assert [(r.n_users, r.mode) for r in report.records] == [(n, m) for n in (4, 8) for m in MODES]
+
+    def test_a_joint_axis_moves_its_fields_together(self, small_setup):
+        cfg, data = small_setup
+        report = run_experiment(cfg, [0], data, train=False, grid=[BAND_AXIS])
+        got = [(r.rf_total_bandwidth_hz, r.vlc_total_bandwidth_hz) for r in report.records]
+        assert got == [pair for pair in BAND_AXIS[1] for _ in MODES]
+        assert report.varied == BAND_AXIS[0]
+
+    def test_a_product_runs_the_last_axis_fastest(self, small_setup):
+        cfg, data = small_setup
+        report = run_experiment(cfg, [5, 2], data, train=False, grid=[BAND_AXIS, N_USERS_AXIS])
+        got = [(r.rf_total_bandwidth_hz, r.n_users, r.seed, r.mode) for r in report.records]
+        assert got == [
+            (rf, n, seed, mode)
+            for rf in (10e6, 20e6)
+            for n in (4, 8)
+            for seed in (5, 2)
+            for mode in MODES
+        ]
+        assert [r.point for r in report.records] == [p for p in range(4) for _ in range(4)]
+        assert [(c.rf_total_bandwidth_hz, c.n_users) for c in report.run_configs] == [
+            (rf, n) for rf in (10e6, 20e6) for n in (4, 8)
+        ]
+
+    def test_a_point_runs_as_the_config_it_sets(self, small_setup):
+        cfg, data = small_setup
+        axis = (("t_round_s", "n_users"), ((1.25, 4),))
+        varied = run_experiment(cfg, [0, 1], data, grid=[axis])
+        alone = run_experiment(cfg.replace(t_round_s=1.25, n_users=4), [0, 1], data)
+        assert varied.records == alone.records
+        assert varied.run_configs == alone.run_configs
+
+    def test_a_bad_value_is_rejected_before_any_run(self, small_setup, monkeypatch):
+        cfg, data = small_setup
+        monkeypatch.setattr(runner, "generate_topology", None)  # no draw may run
+        with pytest.raises(ConfigError, match="^n_users must be finite and >= 1, got 0$"):
+            run_experiment(cfg, [0], data, grid=[(("n_users",), ((4,), (0,)))])
+
+    def test_the_derived_field_cannot_be_varied(self, small_setup):
+        cfg, data = small_setup
+        with pytest.raises(ValueError, match="samples_per_user is set from the dataset's shard size"):
+            run_experiment(cfg, [0], data, grid=[(("samples_per_user",), ((3,), (30,)))])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [(("n_users", "n_users"), ((8, 9),))],
+            [(("n_users",), ((8,),)), (("t_round_s", "n_users"), ((1.0, 12),))],
+        ],
+        ids=["within-an-axis", "across-axes"],
+    )
+    def test_a_field_cannot_be_varied_twice(self, small_setup, grid):
+        cfg, data = small_setup
+        with pytest.raises(ValueError, match="^field 'n_users' is varied twice$"):
+            run_experiment(cfg, [0], data, train=False, grid=grid)
+
+    def test_an_axis_needs_a_value(self, small_setup):
+        cfg, data = small_setup
+        with pytest.raises(ValueError, match="^the axis of n_users has no values$"):
+            run_experiment(cfg, [0], data, train=False, grid=[(("n_users",), ())])
+
+    def test_an_error_names_its_point(self, small_setup):
+        cfg, data = small_setup
+        axis = (("n_users", "t_round_s"), ((4, 2.5), (200, 1.25)))
+        with pytest.raises(ExperimentError, match=r"^n_users=200, t_round_s=1.25, seed 3, mode hybrid: need at least"):
+            run_experiment(cfg, [3], data, train=False, grid=[axis])
+
+    def test_a_field_that_is_not_a_column_splits_summary_rows_in_axis_order(self, small_setup, tmp_path):
+        cfg, data = small_setup
+        # Axis order is neither numeric (1.25 < 2.5 < 10) nor textual ("1.25" < "10" < "2.5").
+        axis = (("t_round_s",), ((10.0,), (2.5,), (1.25,)))
+        report = run_experiment(cfg, [0, 1], data, train=False, grid=[axis])
+        paths = emit_report(report, str(tmp_path))
+        with open(paths["summary"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[:6] == ["mode", "n_users", "rf_total_bandwidth_hz", "vlc_total_bandwidth_hz", "t_round_s", "runs"]
+        assert [(r["mode"], r["t_round_s"], r["runs"]) for r in rows] == [
+            (mode, t, "2") for mode in MODES for t in ("10", "2.5", "1.25")
+        ]
+        for row in rows:
+            selected = [
+                rec.n_selected
+                for rec in report.records
+                if rec.mode == row["mode"] and report.run_configs[rec.point].t_round_s == float(row["t_round_s"])
+            ]
+            assert float(row["mean_n_selected"]) == pytest.approx(np.mean(selected))
+        with open(paths["records"], newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert [r["t_round_s"] for r in records] == [t for t in ("10", "2.5", "1.25") for _ in range(4)]
+        assert "t_round_s = 10;2.5;1.25" in Path(paths["manifest"]).read_text().splitlines()
 
 
 class TestEmitReport:
@@ -291,7 +375,7 @@ class TestEmitReport:
             "samples_per_user = 24",
             "vlc_total_bandwidth_hz = 40000000",
         ]
-        users = sweep_users(cfg, [0], data, [20, 30], train=False)
+        users = run_experiment(cfg, [0], data, train=False, grid=[(("n_users",), ((20,), (30,)))])
         assert manifest_lines(users, "users") == [
             "records = 4",
             "n_users = 20;30",
@@ -300,7 +384,10 @@ class TestEmitReport:
             "vlc_total_bandwidth_hz = 40000000",
         ]
         # The swept pairs stay aligned: a value two pairs share is listed twice.
-        bands = sweep_bandwidth(cfg, [0], data, [(10e6, 20e6), (20e6, 20e6), (20e6, 40e6)], train=False)
+        pairs = ((10e6, 20e6), (20e6, 20e6), (20e6, 40e6))
+        bands = run_experiment(
+            cfg, [0], data, train=False, grid=[(("rf_total_bandwidth_hz", "vlc_total_bandwidth_hz"), pairs)]
+        )
         assert manifest_lines(bands, "bands") == [
             "records = 6",
             "n_users = 50",
@@ -678,6 +765,8 @@ class TestConfigResolution:
         lines = []
         for f in dataclasses.fields(SimConfig):
             value = getattr(cfg, f.name)
+            if f.name == DERIVED_FIELD:  # the runner sets it; a file that does is rejected
+                continue
             if value is None:
                 text = "none"
             elif isinstance(value, tuple):
