@@ -27,7 +27,7 @@ from .channel import (
     vlc_rate,
     vlc_sinr,
 )
-from .config import ConfigError, SimConfig, build_config, load_config_file
+from .config import ConfigError, SimConfig, build_config
 from .dataset import (
     DataShard,
     Dataset,
@@ -35,7 +35,6 @@ from .dataset import (
     DatasetSchemaError,
     load_bundled_dataset,
     load_dataset,
-    make_synthetic,
     split_and_partition,
 )
 from .fl import (
@@ -47,7 +46,6 @@ from .fl import (
     forward_batch,
     loss_gradients,
     mse_loss,
-    r_squared,
     required_global_rounds,
     run_federated_training,
 )

@@ -235,55 +235,42 @@ def _coerce(hint, raw: str):
     return float(text)
 
 
-def load_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` config file into an override mapping.
+def build_config(file_path: Optional[str] = None) -> SimConfig:
+    """Resolve a config: the compiled defaults, overridden by the config file if one is given.
 
-    Lines starting with ``#`` and blank lines are ignored. Unknown keys are
-    rejected so typos do not silently fall back to defaults, and so are
-    non-integral values of integer fields.
+    The file holds flat ``key = value`` lines; blank lines and lines starting
+    with ``#`` are ignored. An unknown key (so that a typo does not fall back
+    to a default), a value its field's type cannot read, a value
+    ``SimConfig`` rejects and ``DERIVED_FIELD``, which the runner sets
+    itself, are each named by ``path:line:``.
     """
-    return _read_config_file(path)[0]
-
-
-def _read_config_file(path: str) -> tuple[dict, dict]:
-    """``load_config_file``'s overrides, and the line that set each key."""
+    if not file_path:
+        return SimConfig()
     overrides: dict = {}
-    lines: dict = {}
-    with open(path, "rb") as fh:
+    lines: dict = {}  # the line that set each key
+    with open(file_path, "rb") as fh:
         raw = fh.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}: line {lineno}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
+        raise ConfigError(f"{file_path}: line {lineno}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
     # Universal newlines, as reading the file in text mode splits it.
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{file_path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key not in _HINTS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{file_path}:{lineno}: unknown config key {key!r}")
         try:
             overrides[key] = _coerce(_HINTS[key], value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            raise ConfigError(f"{file_path}:{lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno
-    return overrides, lines
-
-
-def build_config(file_path: Optional[str] = None) -> SimConfig:
-    """Resolve a config: the compiled defaults, overridden by the config file if one is given.
-
-    A value the file sets that ``SimConfig`` rejects is named by ``path:line:``,
-    and so is ``DERIVED_FIELD``, which the runner sets itself.
-    """
-    if not file_path:
-        return SimConfig()
-    overrides, lines = _read_config_file(file_path)
     if DERIVED_FIELD in lines:
         problem = f"{DERIVED_FIELD} is set by the runner, not by a config file"
         raise ConfigError(f"{file_path}:{lines[DERIVED_FIELD]}: {problem}")

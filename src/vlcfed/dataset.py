@@ -1,9 +1,8 @@
 """Regression data ingestion and per-user partitioning.
 
 The expected file format is a CSV with 14 numeric columns (13 features, then
-the target) and an optional single header line. A deterministic synthetic
-generator with the same shape is provided for hermetic tests and as the
-bundled default corpus.
+the target) and an optional single header line. The package bundles one
+such file, a synthetic corpus, so default runs need no download.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from importlib import resources
 import numpy as np
 
 N_FEATURES = 13
-SYNTHETIC_NOISE_STD = 0.35  # of make_synthetic's target, in units of its signal std
 
 BUNDLED_DATASET = "housing_synthetic.csv"
 
@@ -126,33 +124,6 @@ def load_bundled_dataset() -> Dataset:
     ref = resources.files("vlcfed").joinpath("data").joinpath(BUNDLED_DATASET)
     with resources.as_file(ref) as path:
         return load_dataset(str(path), name=BUNDLED_DATASET)
-
-
-def make_synthetic(n_rows: int = 506, seed: int = 0) -> Dataset:
-    """Deterministic regression corpus with the housing-file shape.
-
-    Features mix scales like real tabular data. The target combines a linear
-    part with interactions and smooth nonlinearities, so a few hundred
-    samples sit mid-learning-curve for a small network, plus Gaussian noise;
-    it is rescaled to a housing-price-like range.
-    """
-    rng = np.random.default_rng(seed)
-    scales = 10.0 ** rng.uniform(-1.0, 2.0, size=N_FEATURES)
-    shifts = rng.uniform(-5.0, 5.0, size=N_FEATURES)
-    x = rng.normal(0.0, 1.0, size=(n_rows, N_FEATURES)) * scales + shifts
-    x_std = (x - x.mean(axis=0)) / x.std(axis=0)
-    weights = rng.normal(0.0, 1.0, size=N_FEATURES)
-    weights /= np.linalg.norm(weights)
-    nonlinear = (
-        x_std[:, 0] * x_std[:, 1]
-        + x_std[:, 2] * x_std[:, 3]
-        + (x_std[:, 4] ** 2 - 1.0)
-        + np.sin(2.0 * x_std[:, 5])
-    )
-    signal = x_std @ weights + nonlinear
-    signal /= signal.std()
-    y = 22.5 + 9.0 * (signal + rng.normal(0.0, SYNTHETIC_NOISE_STD, size=n_rows))
-    return Dataset(x, y, f"synthetic(seed={seed})")
 
 
 def shard_size(n_rows: int, n_users: int, test_size: int) -> int:

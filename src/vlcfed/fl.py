@@ -52,15 +52,8 @@ class MlpModel:
         # One draw in layout order: the values of drawing w1, b1, w2, b2 in turn.
         return _from_flat(np.random.default_rng(seed).uniform(-INIT_SCALE, INIT_SCALE, size=_N_PARAMS))
 
-    @classmethod
-    def zeros(cls) -> "MlpModel":
-        return _from_flat(np.zeros(_N_PARAMS))
-
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2)
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
 
 # Flat parameter layout (w1, b1, w2, b2): K models are one (K, _N_PARAMS) stack.
@@ -165,15 +158,6 @@ def _sum_rows(stack: np.ndarray) -> np.ndarray:
     return np.add.reduce(stack, axis=0) + 0.0
 
 
-def r_squared(predictions, truth) -> float:
-    """Coefficient of determination, 1 - SS_res / SS_tot."""
-    pred = np.asarray(predictions, dtype=float)
-    y = np.asarray(truth, dtype=float)
-    if pred.shape != y.shape or y.size == 0:
-        raise ValueError("predictions and truth must be equal-length and non-empty")
-    return _r_squared_against(y)(pred)
-
-
 def _r_squared_against(y: np.ndarray):
     """R^2 against the ground truth ``y``, whose SS_tot is computed once."""
     if not y.size or np.all(y == y[0]):
@@ -217,7 +201,6 @@ class Standardizer:
 @dataclass
 class TrainingReport:
     r2_per_round: list[float] = field(default_factory=list)
-    loss_per_round: list[float] = field(default_factory=list)
 
     @property
     def final_r2(self) -> float:
@@ -236,10 +219,11 @@ def run_federated_training(
     Standardization statistics come from the union of all shards (they are
     the training partition and are identical across selection variants, which
     keeps paired comparisons on one seed apples-to-apples). The recorded
-    loss is the shard-size-weighted training loss; the recorded metric is
-    test R^2 on the raw target scale. Raises FloatingPointError, naming the
-    round and the learning rate, as soon as the averaged parameters or R^2
-    stop being finite or the loss exceeds ``DIVERGED_LOSS``.
+    metric is test R^2 on the raw target scale. Each round also computes the
+    training loss over the participants' rows, which weights each shard by
+    its size, only to catch divergence: it raises FloatingPointError, naming
+    the round and the learning rate, as soon as the averaged parameters or
+    R^2 stop being finite or that loss exceeds ``DIVERGED_LOSS``.
     """
     participants = sorted(selection.all_ids)
     if not participants:
@@ -295,6 +279,5 @@ def run_federated_training(
                 f"round {round_no}: training diverged (learning rate {config.learning_rate!r}): the aggregated "
                 f"parameters or R^2 are not finite, or the loss {loss!r} exceeds {DIVERGED_LOSS!r}"
             )
-        report.loss_per_round.append(loss)
         report.r2_per_round.append(r2)
     return report

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import MODES, UsbaResult, usba
-from .config import DERIVED_FIELD, SimConfig
+from .config import DERIVED_FIELD, ConfigError, SimConfig
 from .dataset import Dataset, shard_size, split_and_partition
 from .fl import TrainingReport, required_global_rounds, run_federated_training
 from .topology import Topology, generate_topology
@@ -112,12 +112,15 @@ def run_experiment(
     product of the axes, the last fastest, and each runs ``config`` with the
     point's values set; with no axis the one point is ``config`` itself.
 
-    Each point runs with the shard size its user count gives on ``data``, and
-    each seed's one topology draw and one shard partition serve every mode.
-    Only training reads the rows, so the first mode that trains makes the
-    partition, and selection-only seeds make none. A failure, the
-    derivation's, the draw's and the partition's included, names the point's
-    varied values, the seed and the mode it hit.
+    Each point runs with the shard size its user count gives on ``data``.
+    Every point's config, that size included, is derived before the first
+    run, and a point the dataset cannot serve raises ConfigError naming its
+    varied values. Each seed's one topology draw and one shard partition
+    serve every mode. Only training reads the rows, so the first mode that
+    trains makes the partition, and selection-only seeds make none. A
+    failure in a run, the draw's and the partition's included, raises
+    ExperimentError naming the point's varied values, the seed and the mode
+    it hit.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -132,18 +135,20 @@ def run_experiment(
             raise ValueError(f"{DERIVED_FIELD} is set from the dataset's shard size, so it cannot be varied")
         if varied.count(name) > 1:
             raise ValueError(f"field {name!r} is varied twice")
-    bases = [config.replace(**point) if point else config for point in points]
-    records = []
     run_configs = []
-    for index, base in enumerate(bases):
-        cfg = None
+    for point in points:
+        base = config.replace(**point) if point else config
+        try:
+            size = shard_size(data.n_rows, base.n_users, base.test_size)
+        except ValueError as exc:
+            raise ConfigError(_located(exc, point)) from None
+        run_configs.append(base.replace(samples_per_user=size))
+    records = []
+    for index, cfg in enumerate(run_configs):
         for seed in seeds:
             topology = partition = None
             for mode in modes:
                 try:
-                    if cfg is None:
-                        cfg = base.replace(samples_per_user=shard_size(data.n_rows, base.n_users, base.test_size))
-                        run_configs.append(cfg)
                     if topology is None:
                         topology = generate_topology(cfg, seed)
                     result = usba(topology, cfg, mode=mode)
@@ -154,9 +159,14 @@ def run_experiment(
                         report = run_federated_training(result.selection, *partition, cfg, seed)
                     records.append(_record(cfg, index, seed, mode, result, report))
                 except Exception as exc:
-                    where = "".join(f"{name}={_manifest_value(value)}, " for name, value in points[index].items())
-                    raise ExperimentError(f"{where}seed {seed}, mode {mode}: {exc}") from exc
+                    raise ExperimentError(_located(exc, points[index], f"seed {seed}", f"mode {mode}")) from exc
     return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs), data.sha256, varied)
+
+
+def _located(exc: Exception, point: dict, *where: str) -> str:
+    """``exc``'s message after the point's varied values and ``where``."""
+    at = [f"{name}={_manifest_value(value)}" for name, value in point.items()] + list(where)
+    return f"{', '.join(at)}: {exc}" if at else str(exc)
 
 
 def _fmt(value) -> str:

@@ -3,7 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vlcfed import SimConfig, Topology, UserNode
+from vlcfed import Dataset, SimConfig, Topology, UserNode
+from vlcfed.dataset import N_FEATURES
+
+SYNTHETIC_NOISE_STD = 0.35  # of make_synthetic's target, in units of its signal std
 
 
 @pytest.fixture
@@ -34,6 +37,34 @@ def make_user(
         tx_power_w=tx_power_w,
         energy_budget_j=energy_budget_j,
     )
+
+
+def make_synthetic(n_rows: int = 506, seed: int = 0) -> Dataset:
+    """Deterministic regression corpus with the housing-file shape; the
+    bundled corpus is ``make_synthetic(506, seed=2024)``.
+
+    Features mix scales like real tabular data. The target combines a linear
+    part with interactions and smooth nonlinearities, so a few hundred
+    samples sit mid-learning-curve for a small network, plus Gaussian noise;
+    it is rescaled to a housing-price-like range.
+    """
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-1.0, 2.0, size=N_FEATURES)
+    shifts = rng.uniform(-5.0, 5.0, size=N_FEATURES)
+    x = rng.normal(0.0, 1.0, size=(n_rows, N_FEATURES)) * scales + shifts
+    x_std = (x - x.mean(axis=0)) / x.std(axis=0)
+    weights = rng.normal(0.0, 1.0, size=N_FEATURES)
+    weights /= np.linalg.norm(weights)
+    nonlinear = (
+        x_std[:, 0] * x_std[:, 1]
+        + x_std[:, 2] * x_std[:, 3]
+        + (x_std[:, 4] ** 2 - 1.0)
+        + np.sin(2.0 * x_std[:, 5])
+    )
+    signal = x_std @ weights + nonlinear
+    signal /= signal.std()
+    y = 22.5 + 9.0 * (signal + rng.normal(0.0, SYNTHETIC_NOISE_STD, size=n_rows))
+    return Dataset(x, y, f"synthetic(seed={seed})")
 
 
 def write_dataset(data, path):

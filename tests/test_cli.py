@@ -146,10 +146,21 @@ GOOD_ROW = ",".join(["1.0"] * 14)
             {"bad.cfg": b"\xff\xfe" + "n_users = 12\n".encode("utf-16-le")},
             "{tmp}/bad.cfg: line 1: byte 0: not UTF-8",
         ),
+        (
+            ["run", "--vary", "n_users=20,600"],
+            {},
+            "n_users=600: need at least test_size + n_users = 617 rows, dataset has 506",
+        ),
+        (
+            ["run", "--config", "{tmp}/many.cfg"],
+            {"many.cfg": "n_users = 600\n"},
+            "need at least test_size + n_users = 617 rows, dataset has 506",
+        ),
     ],
     ids=[
         "missing-dataset", "missing-config", "config-value", "config-derived-field", "dataset-schema", "dataset-cell",
-        "config-value-line", "dataset-not-utf8", "config-not-utf8",
+        "config-value-line", "dataset-not-utf8", "config-not-utf8", "grid-point-too-many-users",
+        "config-too-many-users",
     ],
 )
 def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, capsys):

@@ -17,9 +17,7 @@ from vlcfed import (
     build_config,
     generate_topology,
     load_bundled_dataset,
-    load_config_file,
     load_dataset,
-    make_synthetic,
     usba,
 )
 from vlcfed import runner
@@ -31,7 +29,7 @@ from vlcfed.runner import (
     emit_report,
     run_experiment,
 )
-from tests.conftest import write_dataset
+from tests.conftest import make_synthetic, write_dataset
 
 
 SCALAR_FIELDS = tuple(name for name, _, _ in _SCALAR_RULES)
@@ -88,11 +86,15 @@ class TestRunExperiment:
         # 120 rows - 10 test = 110; 110 // 8 = 13 samples/user
         assert report.records[0].objective % 13 == 0
 
-    def test_errors_carry_seed_context(self, small_setup):
+    def test_errors_carry_seed_context(self, small_setup, monkeypatch):
         cfg, data = small_setup
-        bad = SimConfig(n_users=200, global_rounds=5)  # more users than rows
-        with pytest.raises(ExperimentError, match="seed 7"):
-            run_experiment(bad, [7], data, train=False)
+
+        def broken_usba(*args, **kwargs):
+            raise ValueError("no fixed point")
+
+        monkeypatch.setattr(runner, "usba", broken_usba)
+        with pytest.raises(ExperimentError, match="^seed 7, mode hybrid: no fixed point$"):
+            run_experiment(cfg, [7], data, train=False)
 
     def test_each_seed_is_drawn_and_built_once(self, monkeypatch):
         # Both modes run on one draw per seed, so they share its link terms.
@@ -188,7 +190,7 @@ class TestSelectionOnlyRecords:
 
     @pytest.mark.parametrize("train", [False, True])
     def test_too_many_users_still_rejected(self, train):
-        with pytest.raises(ExperimentError, match=r"need at least test_size \+ n_users = 517 rows"):
+        with pytest.raises(ConfigError, match=r"^need at least test_size \+ n_users = 517 rows, dataset has 506$"):
             run_experiment(SimConfig(n_users=500), [0], load_bundled_dataset(), train=train)
 
 
@@ -293,9 +295,20 @@ class TestGrid:
 
     def test_an_error_names_its_point(self, small_setup):
         cfg, data = small_setup
+        axis = (("n_users", "learning_rate"), ((4, 0.4), (8, 1e6)))
+        with np.errstate(all="ignore"):
+            with pytest.raises(
+                ExperimentError, match=r"^n_users=8, learning_rate=1000000, seed 3, mode hybrid: round \d+: training diverged"
+            ):
+                run_experiment(cfg.replace(global_rounds=20), [3], data, grid=[axis])
+
+    def test_a_point_the_dataset_cannot_serve_fails_before_any_run(self, small_setup, monkeypatch):
+        cfg, data = small_setup
+        monkeypatch.setattr(runner, "generate_topology", None)  # no draw may run
         axis = (("n_users", "t_round_s"), ((4, 2.5), (200, 1.25)))
-        with pytest.raises(ExperimentError, match=r"^n_users=200, t_round_s=1.25, seed 3, mode hybrid: need at least"):
-            run_experiment(cfg, [3], data, train=False, grid=[axis])
+        message = r"^n_users=200, t_round_s=1.25: need at least test_size \+ n_users = 210 rows, dataset has 120$"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, [3], data, grid=[axis])
 
     def test_a_field_that_is_not_a_column_splits_summary_rows_in_axis_order(self, small_setup, tmp_path):
         cfg, data = small_setup
@@ -703,20 +716,17 @@ class TestConfigResolution:
             "cycles_per_sample_range = 1e4, 2e4\n"
             "initial_bandwidth = none\n"
         )
-        overrides = load_config_file(str(path))
-        assert overrides["n_users"] == 12
-        assert overrides["cycles_per_sample_range"] == (1e4, 2e4)
-        assert overrides["initial_bandwidth"] is None
         cfg = build_config(str(path))
         assert (cfg.n_users, cfg.t_round_s) == (12, 1.5)  # the file overrides defaults
         assert cfg.cycles_per_sample_range == (1e4, 2e4)
+        assert cfg.initial_bandwidth is None
         assert cfg.local_epochs == SimConfig().local_epochs  # defaults fill the rest
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frequencyy = 3\n")
         with pytest.raises(ConfigError, match="frequencyy"):
-            load_config_file(str(path))
+            build_config(str(path))
 
     @pytest.mark.parametrize(
         "content, line, byte",
@@ -728,29 +738,28 @@ class TestConfigResolution:
     def test_a_file_that_is_not_utf8_names_path_line_and_byte(self, tmp_path, content, line, byte):
         path = tmp_path / "bad.cfg"
         path.write_bytes(content)
-        for read in (load_config_file, build_config):
-            with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line {line}: byte {byte}: not UTF-8 "):
-                read(str(path))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line {line}: byte {byte}: not UTF-8 "):
+            build_config(str(path))
 
     def test_line_numbers_follow_universal_newlines(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"n_users = 12\r\nt_round_s = 2\rbroken\n")
         with pytest.raises(ConfigError, match=r"bad.cfg:3: expected 'key = value'"):
-            load_config_file(str(path))
+            build_config(str(path))
 
     def test_non_integral_int_rejected_with_line(self, tmp_path):
         for bad in ("2.7", "inf", "nan"):
             path = tmp_path / "bad.cfg"
             path.write_text(f"n_users = 12\nglobal_rounds = {bad}\n")
             with pytest.raises(ConfigError, match=r"bad.cfg:2: bad value for 'global_rounds'"):
-                load_config_file(str(path))
+                build_config(str(path))
 
     def test_integral_float_notation_accepted_for_int(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("global_rounds = 1e1\nlocal_epochs = 3.0\n")
-        overrides = load_config_file(str(path))
-        assert overrides == {"global_rounds": 10, "local_epochs": 3}
-        assert all(type(v) is int for v in overrides.values())
+        cfg = build_config(str(path))
+        assert (cfg.global_rounds, cfg.local_epochs) == (10, 3)
+        assert type(cfg.global_rounds) is type(cfg.local_epochs) is int
 
     @pytest.mark.parametrize("value", ["1", "1, 2, 3"])
     @pytest.mark.parametrize("field", ["cycles_per_sample_range", "cpu_freq_range_hz", "tx_power_range_w"])
