@@ -14,35 +14,23 @@ solutions when the other side is fixed:
   (uplink for everyone, RF downlink for outdoor users only) and VLC blocks
   get B_vlc / |S1|.
 
-Feasibility runs on a link table of what does not depend on bandwidth.
-The mode-free part (``_UserTerms``: each user's RF path gain, received
-uplink power and computation time and energy) is built once per
-(topology, config) and kept on the topology, so ``usba``,
-``oracle_enumerate`` and ``get_s`` share it in both modes. The build reads
-the topology's user columns (``UserColumns``), so selection builds no
-``UserNode``. The build checks the RF gains once. A mode is a cheap view
-of it (``_LinkTable``) that lists the users with the VLC-downlink rows
-first, the identity for a drawn topology, and keeps their ids, indoor flags,
-shard sizes, transmit powers and energy budgets in that order: the shard
-totals, the selections and the oracle's row order read them from the view.
-It holds the backhaul delay, the received power
-and interference of every RF link (the RF downlinks, then every uplink)
-and, in hybrid mode only, the per-AP optical signal powers of indoor users
-and their interference. One pass over a view calls the unchecked rate and
-cost kernels, whose formulas live in ``channel`` and ``compute``: it
-computes one rate vector, laid out [VLC down | RF down | RF up], whose
-halves are every user's down and up rates, then each user's round cost,
-and yields a feasibility mask. A pass takes block widths as floats, for one
-mask, or as (P, 1) arrays, for P masks at once, each equal bit for bit to
-the pass at its own widths. Nothing is remembered between passes: ``usba``
-tests each visited state once, and the oracle makes one batched pass. A
-link without rate costs payload / 0 = inf, so each entry point (``get_s``,
-``usba``, ``oracle_enumerate``) silences numpy's divide warning once for
-all its passes.
+Feasibility runs on a link table (``_LinkTable``) of what does not depend
+on bandwidth, built once per (topology, config) from the topology's user
+columns and kept on the topology, so ``usba``, ``oracle_enumerate`` and
+``get_s`` share it in both modes. A topology lists its indoor users first,
+so the modes differ only in ``n_vlc``, the number of leading users whose
+downlink rides VLC: the indoor count in hybrid mode, 0 in ``rf_only``. A
+pass takes ``n_vlc`` and block widths, as floats for one mask or as (P, 1)
+arrays for P masks at once, and yields a feasibility mask in the topology's
+user order. Nothing is remembered between passes: ``usba`` tests each
+visited state once, and the oracle makes one batched pass. A link without
+rate costs payload / 0 = inf, so each entry point (``get_s``, ``usba``,
+``oracle_enumerate``) silences numpy's divide warning once for all its
+passes.
 
 ``usba`` alternates the two from the full-selection widths until the pair is a
 fixed point, which it knows without a pass once the widths repeat. Its state
-is a pass's mask over the view's users and its count, not a ``Selection``:
+is a pass's mask over the topology's users and its count, not a ``Selection``:
 the counts that set the next widths, the self-support test (the members
 still feasible at the next widths number as many as the state) and the
 revisit key all read the mask, the widths are compared as tuples, and one
@@ -137,8 +125,9 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-class _UserTerms:
-    """The bandwidth- and mode-free terms of a topology's users under one config.
+class _LinkTable:
+    """The bandwidth-free link terms of a topology's users under one config,
+    for feasibility passes in either mode.
 
     The build reads the topology's user columns, so it builds no
     ``UserNode``. Each term comes from the same scalar formula, in the same
@@ -150,12 +139,30 @@ class _UserTerms:
     kernels on the columns; ``SimConfig`` guarantees the accuracy and ``nu``
     they take. It raises ValueError for a user at the BS and ``rf_rate``'s
     ValueError on an RF gain that underflows to 0 far enough from the BS.
-    ``views`` holds the link table of each mode built on these terms.
+
+    Uplink is always RF. A pass sends the downlink of its first ``n_vlc``
+    users over VLC and every other link over RF, so its RF links are the
+    rows of ``rf_power`` and ``rf_interference`` from ``n_vlc`` on. The
+    optical terms, ``signals`` and ``interference``, are None until
+    ``_links`` sets them on the first hybrid call. A link without rate (no
+    AP in view, or an RF SINR below 2**-53) costs inf seconds and joules, so
+    its user fails. A pass calls the unchecked rate and cost kernels, whose
+    formulas live in ``channel`` and ``compute``. It only adds, multiplies,
+    divides, compares, takes maxima and takes ``np.log2``, the ufunc the
+    scalar rate functions run on one value, so the mask holds the per-user
+    answers.
+
+    The user terms are checked by ``UserNode`` or, for a drawn topology, by
+    its draw, the widths by ``BandwidthAllocation`` or the count rule that
+    gives them, and the noise PSDs and interference by ``SimConfig``, so a
+    pass checks nothing.
     """
 
     def __init__(self, topology: Topology, config: SimConfig):
         self.config = config
         users = topology.users
+        self.ids, self.indoor, self.shard_size = users.id, users.indoor, users.shard_size
+        self.tx_power, self.budget = users.tx_power_w, users.energy_budget_j
         bx, by = topology.bs_position
         # A term that overflows is inf, as on Python floats, and fails its user.
         with np.errstate(over="ignore"):
@@ -163,78 +170,33 @@ class _UserTerms:
             dist = list(map(math.hypot, dx, dy))
             if 0.0 in dist:  # a distance is never negative
                 raise ValueError(f"user {users.id[dist.index(0.0)]}: distance must be > 0, got 0.0")
-            self.gain = np.array(list(map(_rf_channel_gain, dist, users.indoor.tolist(), itertools.repeat(config))))
+            gain = np.array(list(map(_rf_channel_gain, dist, users.indoor.tolist(), itertools.repeat(config))))
             log_inv_accuracy = math.log(1.0 / config.local_accuracy)
             self.t_cmp = _computation_time(users, log_inv_accuracy, config.nu)
             self.e_cmp = _computation_energy(users, log_inv_accuracy, config.nu)
-            if (self.gain <= 0.0).any():
+            if (gain <= 0.0).any():
                 raise ValueError(_RF_RATE_ARGS_ERROR)
-            # Received uplink power P h, as rf_rate forms it.
-            self.up_power = users.tx_power_w * self.gain
-        self.views: dict[str, _LinkTable] = {}
+            up_power = users.tx_power_w * gain
+        # Every user's downlink, then every user's uplink: their received
+        # powers P h, as rf_rate forms them, and their interference.
+        self.rf_power = np.concatenate((config.bs_tx_power_w * gain, up_power))
+        self.rf_interference = np.repeat((config.downlink_interference_w, config.uplink_interference_w), len(gain))
+        # An indoor user pays the gateway backhaul when its downlink rides VLC.
+        self.backhaul = np.where(users.indoor, config.backhaul_delay_s, 0.0)
+        self.signals = self.interference = None
 
-
-class _LinkTable:
-    """A mode's view of ``_UserTerms``, for feasibility passes.
-
-    Uplink is always RF. Downlink is VLC for indoor users in hybrid mode and
-    RF otherwise, so only the downlink terms and the backhaul are the view's
-    own; the hybrid view computes the VLC signal powers and their
-    interference once. The view lists its users with the VLC-downlink rows
-    first (``order`` maps them to the topology's users) and keeps their ids,
-    indoor flags and shard sizes in that order; its masks follow it. So the
-    VLC users of a mask are its first ``n_vlc`` entries, and the RF links,
-    downlinks then uplinks, are one contiguous block of each pass's rates.
-    A link without rate (no AP in view, or an RF SINR below 2**-53) costs
-    inf seconds and joules, so its user fails. A pass only adds, multiplies,
-    divides, compares, takes maxima and takes ``np.log2``, the ufunc the
-    scalar rate functions run on one value, so the mask holds the per-user
-    answers.
-
-    The user terms are checked by ``UserNode`` or, for a drawn topology,
-    by its draw, the widths by
-    ``BandwidthAllocation`` or the count rule that gives them, and the noise
-    PSDs and interference by ``SimConfig``, so a pass checks nothing.
-    """
-
-    def __init__(self, terms: _UserTerms, topology: Topology, mode: str):
-        _check_mode(mode)
-        # The view copies what a pass reads, so it holds no reference back.
-        self.config = config = terms.config
-        users = topology.users
-        via_vlc = users.indoor & (mode == "hybrid")
-        self.n_vlc = n_vlc = int(np.count_nonzero(via_vlc))
-        # The topology's users in view order: VLC-downlink rows first, each
-        # part in topology order. A drawn topology lists its indoor users
-        # first, so there the order is the identity, taken as an uncopied slice.
-        self.order = order = slice(None) if via_vlc[:n_vlc].all() else np.argsort(~via_vlc, kind="stable")
-        self.ids, self.indoor, self.shard_size = users.id[order], users.indoor[order], users.shard_size[order]
-        self.tx_power, self.budget = users.tx_power_w[order], users.energy_budget_j[order]
-        self.t_cmp, self.e_cmp = terms.t_cmp[order], terms.e_cmp[order]
-        # VLC users also pay the gateway backhaul.
-        self.backhaul = np.where(via_vlc[order], config.backhaul_delay_s, 0.0)
-        if mode == "hybrid":
-            signals = _vlc_signal_powers(users.position[order][:n_vlc], topology, config)
-            self.signals, self.interference = best_ap_terms(signals)
-        # The RF part of a pass's rates: the RF downlinks, then every user's
-        # uplink. Their received powers P h, as rf_rate forms them, and their
-        # interference, one per row.
-        n = len(self.ids)
-        gain = terms.gain[order]
-        self.rf_power = np.concatenate((config.bs_tx_power_w * gain[n_vlc:], terms.up_power[order]))
-        self.rf_interference = np.repeat((config.downlink_interference_w, config.uplink_interference_w), (n - n_vlc, n))
-
-    def feasible(self, b_up, b_down, b_vlc) -> np.ndarray:
+    def feasible(self, n_vlc: int, b_up, b_down, b_vlc) -> np.ndarray:
         """Boolean mask: which users finish a round within both budgets at
-        these block widths, in the view's order.
+        these block widths when the first ``n_vlc`` users take their downlink
+        over VLC, in the topology's order.
 
         One rate vector holds a pass's links, laid out [VLC down | RF down |
         RF up]: its first N entries are each user's downlink rate and its
-        last N each user's uplink rate, both in the view's order. Float
-        widths give one mask over the users. (P, 1) arrays of widths give a
-        (P, users) mask: every term broadcasts, so each element goes through
-        the same operations and ufuncs as at float widths, and row p equals
-        the mask at the p-th widths bit for bit.
+        last N each user's uplink rate. Float widths give one mask over the
+        users. (P, 1) arrays of widths give a (P, users) mask: every term
+        broadcasts, so each element goes through the same operations and
+        ufuncs as at float widths, and row p equals the mask at the p-th
+        widths bit for bit.
 
         A link without rate takes payload / 0 = inf seconds and joules, so it
         fails both tests like any slow link. The caller holds
@@ -246,18 +208,16 @@ class _LinkTable:
         # arrays), one width per RF row: b_down for downlinks, b_up for uplinks.
         b_rf = b_up
         if not (b_up is b_down or type(b_up) is float and b_up == b_down):
-            b_rf = np.where(np.arange(len(self.rf_power)) >= n - self.n_vlc, b_up, b_down)
-        rates = _rf_rate(self.rf_power, self.rf_interference, b_rf, config.rf_noise_psd)
-        if self.n_vlc:
+            b_rf = np.where(np.arange(n_vlc, 2 * n) >= n, b_up, b_down)
+        rates = _rf_rate(self.rf_power[n_vlc:], self.rf_interference[n_vlc:], b_rf, config.rf_noise_psd)
+        backhaul = 0.0
+        if n_vlc:
             sinr = best_ap_sinr(self.signals, self.interference, b_vlc, config.vlc_noise_psd)
             rates = np.concatenate((_vlc_rate(sinr, b_vlc), rates), axis=-1)
+            backhaul = self.backhaul
         up, down = rates[..., n:], rates[..., :n]
-        round_time, energy = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, self.backhaul, config)
+        round_time, energy = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, backhaul, config)
         return (round_time <= config.t_round_s) & (energy <= self.budget)
-
-    def at(self, bw: BandwidthAllocation) -> np.ndarray:
-        """The mask of the users feasible at ``bw``, from one pass."""
-        return self.feasible(bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)
 
     def selection(self, mask: np.ndarray) -> Selection:
         """The users a mask marks."""
@@ -267,22 +227,27 @@ class _LinkTable:
         )
 
 
-def _links(topology: Topology, config: SimConfig, mode: str) -> _LinkTable:
-    """The link table of ``topology``'s users under ``config`` in ``mode``.
+def _links(topology: Topology, config: SimConfig, mode: str) -> tuple[_LinkTable, int]:
+    """The link table of ``topology``'s users under ``config``, and the number
+    of its leading users whose downlink rides VLC in ``mode``.
 
-    The topology keeps the terms of the last config it was used with, so the
+    The topology keeps the table of the last config it was used with, so the
     calls on one (topology, config) share one build in both modes. The config
     is matched by identity, which a frozen ``SimConfig`` makes safe.
     """
-    terms = topology._link_terms
-    if terms is None or terms.config is not config:
-        terms = _UserTerms(topology, config)
-        object.__setattr__(topology, "_link_terms", terms)  # Topology is frozen
-    links = terms.views.get(mode)
-    if links is None:
-        # A view that fails to build is not kept, so the other mode stays usable.
-        links = terms.views[mode] = _LinkTable(terms, topology, mode)
-    return links
+    _check_mode(mode)
+    links = topology._link_table
+    if links is None or links.config is not config:
+        links = _LinkTable(topology, config)
+        object.__setattr__(topology, "_link_table", links)  # Topology is frozen
+    if mode == "rf_only":
+        return links, 0
+    n_vlc = topology.n_indoor
+    if links.signals is None:
+        # Optical terms that fail to build are not kept, so rf_only stays usable.
+        signals = _vlc_signal_powers(topology.users.position[:n_vlc], topology, config)
+        links.signals, links.interference = best_ap_terms(signals)
+    return links, n_vlc
 
 
 def get_s(
@@ -292,9 +257,9 @@ def get_s(
     mode: str = "hybrid",
 ) -> Selection:
     """Select every user that is feasible at the given block widths."""
-    links = _links(topology, config, mode)
+    links, n_vlc = _links(topology, config, mode)
     with np.errstate(divide="ignore"):  # a link without rate; see _LinkTable.feasible
-        mask = links.at(bw)
+        mask = links.feasible(n_vlc, bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)
     return links.selection(mask)
 
 
@@ -368,14 +333,14 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
     else:
         bw = default_initial_bandwidth(topology, config)
 
-    links = _links(topology, config, mode)
+    links, n_vlc = _links(topology, config, mode)
     with np.errstate(divide="ignore"):  # a link without rate; see _LinkTable.feasible
-        mask = links.at(bw)
+        mask = links.feasible(n_vlc, bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)
         n = int(np.count_nonzero(mask))
         if not n:
             widest = block_widths(1, 0, config)  # widest solo widths, B_rf and B_vlc
             if widest != bw:  # at the start's widths the mask is known
-                mask = links.at(widest)
+                mask = links.feasible(n_vlc, widest.b_up_hz, widest.b_down_hz, widest.b_vlc_hz)
                 n = int(np.count_nonzero(mask))
             if not n:
                 # Not even a solo allocation admits anyone: empty is a fixed point.
@@ -383,28 +348,27 @@ def usba(topology: Topology, config: SimConfig, mode: str = "hybrid") -> UsbaRes
             bw = widest
 
         widths = (bw.b_up_hz, bw.b_down_hz, bw.b_vlc_hz)
-        n_vlc, shard_sizes = links.n_vlc, links.shard_size
         best: tuple[np.ndarray, tuple] | None = None
         best_obj = -1.0
         predecessors: set[bytes] = set()
         iterations = 0
-        # mask == links.feasible(*widths) and n == its count hold here and
+        # mask == links.feasible(n_vlc, *widths) and n == its count hold here and
         # after every step, so a step to the current widths takes the current
         # mask without a pass.
         while True:
             # get_b of the state, with the counts as Python ints, so the widths
-            # are floats. The view's VLC-downlink rows come first, so the state's
+            # are floats. The VLC-downlink users come first, so the state's
             # VLC users are a prefix count; rf_only has none, and there the
             # widths depend on n alone.
             n_vlc_users = int(np.count_nonzero(mask[:n_vlc]))
             b_rf, b_vlc = _block_widths(n_vlc_users, n - n_vlc_users, config, mode)
             new_widths = (b_rf, b_rf, b_vlc)
             fixed = new_widths == widths
-            new_mask = mask if fixed else links.feasible(*new_widths)
+            new_mask = mask if fixed else links.feasible(n_vlc, *new_widths)
             # A self-supporting state: every member is still feasible at its widths.
             if fixed or np.count_nonzero(mask & new_mask) == n:
                 # Summed as Python ints, which are exact for any shard sizes.
-                obj = float(sum(shard_sizes[mask].tolist()))
+                obj = float(sum(links.shard_size[mask].tolist()))
                 if obj > best_obj:
                     best, best_obj = (mask, new_widths), obj
             if iterations == config.max_iterations:
@@ -446,9 +410,9 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_USERS} users, got {topology.n_users}"
         )
-    links = _links(topology, config, mode)
+    links, n_vlc = _links(topology, config, mode)
     # Indoor first, then largest shards first; id breaks ties deterministically.
-    # ``rows`` picks the view's columns in this order.
+    # ``rows`` picks the table's columns in this order.
     rows = np.lexsort((links.ids, -links.shard_size, ~links.indoor))
     indoor = links.indoor[rows]
     n_in, n_out = topology.n_indoor, topology.n_outdoor
@@ -456,7 +420,7 @@ def oracle_enumerate(topology: Topology, config: SimConfig, mode: str = "hybrid"
     k1, k2 = np.divmod(np.arange(1, (n_in + 1) * (n_out + 1))[:, None], n_out + 1)
     b_rf, b_vlc = _block_widths(k1, k2, config, mode)
     with np.errstate(divide="ignore"):  # a link without rate; see _LinkTable.feasible
-        feasible = links.feasible(b_rf, b_rf, b_vlc)[:, rows]
+        feasible = links.feasible(n_vlc, b_rf, b_rf, b_vlc)[:, rows]
     # Each feasible user's rank among the feasible users of its kind.
     rank = np.concatenate((feasible[:, :n_in].cumsum(axis=1), feasible[:, n_in:].cumsum(axis=1)), axis=1)
     chosen = feasible & (rank <= np.where(indoor, k1, k2))

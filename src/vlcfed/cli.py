@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .allocation import MODES
-from .config import _HINTS, DERIVED_FIELD, ConfigError, SimConfig, _coerce, build_config
+from .config import _HINTS, ConfigError, SimConfig, _coerce, build_config
 from .dataset import DatasetParseError, DatasetSchemaError, load_bundled_dataset, load_dataset
 from .runner import emit_report, run_experiment
 
@@ -48,8 +48,6 @@ def _axis(text: str) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
     if not sep:
         raise argparse.ArgumentTypeError(f"expected FIELD=v1,v2 or F1:F2=a1:b1,a2:b2, got {text!r}")
     for name in names:
-        if name == DERIVED_FIELD:
-            raise argparse.ArgumentTypeError(f"{name} is set from the dataset's shard size, so {text!r} cannot vary it")
         if name not in _HINTS:
             raise argparse.ArgumentTypeError(f"unknown field {name!r} in {text!r}")
     points = []
@@ -103,10 +101,6 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
-    varied = [name for names, _ in args.vary for name in names]
-    for name in varied:
-        if varied.count(name) > 1:
-            p_run.error(f"argument --vary: field {name!r} is varied twice")
     modes = MODES if args.mode == "both" else (args.mode,)
 
     try:
@@ -115,7 +109,7 @@ def main(argv=None) -> int:
         report = run_experiment(config, args.seeds, data, modes, not args.no_train, args.vary)
         paths = emit_report(report, args.out)
     except (OSError, ConfigError, DatasetSchemaError, DatasetParseError) as exc:
-        # A bad file or value is a usage error: one line naming it, exit code 2.
+        # A bad file, value or grid is a usage error: one line naming it, exit code 2.
         parser.error(str(exc))
     for kind, path in paths.items():
         print(f"wrote {kind}: {path}")

@@ -1,8 +1,9 @@
 """Regression data ingestion and per-user partitioning.
 
 The expected file format is a CSV with 14 numeric columns (13 features, then
-the target) and an optional single header line. The package bundles one
-such file, a synthetic corpus, so default runs need no download.
+the target) and an optional single header line, one in which no cell reads
+as a number. The package bundles one such file, a synthetic corpus, so
+default runs need no download.
 """
 
 from __future__ import annotations
@@ -66,13 +67,12 @@ class DataShard:
         return int(self.x.shape[0])
 
 
-def _is_header(cells: list[str]) -> bool:
-    for cell in cells:
-        try:
-            float(cell)
-        except ValueError:
-            return True
-    return False
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def load_dataset(path: str, name: str | None = None) -> Dataset:
@@ -86,7 +86,8 @@ def load_dataset(path: str, name: str | None = None) -> Dataset:
         raise DatasetParseError(f"{path}: line {lineno}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
     rows = list(csv.reader(io.StringIO(text, newline="")))
     rows = [(i + 1, r) for i, r in enumerate(rows) if r]  # keep original line numbers
-    if rows and _is_header(rows[0][1]):
+    # A header has no number in it, so a typo in a first data row fails as a bad cell.
+    if rows and not any(map(_is_number, rows[0][1])):
         if len(rows[0][1]) != N_FEATURES + 1:
             raise DatasetSchemaError(
                 f"{path}: line 1: expected {N_FEATURES + 1} columns, got {len(rows[0][1])}"

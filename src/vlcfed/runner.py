@@ -112,29 +112,30 @@ def run_experiment(
     product of the axes, the last fastest, and each runs ``config`` with the
     point's values set; with no axis the one point is ``config`` itself.
 
-    Each point runs with the shard size its user count gives on ``data``.
-    Every point's config, that size included, is derived before the first
-    run, and a point the dataset cannot serve raises ConfigError naming its
-    varied values. Each seed's one topology draw and one shard partition
-    serve every mode. Only training reads the rows, so the first mode that
-    trains makes the partition, and selection-only seeds make none. A
-    failure in a run, the draw's and the partition's included, raises
-    ExperimentError naming the point's varied values, the seed and the mode
-    it hit.
+    An axis without values, a varied ``DERIVED_FIELD`` or a field varied
+    twice raises ConfigError. Each point runs with the shard size its user
+    count gives on ``data``. Every point's config, that size included, is
+    derived before the first run, and a point the dataset cannot serve
+    raises ConfigError naming its varied values. Each seed's one topology
+    draw and one shard partition serve every mode. Only training reads the
+    rows, so the first mode that trains makes the partition, and
+    selection-only seeds make none. A failure in a run, the draw's and the
+    partition's included, raises ExperimentError naming the point's varied
+    values, the seed and the mode it hit.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     points, varied = [{}], ()
     for names, values in grid:
         if not values:
-            raise ValueError(f"the axis of {', '.join(names)} has no values")
+            raise ConfigError(f"the axis of {', '.join(names)} has no values")
         points = [{**point, **dict(zip(names, value, strict=True))} for point in points for value in values]
         varied += tuple(names)
     for name in varied:
         if name == DERIVED_FIELD:
-            raise ValueError(f"{DERIVED_FIELD} is set from the dataset's shard size, so it cannot be varied")
+            raise ConfigError(f"{DERIVED_FIELD} is set from the dataset's shard size, so it cannot be varied")
         if varied.count(name) > 1:
-            raise ValueError(f"field {name!r} is varied twice")
+            raise ConfigError(f"field {name!r} is varied twice")
     run_configs = []
     for point in points:
         base = config.replace(**point) if point else config

@@ -6,8 +6,10 @@ chosen VLC AP so that every indoor user has line-of-sight light coverage.
 
 A topology keeps its users as columns (``UserColumns``): one array per
 ``UserNode`` field. Link terms and selection read the columns, so they build
-no ``UserNode``. A topology built from nodes takes its columns from them,
-once ``UserNode`` has checked each one, and rejects two nodes with one id.
+no ``UserNode``. Every topology lists its indoor users first: one built from
+nodes sorts them so, each kind in the order given, once ``UserNode`` has
+checked each one, and rejects two nodes with one id; columns passed in must
+already be in that order, as a drawn topology's are.
 """
 
 from __future__ import annotations
@@ -115,18 +117,22 @@ class Topology:
     bs_position: tuple[float, float]
     vlc_aps: tuple[tuple[float, float, float], ...]  # ceiling height, meters
     users: UserColumns  # or UserNodes, which __post_init__ turns into columns
-    # allocation's link-table cache: the users' bandwidth-free terms under the
-    # last config used. Not part of the value, so equality ignores it.
-    _link_terms: object = field(default=None, init=False, repr=False, compare=False)
+    # allocation's link table: the users' bandwidth-free terms under the last
+    # config used. Not part of the value, so equality ignores it.
+    _link_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.users, UserColumns):
-            users = UserColumns.of(self.users)
+        users = self.users
+        if not isinstance(users, UserColumns):
+            users = UserColumns.of(sorted(users, key=lambda u: not u.indoor))  # a stable sort
             # A selection names its users by id, so two users must not share one.
             ids, counts = np.unique(users.id, return_counts=True)
             if (counts > 1).any():
                 raise ValueError(f"user ids must be distinct, got id {ids[counts > 1][0]} more than once")
             object.__setattr__(self, "users", users)  # Topology is frozen
+        elif (late := users.indoor[np.count_nonzero(users.indoor):]).any():  # rows past the indoor count
+            first = users.id[-len(late):][late][0]
+            raise ValueError(f"indoor users must come first, got indoor user {first} after an outdoor user")
 
     @property
     def n_users(self) -> int:

@@ -35,7 +35,6 @@ from vlcfed.allocation import (
     _block_widths,
     _LinkTable,
     _links,
-    _UserTerms,
     block_widths,
     default_initial_bandwidth,
 )
@@ -85,15 +84,12 @@ def staircase_oracle(topo, cfg, mode):
     order = sorted(range(len(users)), key=lambda i: (not users[i].indoor, -users[i].shard_size, users[i].id))
     indoor = [users[i] for i in order if users[i].indoor]
     outdoor = [users[i] for i in order if not users[i].indoor]
-    links = _links(topo, cfg, mode)
-    # The view lists its VLC-downlink rows first: the view column of each
-    # topology row, taken in the walk's order.
-    columns = np.argsort(np.arange(len(users))[links.order])[order]
+    links, n_vlc = _links(topo, cfg, mode)
 
     def candidate(k1, k2):
         bw = block_widths(k1, k2, cfg, mode)
         with np.errstate(divide="ignore"):  # as the entry points hold it around their passes
-            mask = links.feasible(*widths_of(bw))[columns]
+            mask = links.feasible(n_vlc, *widths_of(bw))[order]
         chosen_in = [u for u, ok in zip(indoor, mask[: len(indoor)]) if ok][:k1]
         chosen_out = [u for u, ok in zip(outdoor, mask[len(indoor) :]) if ok][:k2]
         if len(chosen_in) < k1 or len(chosen_out) < k2:
@@ -666,15 +662,15 @@ class TestOracle:
         # Each row of a pass over (P, 1) width arrays is the mask at that
         # pair's widths, bit for bit, for every count pair.
         topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, ORACLE_MAX_USERS))
-        links = _links(topo, cfg, mode)
+        links, n_vlc = _links(topo, cfg, mode)
         pairs = [(k1, k2) for k1 in range(topo.n_indoor + 1) for k2 in range(topo.n_outdoor + 1) if k1 or k2]
         k1, k2 = np.array(pairs).T[:, :, None]
         b_rf, b_vlc = _block_widths(k1, k2, cfg, mode)
         with np.errstate(divide="ignore"):  # as the entry points hold it around their passes
-            batched = links.feasible(b_rf, b_rf, b_vlc)
+            batched = links.feasible(n_vlc, b_rf, b_rf, b_vlc)
         assert batched.shape == (len(pairs), topo.n_users)
         if mode == "hybrid" and topo.n_indoor:
-            # The view's AP-major SINRs equal the user-major form bit for bit.
+            # The table's AP-major SINRs equal the user-major form bit for bit.
             got = best_ap_sinr(links.signals, links.interference, b_vlc, cfg.vlc_noise_psd)
             signals = _vlc_signal_powers(topo.users.position[topo.users.indoor], topo, cfg)
             for p, width in enumerate(b_vlc[:, 0].tolist()):
@@ -684,14 +680,14 @@ class TestOracle:
             bw = block_widths(n_in, n_out, cfg, mode)
             assert (b_rf[p, 0], b_vlc[p, 0]) == (bw.b_up_hz, bw.b_vlc_hz)
             with np.errstate(divide="ignore"):
-                assert batched[p].tolist() == links.feasible(*widths_of(bw)).tolist()
+                assert batched[p].tolist() == links.feasible(n_vlc, *widths_of(bw)).tolist()
         # Distinct up and down widths give each RF row its own width, batched
         # or not; row p is still the pass at its own widths.
         up = 1.5 * b_rf
         with np.errstate(divide="ignore"):
-            split = links.feasible(up, b_rf, b_vlc)
+            split = links.feasible(n_vlc, up, b_rf, b_vlc)
             for p, widths in enumerate(zip(up[:, 0].tolist(), b_rf[:, 0].tolist(), b_vlc[:, 0].tolist())):
-                assert split[p].tolist() == links.feasible(*widths).tolist()
+                assert split[p].tolist() == links.feasible(n_vlc, *widths).tolist()
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), mode=st.sampled_from(MODES))
     @settings(max_examples=60, deadline=None)
@@ -702,13 +698,13 @@ class TestOracle:
         # lower neighbours pass too. The oracle scores every pair without
         # relying on this; ``staircase_oracle``, its reference, still does.
         topo, cfg = random_instance(np.random.default_rng(seed), n_range=(1, ORACLE_MAX_USERS))
-        links = _links(topo, cfg, mode)
-        indoor = links.indoor  # in the view's order, as its masks are
+        links, n_vlc = _links(topo, cfg, mode)
+        indoor = links.indoor  # in the topology's order, as its masks are
         passes = np.ones((topo.n_indoor + 1, topo.n_outdoor + 1), dtype=bool)
         for k1, k2 in itertools.product(range(topo.n_indoor + 1), range(topo.n_outdoor + 1)):
             if k1 or k2:
                 with np.errstate(divide="ignore"):  # as the entry points hold it around their passes
-                    mask = links.feasible(*widths_of(block_widths(k1, k2, cfg, mode)))
+                    mask = links.feasible(n_vlc, *widths_of(block_widths(k1, k2, cfg, mode)))
                 passes[k1, k2] = mask[indoor].sum() >= k1 and mask[~indoor].sum() >= k2
         assert (passes[1:, :] <= passes[:-1, :]).all()
         assert (passes[:, 1:] <= passes[:, :-1]).all()
@@ -1013,19 +1009,22 @@ class TestLinkTableMatchesPerUserReference:
             )
             if i % 3 == 0:
                 topo = with_unequal_shards(topo, rng, high=30)
-            _links(topo, cfg, mode)
-            links = topo._link_terms  # the terms that mode's table was built from
+            links, _ = _links(topo, cfg, mode)
             bx, by = topo.bs_position
             users = topo.users.rows()
             dists = [math.hypot(u.position[0] - bx, u.position[1] - by) for u in users]
-            assert links.gain.tolist() == [rf_channel_gain(d, u.indoor, cfg) for u, d in zip(users, dists)]
+            gains = [rf_channel_gain(d, u.indoor, cfg) for u, d in zip(users, dists)]
+            # Every user's received downlink power, then every user's uplink power.
+            assert links.rf_power.tolist() == (
+                [cfg.bs_tx_power_w * g for g in gains] + [u.tx_power_w * g for u, g in zip(users, gains)]
+            )
             reference = [_reference_computation(u, cfg) for u in users]
             assert links.t_cmp.tolist() == [t_cmp for t_cmp, _ in reference]
             assert links.e_cmp.tolist() == [e_cmp for _, e_cmp in reference]
 
 
 class TestSharedLinkTable:
-    """One build per (topology, config); a mode is a view of it."""
+    """One build per (topology, config), shared by both modes."""
 
     @staticmethod
     def count_calls(monkeypatch, cls):
@@ -1045,18 +1044,15 @@ class TestSharedLinkTable:
         return [(usba(topo, cfg, m), oracle_enumerate(topo, cfg, m), get_s(bw, topo, cfg, m)) for m in MODES]
 
     def test_both_modes_of_usba_and_the_oracle_share_one_build(self, monkeypatch):
-        builds = self.count_calls(monkeypatch, _UserTerms)
-        views = self.count_calls(monkeypatch, _LinkTable)
+        builds = self.count_calls(monkeypatch, _LinkTable)
         rng = np.random.default_rng(41)
         for _ in range(10):
             topo, cfg = random_instance(rng, n_range=(1, ORACLE_MAX_USERS))
             builds.clear()
-            views.clear()
             for mode in MODES:
                 usba(topo, cfg, mode)
                 oracle_enumerate(topo, cfg, mode)
             assert len(builds) == 1
-            assert len(views) == len(MODES)
 
     @pytest.mark.parametrize(
         "change",
@@ -1093,12 +1089,25 @@ class TestSharedLinkTable:
             assert usba(topo, config, "rf_only") == expected
             assert oracle_enumerate(topo, config, "rf_only").selection == expected.selection
 
+    def test_rf_only_after_a_failed_hybrid_call_equals_a_fresh_topology(self, config):
+        # The failed hybrid call builds and keeps the table but not its
+        # optical terms; rf_only on that same object answers as on a fresh one.
+        bw = BandwidthAllocation(2e5, 3e5, 4e6)
+        for call in (lambda *args: get_s(bw, *args), usba, oracle_enumerate):
+            topo = TestLoudFailures.no_ap_topology()
+            with pytest.raises(ValueError, match="no VLC APs"):
+                call(topo, config, "hybrid")
+            assert topo._link_table is not None and topo._link_table.signals is None
+            fresh = TestLoudFailures.no_ap_topology()
+            assert get_s(bw, topo, config, "rf_only") == get_s(bw, fresh, config, "rf_only")
+            assert usba(topo, config, "rf_only") == usba(fresh, config, "rf_only")
+
     def test_an_allocated_topology_keeps_its_value(self):
         cfg = SimConfig(n_users=20)
         used, untouched = generate_topology(cfg, 3), generate_topology(cfg, 3)
         for mode in MODES:
             usba(used, cfg, mode)
-        assert used._link_terms is not None
+        assert used._link_table is not None
         assert used == untouched
 
 
@@ -1151,23 +1160,22 @@ class TestColumnPath:
             assert copy == drawn
 
 
-class TestViewOrder:
-    """A mode's view lists its VLC-downlink rows first. A drawn topology lists
-    its indoor users first, so only a topology whose indoor and outdoor users
-    interleave takes the view's non-identity order; it must select as the
-    drawn order does."""
+class TestIndoorFirst:
+    """Every topology lists its indoor users first. One built from nodes
+    whose indoor and outdoor users interleave sorts them so, each kind in
+    the order given, and must select as the drawn order does."""
 
     @staticmethod
     def interleaved(topo, rng):
-        """A copy of ``topo`` built from its ``UserNode``s in a shuffled order
-        in which an outdoor user comes before an indoor one."""
+        """``topo``'s ``UserNode``s in a shuffled order in which an outdoor
+        user comes before an indoor one."""
         users = topo.users.rows()
         assert 0 < topo.n_indoor < topo.n_users
         while True:
             users = [users[i] for i in rng.permutation(len(users)).tolist()]
             indoor = [u.indoor for u in users]
             if indoor != sorted(indoor, reverse=True):
-                return dataclasses.replace(topo, users=tuple(users))
+                return tuple(users)
 
     @staticmethod
     def draws(rng, count):
@@ -1182,24 +1190,20 @@ class TestViewOrder:
                 count -= 1
                 yield (with_unequal_shards(topo, rng) if count % 2 else topo), cfg
 
-    def test_the_hybrid_view_puts_vlc_rows_first(self):
+    def test_a_topology_from_interleaved_nodes_lists_indoor_users_first(self):
         rng = np.random.default_rng(2601)
-        for drawn, cfg in self.draws(rng, 10):
-            copy = self.interleaved(drawn, rng)
-            links = _links(copy, cfg, "hybrid")
-            assert isinstance(links.order, np.ndarray)  # not the identity
-            assert links.n_vlc == copy.n_indoor and links.indoor[: links.n_vlc].all()
-            assert not links.indoor[links.n_vlc :].any()
-            assert links.ids.tolist() == copy.users.id[links.order].tolist()
-            # A drawn topology's order is the identity in both modes.
-            for mode in MODES:
-                assert _links(drawn, cfg, mode).order == slice(None)
+        for drawn, _ in self.draws(rng, 10):
+            nodes = self.interleaved(drawn, rng)
+            copy = dataclasses.replace(drawn, users=nodes)
+            indoor, outdoor = [u for u in nodes if u.indoor], [u for u in nodes if not u.indoor]
+            assert copy.users.rows() == tuple(indoor + outdoor)
+            assert copy.n_indoor == drawn.n_indoor
 
     @pytest.mark.parametrize("mode", MODES)
     def test_get_s_equals_reference_at_distinct_widths(self, mode):
         rng = np.random.default_rng(2602)
         for drawn, cfg in self.draws(rng, 20):
-            copy = self.interleaved(drawn, rng)
+            copy = dataclasses.replace(drawn, users=self.interleaved(drawn, rng))
             start = default_initial_bandwidth(drawn, cfg)
             for up, down, vlc in ((0.6, 1.7, 1.0), (1.9, 0.8, 0.4), (3.0, 0.5, 2.5)):
                 bw = BandwidthAllocation(start.b_up_hz * up, start.b_down_hz * down, start.b_vlc_hz * vlc)
@@ -1213,7 +1217,7 @@ class TestViewOrder:
             if i % 3 == 0:  # configured start widths, up and down distinct
                 start = default_initial_bandwidth(drawn, cfg)
                 cfg = cfg.replace(initial_bandwidth=(start.b_up_hz * 1.5, start.b_down_hz * 0.5, start.b_vlc_hz))
-            copy = self.interleaved(drawn, rng)
+            copy = dataclasses.replace(drawn, users=self.interleaved(drawn, rng))
             assert usba(copy, cfg, mode) == usba(drawn, cfg, mode), (mode, copy)
             if drawn.n_users <= ORACLE_MAX_USERS:
                 assert oracle_enumerate(copy, cfg, mode) == oracle_enumerate(drawn, cfg, mode), (mode, copy)

@@ -94,17 +94,6 @@ def test_removed_subcommands_are_gone(command, capsys):
             "--vary",
             "repeated item '1e7:2e7' in 'rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,1e7:2e7'",
         ),
-        (["run", "--vary", "n_users:n_users=8:8"], "--vary", "field 'n_users' is varied twice"),
-        (
-            ["run", "--vary", "n_users=8", "--vary", "t_round_s:n_users=1:12"],
-            "--vary",
-            "field 'n_users' is varied twice",
-        ),
-        (
-            ["run", "--vary", "samples_per_user=30"],
-            "--vary",
-            "samples_per_user is set from the dataset's shard size, so 'samples_per_user=30' cannot vary it",
-        ),
     ],
 )
 def test_bad_list_item_is_a_usage_error(argv, option, problem, tmp_path, capsys):
@@ -156,11 +145,18 @@ GOOD_ROW = ",".join(["1.0"] * 14)
             {"many.cfg": "n_users = 600\n"},
             "need at least test_size + n_users = 617 rows, dataset has 506",
         ),
+        (["run", "--vary", "n_users:n_users=8:8"], {}, "field 'n_users' is varied twice"),
+        (["run", "--vary", "n_users=8", "--vary", "t_round_s:n_users=1:12"], {}, "field 'n_users' is varied twice"),
+        (
+            ["run", "--vary", "samples_per_user=30"],
+            {},
+            "samples_per_user is set from the dataset's shard size, so it cannot be varied",
+        ),
     ],
     ids=[
         "missing-dataset", "missing-config", "config-value", "config-derived-field", "dataset-schema", "dataset-cell",
         "config-value-line", "dataset-not-utf8", "config-not-utf8", "grid-point-too-many-users",
-        "config-too-many-users",
+        "config-too-many-users", "grid-field-twice-in-an-axis", "grid-field-twice-across-axes", "grid-derived-field",
     ],
 )
 def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, capsys):

@@ -37,6 +37,13 @@ class TestLoadDataset:
         assert with_header.n_rows == without.n_rows == 1
         assert with_header.targets[0] == 7.5
 
+    def test_a_typo_in_the_first_row_is_no_header(self, tmp_path):
+        # Line 1 is a header only when none of its cells reads as a number; a
+        # first data row with one bad cell fails loudly instead of vanishing.
+        bad = GOOD_ROW.replace("1.0", "oops", 1) + "\n" + GOOD_ROW + "\n" + GOOD_ROW + "\n"
+        with pytest.raises(DatasetParseError, match=r"line 1: column 1: not a number: 'oops'$"):
+            load_dataset(write(tmp_path, bad))
+
     def test_empty_file_is_schema_error(self, tmp_path):
         with pytest.raises(DatasetSchemaError):
             load_dataset(write(tmp_path, ""))

@@ -21,7 +21,7 @@ from vlcfed import (
     usba,
 )
 from vlcfed import runner
-from vlcfed.allocation import MODES, _UserTerms
+from vlcfed.allocation import MODES, _LinkTable
 from vlcfed.config import _SCALAR_RULES, _TUPLE_RULES, DERIVED_FIELD, _Interval
 from vlcfed.runner import (
     ExperimentError,
@@ -97,20 +97,20 @@ class TestRunExperiment:
             run_experiment(cfg, [7], data, train=False)
 
     def test_each_seed_is_drawn_and_built_once(self, monkeypatch):
-        # Both modes run on one draw per seed, so they share its link terms.
+        # Both modes run on one draw per seed, so they share its link table.
         draws, builds = [], []
-        draw, build = runner.generate_topology, _UserTerms.__init__
+        draw, build = runner.generate_topology, _LinkTable.__init__
 
         def counted_draw(cfg, seed):
             draws.append(seed)
             return draw(cfg, seed)
 
-        def counted_build(terms, *args):
+        def counted_build(table, *args):
             builds.append(args)
-            build(terms, *args)
+            build(table, *args)
 
         monkeypatch.setattr(runner, "generate_topology", counted_draw)
-        monkeypatch.setattr(_UserTerms, "__init__", counted_build)
+        monkeypatch.setattr(_LinkTable, "__init__", counted_build)
         report = run_experiment(SimConfig(), [0, 1], load_bundled_dataset(), train=False)
         assert [(r.seed, r.mode) for r in report.records] == [(0, "hybrid"), (0, "rf_only"), (1, "hybrid"), (1, "rf_only")]
         assert draws == [0, 1]
@@ -272,7 +272,7 @@ class TestGrid:
 
     def test_the_derived_field_cannot_be_varied(self, small_setup):
         cfg, data = small_setup
-        with pytest.raises(ValueError, match="samples_per_user is set from the dataset's shard size"):
+        with pytest.raises(ConfigError, match="samples_per_user is set from the dataset's shard size"):
             run_experiment(cfg, [0], data, grid=[(("samples_per_user",), ((3,), (30,)))])
 
     @pytest.mark.parametrize(
@@ -285,12 +285,12 @@ class TestGrid:
     )
     def test_a_field_cannot_be_varied_twice(self, small_setup, grid):
         cfg, data = small_setup
-        with pytest.raises(ValueError, match="^field 'n_users' is varied twice$"):
+        with pytest.raises(ConfigError, match="^field 'n_users' is varied twice$"):
             run_experiment(cfg, [0], data, train=False, grid=grid)
 
     def test_an_axis_needs_a_value(self, small_setup):
         cfg, data = small_setup
-        with pytest.raises(ValueError, match="^the axis of n_users has no values$"):
+        with pytest.raises(ConfigError, match="^the axis of n_users has no values$"):
             run_experiment(cfg, [0], data, train=False, grid=[(("n_users",), ())])
 
     def test_an_error_names_its_point(self, small_setup):

@@ -242,6 +242,18 @@ class TestUserColumns:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert generate_topology(cfg, 8) != drawn
 
+    def test_columns_must_list_indoor_users_first(self):
+        # Nodes are sorted indoor first; columns passed in must already be.
+        drawn = generate_topology(SimConfig(n_users=6, indoor_fraction=0.5), 0)
+        columns = drawn.users
+        swapped = UserColumns(*(np.roll(getattr(columns, name), 1, axis=0) for name in self.FIELDS))
+        assert swapped.indoor.tolist() == [False, True, True, True, False, False]
+        with pytest.raises(ValueError, match="^indoor users must come first, got indoor user 2 after an outdoor user$"):
+            Topology(drawn.cell_radius_m, drawn.bs_position, drawn.vlc_aps, swapped)
+        with pytest.raises(ValueError, match="indoor users must come first"):
+            dataclasses.replace(drawn, users=swapped)
+        assert dataclasses.replace(drawn, users=swapped.rows()).users.id.tolist() == [0, 1, 2, 5, 3, 4]
+
     def test_columns_are_read_only_in_copies_too(self):
         users = generate_topology(SimConfig(n_users=5), 0).users
         for clone in (users, pickle.loads(pickle.dumps(users)), copy.deepcopy(users)):
