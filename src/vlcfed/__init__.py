@@ -19,7 +19,6 @@ from .allocation import (
     usba,
 )
 from .channel import (
-    concentrator_gain,
     lambertian_order,
     rf_channel_gain,
     rf_rate,

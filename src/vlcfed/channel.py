@@ -3,7 +3,8 @@
 VLC downlink: Lambertian line-of-sight optical gain
     u = (m + 1) * A_p / (2 pi d^2) * T_s * g(theta) * cos^m(phi) * cos(theta)
 with Lambertian order m = -1 / log2(cos(theta_half)), concentrator gain
-g(theta) = n0^2 / sin^2(FoV) inside the field of view and 0 outside. LEDs
+g(theta) = n0^2 / sin^2(FoV) inside the field of view (by the cosine test of
+``vlc_channel_gains`` alone) and 0 outside. LEDs
 face straight down and receivers straight up, so phi = theta and
 cos(theta) = drop / d. Electrical SINR squares the photocurrent gamma*u*P_v;
 the achievable-rate lower bound for amplitude-constrained optical OFDM is
@@ -112,21 +113,6 @@ def lambertian_order(half_intensity_angle_deg: float) -> float:
     return -1.0 / math.log2(_cos_deg(half_intensity_angle_deg))
 
 
-def concentrator_gain(incidence_deg: float, fov_half_angle_deg: float, refractive_index: float) -> float:
-    """Optical concentrator gain: n0^2/sin^2(FoV) inside the FoV, else 0.
-
-    The gain is extended continuously to normal incidence (0 degrees).
-    """
-    if not 0.0 < fov_half_angle_deg <= 90.0:
-        raise ValueError(f"field-of-view half angle must lie in (0, 90] degrees, got {fov_half_angle_deg!r}")
-    if not incidence_deg >= 0.0:
-        raise ValueError(f"incidence angle must be >= 0, got {incidence_deg!r}")
-    if incidence_deg > fov_half_angle_deg:
-        return 0.0
-    s = _sin_deg(fov_half_angle_deg)
-    return refractive_index**2 / (s * s)
-
-
 def vlc_channel_gains(aps, receivers, config: SimConfig) -> np.ndarray:
     """Line-of-sight optical gain of every (receiver, AP) pair, as a (receivers, APs) array.
 
@@ -149,7 +135,8 @@ def vlc_channel_gains(aps, receivers, config: SimConfig) -> np.ndarray:
     inside = cos_theta >= _cos_deg(config.fov_half_angle_deg)
     if inside.any():
         m = lambertian_order(config.half_intensity_angle_deg)
-        g = concentrator_gain(0.0, config.fov_half_angle_deg, config.refractive_index)
+        s = _sin_deg(config.fov_half_angle_deg)
+        g = config.refractive_index**2 / (s * s)  # the concentrator gain inside the field of view
         c, d = cos_theta[inside], d[inside]
         # Receiver faces up, LED faces down: irradiation angle equals incidence.
         gains[inside] = (

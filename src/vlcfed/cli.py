@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .allocation import MODES
-from .config import _HINTS, ConfigError, SimConfig, _coerce, build_config
+from .config import ConfigError, build_config, read_field
 from .dataset import DatasetParseError, DatasetSchemaError, load_bundled_dataset, load_dataset
 from .runner import emit_report, run_experiment
 
@@ -18,8 +18,8 @@ from .runner import emit_report, run_experiment
 def _seeds(text: str) -> list[int]:
     """An argparse type for comma-separated seeds.
 
-    A bad, empty or repeated item is a usage error that names the item, so
-    argparse exits with code 2 and names the option.
+    A bad or empty item is a usage error that names the item, so argparse
+    exits with code 2 and names the option; the runner rejects a repeat.
     """
     seeds = []
     for item in text.split(","):
@@ -31,8 +31,6 @@ def _seeds(text: str) -> list[int]:
         except ValueError:
             problem = "empty item" if not item else f"{item!r} is not a non-negative integer"
             raise argparse.ArgumentTypeError(f"{problem} in {text!r}") from None
-        if seed in seeds:
-            raise argparse.ArgumentTypeError(f"repeated item {item!r} in {text!r}")
         seeds.append(seed)
     return seeds
 
@@ -40,16 +38,13 @@ def _seeds(text: str) -> list[int]:
 def _axis(text: str) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
     """An argparse type for one ``--vary`` axis, ``F=v1,v2`` or ``F1:F2=a1:b1,a2:b2``.
 
-    Each value is read as a config file reads it and checked by its field's
-    rule, so a bad one is a usage error that names the item.
+    Each value goes through ``read_field``, as a config file's does, so an
+    unknown field or a bad value is a usage error that names the item.
     """
     names, sep, items = text.partition("=")
     names = tuple(name.strip() for name in names.split(":"))
     if not sep:
         raise argparse.ArgumentTypeError(f"expected FIELD=v1,v2 or F1:F2=a1:b1,a2:b2, got {text!r}")
-    for name in names:
-        if name not in _HINTS:
-            raise argparse.ArgumentTypeError(f"unknown field {name!r} in {text!r}")
     points = []
     for item in items.split(","):
         parts = item.split(":")
@@ -58,13 +53,9 @@ def _axis(text: str) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
         if len(parts) != len(names):
             raise argparse.ArgumentTypeError(f"{item!r} does not give one value per field in {text!r}")
         try:
-            point = tuple(_coerce(_HINTS[name], part) for name, part in zip(names, parts))
-            SimConfig().replace(**dict(zip(names, point)))
-        except ValueError as exc:  # a ConfigError is a ValueError
+            points.append(tuple(read_field(name, part) for name, part in zip(names, parts)))
+        except ConfigError as exc:
             raise argparse.ArgumentTypeError(f"bad item {item!r}: {exc} in {text!r}") from None
-        if point in points:
-            raise argparse.ArgumentTypeError(f"repeated item {item!r} in {text!r}")
-        points.append(point)
     return names, tuple(points)
 
 

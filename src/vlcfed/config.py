@@ -3,18 +3,19 @@
 Defaults reproduce the reference scenario (circular 50 m cell, 50 users, 80%
 indoor, hybrid VLC downlink + shared RF band). Every physical quantity is
 config-exposed so sweeps can override it. A `SimConfig` is valid by
-construction: the constructor, `dataclasses.replace` and `build_config` run
-`validate()` on every field, and `replace` runs the same rules on the fields
-it changes. That suffices because each rule reads one field, so the fields a
-copy keeps passed theirs already.
+construction: the constructor and `dataclasses.replace` run `validate()` on
+every field, `replace` runs the same rules on the fields it changes, and
+`build_config` takes each value from `read_field`, which checks it. That
+suffices because each rule reads one field, so the fields a copy keeps passed
+theirs already.
 
 Each field's annotation carries its one rule. A scalar field has an admissible
-interval, which also words its error; one loop over the scalar fields rejects,
-by field name, a value that is not a real number (``bool`` included), lies
-outside its interval (nan and inf included) or, where the field is annotated
-``int``, is not an integer. Each tuple field has its own check. The scalars are
-checked before the tuples, so a check of some fields names the same first
-error as a check of all.
+interval, which also words its error; one scalar rule rejects, by field name,
+a value that is not a real number (``bool`` included), lies outside its
+interval (nan and inf included) or, where annotated ``int``, is not an
+integer. A tuple field's entries pass the ``Positive`` rule, and its shape
+sets its length and whether it ascends. The scalars are checked before the
+tuples, so a check of some fields names the same first error as a check of all.
 """
 
 from __future__ import annotations
@@ -50,43 +51,20 @@ class _Interval(typing.NamedTuple):
         return f"in {'[' if self.closed_low else '('}{self.low:g}, {self.high:g}{']' if self.closed_high else ')'}"
 
 
-def _check_reals(name: str, values) -> None:
-    # bool is a numbers.Integral, but True is no quantity and no count.
-    if not isinstance(values, (tuple, list)) or not all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
-    ):
-        raise ConfigError(f"{name} must hold real numbers, got {values!r}")
+class _Shape(typing.NamedTuple):
+    """A tuple field's length (0: any length but 0) and whether its entries must ascend."""
 
-
-def _check_range(name: str, bounds) -> None:
-    if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
-        raise ConfigError(f"{name} must hold exactly two values (low, high), got {bounds!r}")
-    _check_reals(name, bounds)
-    # An int too large to be a float lies below inf but above _MAX_FLOAT.
-    if not (0 < bounds[0] <= bounds[1] <= _MAX_FLOAT):
-        raise ConfigError(f"{name} must be finite and satisfy 0 < low <= high, got {tuple(bounds)!r}")
-
-
-def _check_radii(name: str, radii) -> None:
-    if radii is not None:
-        _check_reals(name, radii)
-        if not (radii and all(0 < r <= _MAX_FLOAT for r in radii)):
-            raise ConfigError(f"{name} must be finite positive values, got {radii!r}")
-
-
-def _check_widths(name: str, widths) -> None:
-    if widths is not None:
-        _check_reals(name, widths)
-        if not (len(widths) == 3 and all(0 < w <= _MAX_FLOAT for w in widths)):
-            raise ConfigError(f"{name} must be three finite positive values, got {widths!r}")
+    length: int = 0
+    ascending: bool = False
 
 
 # Each field's annotation carries its one rule: an _Interval for a scalar
-# (which must also be an integer where annotated int), a check for a tuple.
-Positive = Annotated[float, _Interval(0.0)]
+# (which must also be an integer where annotated int), a _Shape for a tuple.
+_POSITIVE = _Interval(0.0)
+Positive = Annotated[float, _POSITIVE]
 NonNegative = Annotated[float, _Interval(0.0, closed_low=True)]
 Count = Annotated[int, _Interval(1, closed_low=True)]
-Range = Annotated[tuple[float, float], _check_range]
+Range = Annotated[tuple[float, float], _Shape(2, ascending=True)]
 
 
 @dataclass(frozen=True)
@@ -117,7 +95,7 @@ class SimConfig:
     n_vlc_aps: Count = 4
     # One BS-distance per AP (cycled if fewer than n_vlc_aps); None staggers
     # them evenly over [0.2, 0.8] * cell_radius so indoor path loss spreads.
-    ap_ring_radii_m: Annotated[Optional[tuple[float, ...]], _check_radii] = None
+    ap_ring_radii_m: Annotated[Optional[tuple[float, ...]], _Shape()] = None
     receiver_plane_height_m: Positive = 0.85
     ap_height_above_plane_m: Positive = 2.5  # vertical AP-to-receiver drop
     indoor_spread_m: Positive = 3.0          # indoor users land within this radius of an AP
@@ -151,7 +129,7 @@ class SimConfig:
     # --- selection/bandwidth iteration control ---
     max_iterations: Count = 50
     # (up, down, vlc); None = default_initial_bandwidth
-    initial_bandwidth: Annotated[Optional[tuple[float, float, float]], _check_widths] = None
+    initial_bandwidth: Annotated[Optional[tuple[float, float, float]], _Shape(3)] = None
 
     def __post_init__(self):
         self.validate()
@@ -174,16 +152,16 @@ class SimConfig:
 
 
 def _split_rules():
-    """(name, interval, annotated int) of each scalar field, (name, check) of
-    each tuple field, and each field's plain type, as ``_coerce`` reads it."""
+    """(name, interval, annotated int) of each scalar field, (name, shape,
+    optional) of each tuple field, and each field's plain type."""
     scalars, tuples, hints = [], [], {}
     for name, hint in typing.get_type_hints(SimConfig, include_extras=True).items():
         base, rule = typing.get_args(hint)  # exactly one rule per field
         hints[name] = base
         if isinstance(rule, _Interval):
-            scalars.append((name, rule, base is int))  # the int that _coerce reads
+            scalars.append((name, rule, base is int))  # the int that read_field reads
         else:
-            tuples.append((name, rule))
+            tuples.append((name, rule, type(None) in typing.get_args(base)))
     return tuple(scalars), tuple(tuples), hints
 
 
@@ -192,62 +170,87 @@ _FIELD_NAMES = frozenset(_HINTS)
 DERIVED_FIELD = "samples_per_user"  # the runner sets it from the dataset's shard size
 
 
+def _check_scalar(name: str, value, interval: _Interval, integral: bool) -> None:
+    """The scalar rule: a real number in ``interval``, and an integer if ``integral``."""
+    kind = type(value)
+    # Exact float and int first: a numbers ABC check costs a microsecond.
+    # bool is a numbers.Integral, but True is no quantity and no count.
+    if kind is not float and kind is not int and (kind is bool or not isinstance(value, numbers.Real)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    low, high, closed_low, closed_high = interval
+    # Both comparisons fail on nan, and inf lies above every high.
+    if not ((low <= value if closed_low else low < value) and (value <= high if closed_high else value < high)):
+        raise ConfigError(f"{name} must be finite and {interval}, got {value!r}")
+    if integral and kind is not int and not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_fields(values: dict) -> None:
     """Run the rule of each field that ``values`` holds on its value: the
     scalar fields in declaration order, then the tuple fields, so the first
-    rejected field is the one a full check would name."""
+    rejected field is the one a full check would name. A tuple field holds
+    its shape's number of ``Positive`` entries, ascending if its shape says
+    so, or None where it is optional."""
     for name, interval, integral in _SCALAR_RULES:
-        if name not in values:
-            continue
-        value = values[name]
-        kind = type(value)
-        # Exact float and int first: a numbers ABC check costs a microsecond.
-        # bool is a numbers.Integral, but True is no quantity and no count.
-        if kind is not float and kind is not int and (kind is bool or not isinstance(value, numbers.Real)):
-            raise ConfigError(f"{name} must be a real number, got {value!r}")
-        low, high, closed_low, closed_high = interval
-        # Both comparisons fail on nan, and inf lies above every high.
-        if not (
-            (low <= value if closed_low else low < value) and (value <= high if closed_high else value < high)
-        ):
-            raise ConfigError(f"{name} must be finite and {interval}, got {value!r}")
-        if integral and kind is not int and not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    for name, check in _TUPLE_RULES:
         if name in values:
-            check(name, values[name])
+            _check_scalar(name, values[name], interval, integral)
+    for name, shape, optional in _TUPLE_RULES:
+        if name not in values or values[name] is None and optional:
+            continue
+        value, (length, ascending) = values[name], shape
+        if not isinstance(value, (tuple, list)) or not value or length and len(value) != length:
+            raise ConfigError(f"{name} must hold {length or 'one or more'} values, got {value!r}")
+        for entry in value:
+            _check_scalar(name, entry, _POSITIVE, False)
+        if ascending and any(low > high for low, high in zip(value, value[1:])):
+            raise ConfigError(f"{name} must ascend, got {value!r}")
 
 
-def _coerce(hint, raw: str):
-    text = raw.strip()
+def read_field(name: str, text: str):
+    """The value of field ``name`` that ``text`` spells, checked by the field's rule.
+
+    ``text`` is a number (an int field also takes ``1e1``), a tuple's numbers
+    separated by commas or spaces, or, for an optional field, ``none`` or
+    nothing. An unknown name, a text the type cannot read and a rejected value
+    each raise ConfigError naming the field.
+    """
+    if name not in _HINTS:
+        raise ConfigError(f"unknown config key {name!r}")
+    hint, text = _HINTS[name], text.strip()
     args = typing.get_args(hint)
     if type(None) in args:  # Optional[X]
         if text.lower() in ("none", ""):
             return None
         (hint,) = (a for a in args if a is not type(None))
-    if typing.get_origin(hint) is tuple:
-        return tuple(float(p) for p in text.replace(",", " ").split())
-    if hint is int:
-        value = float(text)  # accepts "1e1"
-        if not value.is_integer():
-            raise ValueError(f"expected an integer, got {text!r}")
-        return int(value)
-    return float(text)
+    try:
+        if typing.get_origin(hint) is tuple:
+            value = tuple(float(p) for p in text.replace(",", " ").split())
+        elif hint is int:
+            value = float(text)  # accepts "1e1"
+            if not value.is_integer():
+                raise ValueError(f"expected an integer, got {text!r}")
+            value = int(value)
+        else:
+            value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {name!r}: {exc}") from None
+    _check_fields({name: value})
+    return value
 
 
 def build_config(file_path: Optional[str] = None) -> SimConfig:
     """Resolve a config: the compiled defaults, overridden by the config file if one is given.
 
     The file holds flat ``key = value`` lines; blank lines and lines starting
-    with ``#`` are ignored. An unknown key (so that a typo does not fall back
-    to a default), a value its field's type cannot read, a value
-    ``SimConfig`` rejects and ``DERIVED_FIELD``, which the runner sets
-    itself, are each named by ``path:line:``.
+    with ``#`` are ignored. Each value is read and checked by ``read_field``
+    as its line is read. A line that ``read_field`` rejects (an unknown key
+    included, so that a typo does not fall back to a default), a key set
+    twice and ``DERIVED_FIELD``, which the runner sets itself, are each
+    named by ``path:line:``.
     """
     if not file_path:
         return SimConfig()
     overrides: dict = {}
-    lines: dict = {}  # the line that set each key
     with open(file_path, "rb") as fh:
         raw = fh.read()
     try:
@@ -260,28 +263,18 @@ def build_config(file_path: Optional[str] = None) -> SimConfig:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{file_path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
+        key, sep, value = stripped.partition("=")
         key = key.strip()
-        if key not in _HINTS:
-            raise ConfigError(f"{file_path}:{lineno}: unknown config key {key!r}")
         try:
-            overrides[key] = _coerce(_HINTS[key], value)
-        except ValueError as exc:
-            raise ConfigError(f"{file_path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        lines[key] = lineno
-    if DERIVED_FIELD in lines:
-        problem = f"{DERIVED_FIELD} is set by the runner, not by a config file"
-        raise ConfigError(f"{file_path}:{lines[DERIVED_FIELD]}: {problem}")
-    try:
-        return SimConfig(**overrides)
-    except ConfigError:
-        # Each field's rule reads that field alone, so the line at fault is
-        # the first whose value is rejected on its own.
-        for key, lineno in sorted(lines.items(), key=lambda item: item[1]):
-            try:
-                _check_fields({key: overrides[key]})
-            except ConfigError as exc:
-                raise ConfigError(f"{file_path}:{lineno}: {exc}") from None
-        raise
+            if not sep:
+                raise ConfigError(f"expected 'key = value', got {line!r}")
+            if key in overrides:
+                raise ConfigError(f"{key} is set twice")
+            if key == DERIVED_FIELD:
+                raise ConfigError(f"{DERIVED_FIELD} is set by the runner, not by a config file")
+            overrides[key] = read_field(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{file_path}:{lineno}: {exc}") from None
+    config = SimConfig()
+    config.__dict__.update(overrides)  # as replace sets them; each was checked as its line was read
+    return config

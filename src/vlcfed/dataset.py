@@ -140,7 +140,7 @@ def shard_size(n_rows: int, n_users: int, test_size: int) -> int:
         raise ValueError(f"test_size must be >= 0, got {test_size!r}")
     if test_size + n_users > n_rows:
         raise ValueError(
-            f"need at least test_size + n_users = {test_size + n_users} rows, "
+            f"need at least test_size + n_users = {test_size} + {n_users} = {test_size + n_users} rows, "
             f"dataset has {n_rows}"
         )
     return (n_rows - test_size) // n_users

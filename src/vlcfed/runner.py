@@ -112,23 +112,26 @@ def run_experiment(
     product of the axes, the last fastest, and each runs ``config`` with the
     point's values set; with no axis the one point is ``config`` itself.
 
-    An axis without values, a varied ``DERIVED_FIELD`` or a field varied
-    twice raises ConfigError. Each point runs with the shard size its user
-    count gives on ``data``. Every point's config, that size included, is
-    derived before the first run, and a point the dataset cannot serve
-    raises ConfigError naming its varied values. Each seed's one topology
-    draw and one shard partition serve every mode. Only training reads the
-    rows, so the first mode that trains makes the partition, and
-    selection-only seeds make none. A failure in a run, the draw's and the
-    partition's included, raises ExperimentError naming the point's varied
-    values, the seed and the mode it hit.
+    A repeated seed, mode or axis value, an axis without values, a varied
+    ``DERIVED_FIELD`` or a field varied twice raises ConfigError. Each point
+    runs with the shard size its user count gives on ``data``. Every point's
+    config, that size included, is derived before the first run, and a point
+    the dataset cannot serve raises ConfigError naming its varied values.
+    Each seed's one topology draw and one shard partition serve every mode.
+    Only training reads the rows, so the first mode that trains makes the
+    partition, and selection-only seeds make none. A failure in a run, the
+    draw's and the partition's included, raises ExperimentError naming the
+    point's varied values, the seed and the mode it hit.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    _check_distinct(seeds, lambda seed: f"seed {seed} is repeated")
+    _check_distinct(modes, lambda mode: f"mode {mode!r} is repeated")
     points, varied = [{}], ()
     for names, values in grid:
         if not values:
             raise ConfigError(f"the axis of {', '.join(names)} has no values")
+        _check_distinct(values, lambda value: _located("repeated in its axis", dict(zip(names, value))))
         points = [{**point, **dict(zip(names, value, strict=True))} for point in points for value in values]
         varied += tuple(names)
     for name in varied:
@@ -164,7 +167,14 @@ def run_experiment(
     return ExperimentReport(records, config, tuple(seeds), data.name, tuple(run_configs), data.sha256, varied)
 
 
-def _located(exc: Exception, point: dict, *where: str) -> str:
+def _check_distinct(items: Sequence, message) -> None:
+    """Raise ConfigError with ``message(item)`` for the first item that repeats an earlier one."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(message(item))
+
+
+def _located(exc: Exception | str, point: dict, *where: str) -> str:
     """``exc``'s message after the point's varied values and ``where``."""
     at = [f"{name}={_manifest_value(value)}" for name, value in point.items()] + list(where)
     return f"{', '.join(at)}: {exc}" if at else str(exc)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import vlcfed
 from vlcfed import (
     SimConfig,
-    concentrator_gain,
     lambertian_order,
     rf_channel_gain,
     rf_rate,
@@ -112,31 +111,6 @@ class TestLambertianOrder:
         assert lambertian_order(angle) > lambertian_order(angle + 0.5)
 
 
-class TestConcentratorGain:
-    def test_inside_fov(self):
-        assert concentrator_gain(45.0, 90.0, 1.5) == pytest.approx(2.25)
-        assert concentrator_gain(30.0, 60.0, 1.5) == pytest.approx(3.0)
-
-    def test_outside_fov_is_zero(self):
-        assert concentrator_gain(95.0, 90.0, 1.5) == 0.0
-        assert concentrator_gain(60.0001, 60.0, 1.5) == 0.0
-
-    def test_piecewise_constant_with_single_jump(self):
-        inside = [concentrator_gain(a, 60.0, 1.5) for a in (1.0, 20.0, 45.0, 60.0)]
-        assert len(set(inside)) == 1
-        assert concentrator_gain(60.0, 60.0, 1.5) > 0.0
-
-    @pytest.mark.parametrize("incidence", [-1.0, math.nan])
-    def test_rejects_negative_or_nan_incidence(self, incidence):
-        with pytest.raises(ValueError, match=f"incidence angle must be >= 0, got {incidence!r}"):
-            concentrator_gain(incidence, 60.0, 1.5)
-
-    @pytest.mark.parametrize("fov", [math.nan, 200.0, 90.5, 0.0, -10.0, math.inf])
-    def test_rejects_a_field_of_view_outside_zero_to_ninety(self, fov):
-        with pytest.raises(ValueError, match=rf"field-of-view half angle must lie in \(0, 90\] degrees, got {fov!r}"):
-            concentrator_gain(0.0, fov, 1.5)
-
-
 class TestVlcChannelGain:
     def test_reference_geometry(self, config):
         # 2.5 m drop, 1.66 m horizontal offset, default optics:
@@ -153,9 +127,20 @@ class TestVlcChannelGain:
         drop = 2.5
         u = vlc_channel_gain((0.0, 0.0, 0.85 + drop), (0.0, 0.0, 0.85), config)
         m = lambertian_order(config.half_intensity_angle_deg)
-        g = concentrator_gain(0.0, config.fov_half_angle_deg, config.refractive_index)
+        g = config.refractive_index**2 / _sin_deg(config.fov_half_angle_deg) ** 2
         expected = (m + 1) * config.pd_area_m2 * config.filter_gain * g / (2 * math.pi * drop**2)
         assert u == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("fov", [10.0, 45.0, 60.0, 90.0])
+    def test_the_concentrator_gain_is_n0_squared_over_sin_squared_fov_bit_for_bit(self, config, fov):
+        cfg = config.replace(fov_half_angle_deg=fov, refractive_index=1.7)
+        s = _sin_deg(fov)
+        g = 1.7**2 / (s * s)
+        # Straight below the AP: d = 2.5 exactly and cos(theta) = 1, so the
+        # gain is the closed form's product with no cosine factor.
+        u = vlc_channel_gain((3.0, -2.0, 2.5), (3.0, -2.0, 0.0), cfg)
+        m = lambertian_order(cfg.half_intensity_angle_deg)
+        assert u == (m + 1.0) * cfg.pd_area_m2 / (2.0 * math.pi * 2.5 * 2.5) * cfg.filter_gain * g
 
     def test_decreases_with_horizontal_offset(self, config):
         gains = [
@@ -310,7 +295,8 @@ def _scalar_gain(ap, user, config):
     if cos_theta < _cos_deg(config.fov_half_angle_deg):
         return 0.0
     m = lambertian_order(config.half_intensity_angle_deg)
-    g = concentrator_gain(0.0, config.fov_half_angle_deg, config.refractive_index)
+    s = _sin_deg(config.fov_half_angle_deg)
+    g = config.refractive_index**2 / (s * s)
     return (m + 1.0) * config.pd_area_m2 / (2.0 * math.pi * d * d) * config.filter_gain * g * float(np.power(cos_theta, m)) * cos_theta
 
 

@@ -67,8 +67,7 @@ def test_removed_subcommands_are_gone(command, capsys):
         (["run", "--seeds", "0,x"], "--seeds", "'x' is not a non-negative integer in '0,x'"),
         (["run", "--seeds", "0,-1"], "--seeds", "'-1' is not a non-negative integer in '0,-1'"),
         (["run", "--seeds", ","], "--seeds", "empty item in ','"),
-        (["run", "--seeds", "0,1,0"], "--seeds", "repeated item '0' in '0,1,0'"),
-        (["run", "--vary", "n_user=20"], "--vary", "unknown field 'n_user' in 'n_user=20'"),
+        (["run", "--vary", "n_user=20"], "--vary", "bad item '20': unknown config key 'n_user' in 'n_user=20'"),
         (["run", "--vary", "n_users"], "--vary", "expected FIELD=v1,v2 or F1:F2=a1:b1,a2:b2, got 'n_users'"),
         (["run", "--vary", "n_users=20,,30"], "--vary", "empty item in 'n_users=20,,30'"),
         (["run", "--vary", "n_users="], "--vary", "empty item in 'n_users='"),
@@ -81,18 +80,17 @@ def test_removed_subcommands_are_gone(command, capsys):
         (
             ["run", "--vary", "n_users=20,3.5"],
             "--vary",
-            "bad item '3.5': expected an integer, got '3.5' in 'n_users=20,3.5'",
+            "bad item '3.5': bad value for 'n_users': expected an integer, got '3.5' in 'n_users=20,3.5'",
         ),
         (
             ["run", "--vary", "n_users=0"],
             "--vary",
             "bad item '0': n_users must be finite and >= 1, got 0 in 'n_users=0'",
         ),
-        (["run", "--vary", "n_users=20,2e1"], "--vary", "repeated item '2e1' in 'n_users=20,2e1'"),
         (
-            ["run", "--vary", "rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,1e7:2e7"],
+            ["run", "--vary", "tx_power_range_w=0.1 0.9,0.5"],
             "--vary",
-            "repeated item '1e7:2e7' in 'rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,1e7:2e7'",
+            "bad item '0.5': tx_power_range_w must hold 2 values, got (0.5,) in 'tx_power_range_w=0.1 0.9,0.5'",
         ),
     ],
 )
@@ -138,12 +136,12 @@ GOOD_ROW = ",".join(["1.0"] * 14)
         (
             ["run", "--vary", "n_users=20,600"],
             {},
-            "n_users=600: need at least test_size + n_users = 617 rows, dataset has 506",
+            "n_users=600: need at least test_size + n_users = 17 + 600 = 617 rows, dataset has 506",
         ),
         (
             ["run", "--config", "{tmp}/many.cfg"],
             {"many.cfg": "n_users = 600\n"},
-            "need at least test_size + n_users = 617 rows, dataset has 506",
+            "need at least test_size + n_users = 17 + 600 = 617 rows, dataset has 506",
         ),
         (["run", "--vary", "n_users:n_users=8:8"], {}, "field 'n_users' is varied twice"),
         (["run", "--vary", "n_users=8", "--vary", "t_round_s:n_users=1:12"], {}, "field 'n_users' is varied twice"),
@@ -152,11 +150,25 @@ GOOD_ROW = ",".join(["1.0"] * 14)
             {},
             "samples_per_user is set from the dataset's shard size, so it cannot be varied",
         ),
+        (
+            ["run", "--config", "{tmp}/dup.cfg"],
+            {"dup.cfg": "n_users = 20\nn_users = 30\n"},
+            "{tmp}/dup.cfg:2: n_users is set twice",
+        ),
+        # The runner rejects a repeated seed or value, as the library does.
+        (["run", "--seeds", "0,1,0"], {}, "seed 0 is repeated"),
+        (["run", "--vary", "n_users=20,2e1"], {}, "n_users=20: repeated in its axis"),
+        (
+            ["run", "--vary", "rf_total_bandwidth_hz:vlc_total_bandwidth_hz=10e6:20e6,1e7:2e7"],
+            {},
+            "rf_total_bandwidth_hz=10000000, vlc_total_bandwidth_hz=20000000: repeated in its axis",
+        ),
     ],
     ids=[
         "missing-dataset", "missing-config", "config-value", "config-derived-field", "dataset-schema", "dataset-cell",
         "config-value-line", "dataset-not-utf8", "config-not-utf8", "grid-point-too-many-users",
         "config-too-many-users", "grid-field-twice-in-an-axis", "grid-field-twice-across-axes", "grid-derived-field",
+        "config-key-twice", "seed-repeated", "grid-value-repeated", "grid-joint-value-repeated",
     ],
 )
 def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, capsys):
@@ -167,7 +179,8 @@ def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, caps
             (tmp_path / name).write_text(content)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--no-train", "--seeds", "0", "--out", str(tmp_path / "out")])
+        # The case's own options come last, so its --seeds overrides the default 0.
+        main([argv[0], "--no-train", "--seeds", "0", "--out", str(tmp_path / "out"), *argv[1:]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

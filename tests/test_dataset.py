@@ -175,7 +175,7 @@ class TestSplitAndPartition:
     @pytest.mark.parametrize(
         "n_users, test_size, message",
         [
-            (15, 10, "need at least test_size + n_users = 25 rows, dataset has 20"),
+            (15, 10, "need at least test_size + n_users = 10 + 15 = 25 rows, dataset has 20"),
             (0, 1, "n_users must be >= 1, got 0"),
             (3, -1, "test_size must be >= 0, got -1"),
         ],

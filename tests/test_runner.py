@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import sys
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,7 @@ from vlcfed import (
 )
 from vlcfed import runner
 from vlcfed.allocation import MODES, _LinkTable
-from vlcfed.config import _SCALAR_RULES, _TUPLE_RULES, DERIVED_FIELD, _Interval
+from vlcfed.config import _SCALAR_RULES, _TUPLE_RULES, DERIVED_FIELD, _Interval, _Shape, read_field
 from vlcfed.runner import (
     ExperimentError,
     ExperimentReport,
@@ -163,6 +164,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(cfg, [], data)
 
+    @pytest.mark.parametrize(
+        "seeds, modes, message",
+        [
+            ([0, 0], MODES, "^seed 0 is repeated$"),
+            ([3, 1, 2, 1], MODES, "^seed 1 is repeated$"),
+            ([0], ("hybrid", "rf_only", "hybrid"), "^mode 'hybrid' is repeated$"),
+        ],
+    )
+    def test_a_repeated_seed_or_mode_is_rejected_before_any_run(self, small_setup, monkeypatch, seeds, modes, message):
+        cfg, data = small_setup
+        monkeypatch.setattr(runner, "generate_topology", None)  # no draw may run
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, seeds, data, modes, train=False)
+
     def test_divergence_names_seed_mode_and_round(self, small_setup):
         cfg, data = small_setup
         with np.errstate(all="ignore"):
@@ -190,7 +205,7 @@ class TestSelectionOnlyRecords:
 
     @pytest.mark.parametrize("train", [False, True])
     def test_too_many_users_still_rejected(self, train):
-        with pytest.raises(ConfigError, match=r"^need at least test_size \+ n_users = 517 rows, dataset has 506$"):
+        with pytest.raises(ConfigError, match=r"^need at least test_size \+ n_users = 17 \+ 500 = 517 rows, dataset has 506$"):
             run_experiment(SimConfig(n_users=500), [0], load_bundled_dataset(), train=train)
 
 
@@ -288,6 +303,25 @@ class TestGrid:
         with pytest.raises(ConfigError, match="^field 'n_users' is varied twice$"):
             run_experiment(cfg, [0], data, train=False, grid=grid)
 
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ((("n_users",), ((10,), (10,))), "n_users=10"),
+            ((("t_round_s",), ((1.5,), (1.5,))), "t_round_s=1.5"),
+            ((("t_round_s",), ((1,), (2.5,), (1.0,))), "t_round_s=1"),
+            (
+                (BAND_AXIS[0], ((10e6, 20e6), (20e6, 40e6), (1e7, 2e7))),
+                "rf_total_bandwidth_hz=10000000, vlc_total_bandwidth_hz=20000000",
+            ),
+            ((("ap_ring_radii_m",), ((None,), ((10.0,),), (None,))), "ap_ring_radii_m=none"),
+        ],
+    )
+    def test_a_repeated_value_is_rejected_before_any_run(self, small_setup, monkeypatch, axis, message):
+        cfg, data = small_setup
+        monkeypatch.setattr(runner, "generate_topology", None)  # no draw may run
+        with pytest.raises(ConfigError, match=f"^{message}: repeated in its axis$"):
+            run_experiment(cfg, [0], data, train=False, grid=[axis])
+
     def test_an_axis_needs_a_value(self, small_setup):
         cfg, data = small_setup
         with pytest.raises(ConfigError, match="^the axis of n_users has no values$"):
@@ -306,7 +340,7 @@ class TestGrid:
         cfg, data = small_setup
         monkeypatch.setattr(runner, "generate_topology", None)  # no draw may run
         axis = (("n_users", "t_round_s"), ((4, 2.5), (200, 1.25)))
-        message = r"^n_users=200, t_round_s=1.25: need at least test_size \+ n_users = 210 rows, dataset has 120$"
+        message = r"^n_users=200, t_round_s=1.25: need at least test_size \+ n_users = 10 \+ 200 = 210 rows, dataset has 120$"
         with pytest.raises(ConfigError, match=message):
             run_experiment(cfg, [3], data, grid=[axis])
 
@@ -571,7 +605,7 @@ class TestConfigResolution:
 
     def test_every_field_has_exactly_one_rule(self):
         scalars = [name for name, interval, _ in _SCALAR_RULES if isinstance(interval, _Interval)]
-        tuples = [name for name, check in _TUPLE_RULES if callable(check) and not isinstance(check, _Interval)]
+        tuples = [name for name, shape, _ in _TUPLE_RULES if isinstance(shape, _Shape)]
         assert (len(scalars), len(tuples)) == (35, 5)
         assert sorted(scalars + tuples) == sorted(f.name for f in dataclasses.fields(SimConfig))
         assert sorted(name for name, _, integral in _SCALAR_RULES if integral) == sorted(INT_FIELDS)
@@ -677,7 +711,7 @@ class TestConfigResolution:
         [
             ("n_users = 0\n", 1, "n_users"),
             ("# comment\n\nt_round_s = 1.5\nindoor_fraction = 2\n", 4, "indoor_fraction"),
-            ("n_users = 0\nn_users = 5\nlocal_accuracy = 1\n", 3, "local_accuracy"),  # the last value counts
+            ("n_users = 0\nn_users = 5\nlocal_accuracy = 1\n", 1, "n_users"),  # checked as its line is read
             ("tx_power_range_w = 2, 1\nn_users = 0\n", 1, "tx_power_range_w"),  # the first rejected line
         ],
     )
@@ -766,8 +800,105 @@ class TestConfigResolution:
     def test_range_needs_exactly_two_values(self, tmp_path, field, value):
         path = tmp_path / "bad.cfg"
         path.write_text(f"{field} = {value}\n")
-        with pytest.raises(ConfigError, match=f"{field} must hold exactly two values"):
+        with pytest.raises(ConfigError, match=f"bad.cfg:1: {field} must hold 2 values"):
             build_config(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_users = 20\nn_users = 30\n", "2: n_users is set twice"),
+            # Even when the second line repeats the first one's value.
+            ("t_round_s = 2\n# again\nt_round_s = 2\n", "3: t_round_s is set twice"),
+            ("initial_bandwidth = none\nn_users = 20\ninitial_bandwidth = 1e6 1e6 1e6\n", "3: initial_bandwidth is set twice"),
+        ],
+    )
+    def test_a_key_set_twice_is_named_at_its_second_line(self, tmp_path, text, message):
+        path = tmp_path / "dup.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:{message}$"):
+            build_config(str(path))
+
+    # Values the four tuple checkers that the shape rule replaced rejected,
+    # each still rejected with the field named...
+    TUPLE_REJECTED = [
+        (field, value)
+        for field in ("tx_power_range_w", "cycles_per_sample_range", "cpu_freq_range_hz")
+        for value in [
+            None, (), (0.5,), (0.1, 0.2, 0.3), "0.1 0.2", np.array([0.1, 0.2]), 0.5,
+            (0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1, 0.999), (0.1, math.nan), (math.inf, math.inf),
+            (True, 2.0), (0.1, "1"), (0.1, None), (0.1, complex(1, 0)), (0.1, 10**400), (10**400, 10**401),
+        ]
+    ] + [
+        (field, value)
+        for field in ("ap_ring_radii_m", "initial_bandwidth")
+        for value in [
+            (), [], (0.0,) * 3, (-1.0,) * 3, (math.nan,) * 3, (1.0, math.inf, 1.0), (True,) * 3,
+            ("1",) * 3, (1.0, None, 1.0), (10**400,) * 3, "1 2 3", np.ones(3), 1.0,
+        ]
+    ] + [("initial_bandwidth", (1e6, 1e6)), ("initial_bandwidth", (1e6,) * 4)]
+    # ...and values they accepted, each still building as given.
+    TUPLE_ACCEPTED = [
+        (field, value)
+        for field in ("tx_power_range_w", "cycles_per_sample_range", "cpu_freq_range_hz")
+        for value in [
+            (0.2, 0.2), [0.1, 0.9], (1, 3), (np.float64(0.7), 10**300), (Fraction(1, 3), np.int64(2)),
+            (5e-324, sys.float_info.max), (np.int32(1), 2.0),
+        ]
+    ] + [
+        (field, value)
+        for field in ("ap_ring_radii_m", "initial_bandwidth")
+        for value in [None, (1.0, 2.0, 3.0), [1, 2, 3], (np.float64(1.5), 2, Fraction(7, 2))]
+    ] + [("ap_ring_radii_m", (12.5,)), ("ap_ring_radii_m", (40.0, 10.0, 20.0, 30.0, 5.0))]
+
+    @pytest.mark.parametrize("field, value", TUPLE_REJECTED)
+    def test_the_shape_rule_rejects_what_the_tuple_checkers_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must "):
+            SimConfig(**{field: value})
+        with pytest.raises(ConfigError, match=rf"^{field} must "):
+            SimConfig().replace(**{field: value})
+
+    @pytest.mark.parametrize("field, value", TUPLE_ACCEPTED)
+    def test_the_shape_rule_accepts_what_the_tuple_checkers_accepted(self, field, value):
+        assert getattr(SimConfig(**{field: value}), field) is value
+        assert getattr(SimConfig().replace(**{field: value}), field) is value
+
+    @pytest.mark.parametrize("field", ["tx_power_range_w", "cycles_per_sample_range", "cpu_freq_range_hz"])
+    def test_a_bound_too_large_for_a_float_beside_a_numpy_bound_names_its_field(self, field):
+        # Compared with np.float64, 10**400 raised a bare OverflowError.
+        with pytest.raises(ConfigError, match=rf"^{field} must be finite and > 0, got 1000"):
+            SimConfig(**{field: (np.float64(0.7), 10**400)})
+
+    @pytest.mark.parametrize(
+        "name, text, value",
+        [
+            ("n_users", "1e1", 10),
+            ("t_round_s", " 2.5 ", 2.5),
+            ("tx_power_range_w", "0.1, 0.9", (0.1, 0.9)),
+            ("cpu_freq_range_hz", "1e8 1e9", (1e8, 1e9)),
+            ("ap_ring_radii_m", "10,20 30", (10.0, 20.0, 30.0)),
+            ("initial_bandwidth", "none", None),
+            ("initial_bandwidth", "", None),
+        ],
+    )
+    def test_a_file_line_reads_its_value_as_read_field_does(self, tmp_path, name, text, value):
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{name} ={text}\n")
+        assert read_field(name, text) == getattr(build_config(str(path)), name) == value
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("n_user", "20", "unknown config key 'n_user'"),
+            ("n_users", "3.5", "bad value for 'n_users': expected an integer, got '3.5'"),
+            ("t_round_s", "fast", "bad value for 't_round_s': could not convert string to float: 'fast'"),
+            ("t_round_s", "-1", "t_round_s must be finite and > 0, got -1.0"),
+            ("tx_power_range_w", "0.9 0.1", r"tx_power_range_w must ascend, got \(0.9, 0.1\)"),
+            ("samples_per_user", "0", "samples_per_user must be finite and >= 1, got 0"),
+        ],
+    )
+    def test_read_field_names_the_field_it_rejects(self, name, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            read_field(name, text)
 
     def test_every_field_round_trips_with_its_type(self, tmp_path):
         cfg = SimConfig(n_users=12, ap_ring_radii_m=(10.0, 20.0), learning_rate=0.3)
