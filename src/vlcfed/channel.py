@@ -117,15 +117,16 @@ def vlc_channel_gains(aps, receivers, config: SimConfig) -> np.ndarray:
     """Line-of-sight optical gain of every (receiver, AP) pair, as a (receivers, APs) array.
 
     Points are 3-D; each AP must sit strictly above every receiver plane.
-    Gains are 0 outside the receiver field of view. Distances use the BLAS
-    dot product that ``np.linalg.norm`` uses (``np.vecdot`` runs it per row),
-    so each gain has the bits of a one-pair evaluation.
+    Gains are 0 outside the receiver field of view. Distances are
+    sqrt(dx*dx + dy*dy + dz*dz) in that order on numpy ufuncs, not a BLAS
+    dot, so each gain has the bits of a one-pair evaluation whatever BLAS
+    kernel the CPU selects.
     """
     diff = np.asarray(aps, dtype=float).reshape(1, -1, 3) - np.asarray(receivers, dtype=float).reshape(-1, 1, 3)
-    d = np.sqrt(np.vecdot(diff, diff))
+    dx, dy, drop = diff[..., 0], diff[..., 1], diff[..., 2]
+    d = np.sqrt(dx * dx + dy * dy + drop * drop)
     if (d == 0.0).any():
         raise ValueError("AP and receiver positions coincide")
-    drop = diff[..., 2]
     if (drop <= 0.0).any():
         raise ValueError("AP must be strictly above the receiver plane")
     cos_theta = drop / d

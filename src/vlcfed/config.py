@@ -21,6 +21,7 @@ tuples, so a check of some fields names the same first error as a check of all.
 from __future__ import annotations
 
 import io
+import math
 import numbers
 import sys
 import typing
@@ -178,8 +179,14 @@ def _check_scalar(name: str, value, interval: _Interval, integral: bool) -> None
     if kind is not float and kind is not int and (kind is bool or not isinstance(value, numbers.Real)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     low, high, closed_low, closed_high = interval
+    # Compared as a Python float (an int exactly): against a numpy float32
+    # the high of _MAX_FLOAT would be cast to float32, which makes it inf.
+    try:
+        number = value if kind is float or kind is int else float(value)
+    except OverflowError:  # a Fraction beyond every float
+        number = math.nan
     # Both comparisons fail on nan, and inf lies above every high.
-    if not ((low <= value if closed_low else low < value) and (value <= high if closed_high else value < high)):
+    if not ((low <= number if closed_low else low < number) and (number <= high if closed_high else number < high)):
         raise ConfigError(f"{name} must be finite and {interval}, got {value!r}")
     if integral and kind is not int and not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -2,14 +2,17 @@
 
 Each participant runs full-batch gradient descent on its shard against the
 mean squared error J_n = (1/D_n) * sum_i 0.5 * (pred_i - y_i)^2, then the
-server averages parameters weighted by shard size. The participants of a
-round with one shard size train together: their models are the rows of one
-flat (K, 151) parameter stack, each epoch writes their gradients into a
-second stack and updates the first in place, and the average adds the rows in
-participant order. Results match training and averaging the models one by
-one bit for bit. Inputs and targets are standardized with statistics of the
-training partition only; the accuracy metric (coefficient of determination)
-is computed on the original target scale.
+server averages parameters weighted by shard size. The participants with one
+shard size train together in one descent, built once per training call: their
+models are the rows of one flat (K, 151) parameter stack, each epoch writes
+their gradients into a second stack through buffers allocated with it and
+updates the first in place, and the average adds the rows in participant
+order. Results match training and averaging the models one by one bit for
+bit. A round runs the training loss's forward pass, its divergence check,
+only when a bound from the 11 output-layer parameters cannot clear it. Inputs
+and targets are standardized with statistics of the training partition only;
+the accuracy metric (coefficient of determination) is computed on the
+original target scale.
 """
 
 from __future__ import annotations
@@ -72,13 +75,15 @@ def _from_flat(stack: np.ndarray) -> MlpModel:
     return MlpModel(*(stack[..., end - math.prod(s):end].reshape(lead + s) for s, end in zip(_SHAPES, _ENDS)))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out=None, ez=None, positive=None) -> np.ndarray:
+    """The logistic function of z into ``out``; ``ez`` and bool ``positive`` are scratch, new where None."""
     # exp(min(z, -z)) = exp(-|z|) cannot overflow and keeps a nan's sign. With
     # numerator 1 for z >= 0 and exp(z) below, each branch divides as its
     # two-branch form does: 1/(1+exp(-z)), exp(z)/(1+exp(z)).
-    ez = np.negative(z)
+    ez = np.negative(z, out=ez)
     np.exp(np.minimum(z, ez, out=ez), out=ez)
-    return np.maximum(ez, z >= 0) / (1.0 + ez)
+    numerator = np.maximum(ez, np.greater_equal(z, 0, out=positive), out=out)
+    return np.divide(numerator, np.add(1.0, ez, out=ez), out=numerator)
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -93,52 +98,76 @@ def mse_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(0.5 * np.mean(err * err))
 
 
-def _gradients(p: MlpModel, x: np.ndarray, y: np.ndarray, g: MlpModel) -> None:
-    """Writes into ``g`` the gradients of mse_loss for K models on K shards.
+def _loss_cleared(flat: np.ndarray, x_max: float, y_max: float) -> bool:
+    """Whether mse_loss of the flat model is surely at most DIVERGED_LOSS on
+    rows with every |x| at most x_max and |y| at most y_max.
 
-    ``p`` and ``g`` are ``_from_flat`` views of (K, _N_PARAMS) stacks, x is
-    (K, n, 13) and y is (K, n). Batched matmul runs each slice through the
-    same BLAS call as the 2-D product, and every reduction runs along the same
-    axis as for one shard, so row k equals the gradient of model k alone bit
-    for bit.
+    Hidden units lie in [0, 1], so |pred - y| <= sum|w2| + |b2| + y_max and the
+    loss is at most half its square, with a margin for rounding. A unit leaves
+    [0, 1] only as a nan where x @ w1 overflows, so x_max * sum|w1| + sum|b1|
+    must stay far below overflow. A parameter that is not finite never clears.
     """
-    z = x @ p.w1
-    z += p.b1[:, None, :]
-    hidden = _sigmoid(z)
-    err = ((hidden @ p.w2)[:, :, 0] + p.b2 - y) / x.shape[1]  # dJ/dpred_i
-    np.matmul(hidden.transpose(0, 2, 1), err[:, :, None], out=g.w2)
-    np.add.reduce(err, axis=1, out=g.b2[:, 0])
-    dz = np.einsum("kn,kh->knh", err, p.w2[:, :, 0])
-    dz *= hidden                                # sigmoid derivative, (dh * h) * (1 - h)
-    dz *= np.subtract(1.0, hidden, out=hidden)
-    np.matmul(x.transpose(0, 2, 1), dz, out=g.w1)
-    np.einsum("knh->kh", dz, out=g.b1)
+    into_hidden, hidden_bias, out_layer = np.add.reduceat(np.abs(flat), (0, *_ENDS[:2])).tolist()
+    reach = out_layer + y_max
+    return x_max * into_hidden + hidden_bias < 1e300 and 0.5 * reach * reach * (1.0 + 1e-6) <= DIVERGED_LOSS
+
+
+class _Descent:
+    """Full-batch gradient descent for K models on K equal-size shards at once.
+
+    x is (K, n, 13) and y is (K, n). The (K, _N_PARAMS) ``params`` and
+    ``grads`` stacks, their views and every intermediate of an epoch are
+    allocated here once. Batched matmul runs each slice through the same BLAS
+    call as the 2-D product, and every reduction runs along the same axis as
+    for one shard, so row k equals training model k alone bit for bit.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        k, n, _ = x.shape
+        self.x, self.y, self.x_t, self.n = x, y, x.transpose(0, 2, 1), n
+        self.params, self.grads = np.empty((k, _N_PARAMS)), np.empty((k, _N_PARAMS))
+        self.p, self.g = _from_flat(self.params), _from_flat(self.grads)
+        self.b1, self.w2_row, self.g_b2 = self.p.b1[:, None, :], self.p.w2[:, :, 0], self.g.b2[:, 0]
+        self.hidden, self.ez, self.dz = (np.empty((k, n, N_HIDDEN)) for _ in range(3))
+        self.positive, self.hidden_t = np.empty((k, n, N_HIDDEN), dtype=bool), self.hidden.transpose(0, 2, 1)
+        self.pred, self.err = np.empty((k, n, 1)), np.empty((k, n))
+        self.err_col = self.err[:, :, None]
+
+    def gradients(self) -> None:
+        """Writes into ``grads`` the gradients of mse_loss at each row of ``params``."""
+        p, g, hidden, err = self.p, self.g, self.hidden, self.err
+        np.matmul(self.x, p.w1, out=hidden)
+        hidden += self.b1
+        _sigmoid(hidden, hidden, self.ez, self.positive)
+        np.add(np.matmul(hidden, p.w2, out=self.pred)[:, :, 0], p.b2, out=err)
+        err -= self.y
+        err /= self.n  # dJ/dpred_i
+        np.matmul(self.hidden_t, self.err_col, out=g.w2)
+        np.add.reduce(err, axis=1, out=self.g_b2)
+        dz = np.einsum("kn,kh->knh", err, self.w2_row, out=self.dz)  # not np.multiply, which keeps -0.0 products
+        dz *= hidden                                # sigmoid derivative, (dh * h) * (1 - h)
+        dz *= np.subtract(1.0, hidden, out=hidden)
+        np.matmul(self.x_t, dz, out=g.w1)
+        np.einsum("knh->kh", dz, out=g.b1)
+
+    def run(self, flat: np.ndarray, epochs: int, lr: float) -> np.ndarray:
+        """``epochs`` steps of size ``lr`` from ``flat`` on every shard; returns ``params``, reused by the next run."""
+        if lr < 0:
+            raise ValueError(f"learning rate must be >= 0, got {lr!r}")
+        self.params[:] = flat
+        for _ in range(epochs):
+            self.gradients()
+            self.grads *= lr
+            self.params -= self.grads
+        return self.params
 
 
 def loss_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Analytic gradients of mse_loss w.r.t. (w1, b1, w2, b2)."""
-    grads = np.empty(_N_PARAMS)
-    _gradients(_from_flat(_flatten(model)[None]), x[None], y[None], _from_flat(grads[None]))
-    return _from_flat(grads).params()
-
-
-def _local_descent(model: MlpModel, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> np.ndarray:
-    """Full-batch gradient descent from `model` on K equal-size shards at once.
-
-    x is (K, n, 13) and y is (K, n). Returns the K trained models as a
-    (K, _N_PARAMS) stack, updated in place each epoch; row k equals local
-    training on shard k alone.
-    """
-    if lr < 0:
-        raise ValueError(f"learning rate must be >= 0, got {lr!r}")
-    params = np.repeat(_flatten(model)[None], x.shape[0], axis=0)
-    grads = np.empty_like(params)
-    p, g = _from_flat(params), _from_flat(grads)
-    for _ in range(epochs):
-        _gradients(p, x, y, g)
-        grads *= lr
-        params -= grads
-    return params
+    descent = _Descent(x[None], y[None])
+    descent.params[:] = _flatten(model)
+    descent.gradients()
+    return _from_flat(descent.grads[0]).params()
 
 
 def _shard_weights(shard_sizes) -> np.ndarray:
@@ -219,11 +248,13 @@ def run_federated_training(
     Standardization statistics come from the union of all shards (they are
     the training partition and are identical across selection variants, which
     keeps paired comparisons on one seed apples-to-apples). The recorded
-    metric is test R^2 on the raw target scale. Each round also computes the
+    metric is test R^2 on the raw target scale. Each round also checks the
     training loss over the participants' rows, which weights each shard by
     its size, only to catch divergence: it raises FloatingPointError, naming
-    the round and the learning rate, as soon as the averaged parameters or
-    R^2 stop being finite or that loss exceeds ``DIVERGED_LOSS``.
+    the round, the learning rate and the loss, as soon as the averaged
+    parameters or R^2 stop being finite or that loss exceeds
+    ``DIVERGED_LOSS``. The loss is computed only where ``_loss_cleared``
+    cannot clear it, which leaves every decision as the loss would make it.
     """
     participants = sorted(selection.all_ids)
     if not participants:
@@ -248,23 +279,24 @@ def run_federated_training(
     test_x = scaler.transform_x(test_set.features)
     test_r_squared = _r_squared_against(test_set.targets)
 
-    # One stacked batch per shard size (a single one for an equal partition);
-    # rows of `trained` follow the sorted participants.
+    # One descent per shard size (a single one for an equal partition); rows
+    # of `trained` follow the sorted participants.
     by_size: dict[int, list[int]] = {}
     for pos, size in enumerate(sizes):
         by_size.setdefault(size, []).append(pos)
     batches = [
-        (rows, np.stack([xs[i] for i in rows]), np.stack([ys[i] for i in rows]))
+        (rows, _Descent(np.stack([xs[i] for i in rows]), np.stack([ys[i] for i in rows])))
         for rows in by_size.values()
     ]
     trained = np.empty((len(participants), _N_PARAMS))
     weights = _shard_weights(sizes)
+    x_max, y_max = float(np.abs(train_x).max()), float(np.abs(train_y).max())
 
-    model = MlpModel.init_random(seed)
+    flat = _flatten(MlpModel.init_random(seed))
     report = TrainingReport()
     for round_no in range(1, config.global_rounds + 1):
-        for rows, x, y in batches:
-            stack = _local_descent(model, x, y, config.local_epochs, config.learning_rate)
+        for rows, descent in batches:
+            stack = descent.run(flat, config.local_epochs, config.learning_rate)
             if len(batches) == 1:
                 trained = stack
             else:
@@ -272,12 +304,13 @@ def run_federated_training(
         trained *= weights
         flat = _sum_rows(trained)
         model = _from_flat(flat)
-        loss = mse_loss(model, train_x, train_y)
         r2 = test_r_squared(scaler.inverse_y(forward_batch(model, test_x)))
-        if not (np.isfinite(flat).all() and loss <= DIVERGED_LOSS and math.isfinite(r2)):  # a nan loss fails too
-            raise FloatingPointError(
-                f"round {round_no}: training diverged (learning rate {config.learning_rate!r}): the aggregated "
-                f"parameters or R^2 are not finite, or the loss {loss!r} exceeds {DIVERGED_LOSS!r}"
-            )
+        if not (_loss_cleared(flat, x_max, y_max) and math.isfinite(r2)):
+            loss = mse_loss(model, train_x, train_y)
+            if not (np.isfinite(flat).all() and loss <= DIVERGED_LOSS and math.isfinite(r2)):  # a nan loss fails too
+                raise FloatingPointError(
+                    f"round {round_no}: training diverged (learning rate {config.learning_rate!r}): the aggregated "
+                    f"parameters or R^2 are not finite, or the loss {loss!r} exceeds {DIVERGED_LOSS!r}"
+                )
         report.r2_per_round.append(r2)
     return report

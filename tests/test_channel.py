@@ -287,10 +287,11 @@ class TestBandwidthMonotonicity:
 
 
 def _scalar_gain(ap, user, config):
-    """vlc_channel_gain as it was written before the batched form: one pair
-    and np.linalg.norm, with the power as np.power. Kept as the bit-exact
-    reference."""
-    d = float(np.linalg.norm(np.asarray(ap, dtype=float) - np.asarray(user, dtype=float)))
+    """vlc_channel_gain as it was written before the batched form: one pair,
+    with the power as np.power. Kept as the bit-exact reference. The distance
+    is summed in the fixed order the batched form uses, not by a BLAS dot."""
+    dx, dy, dz = (float(a) - float(u) for a, u in zip(ap, user))
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
     cos_theta = (float(ap[2]) - float(user[2])) / d
     if cos_theta < _cos_deg(config.fov_half_angle_deg):
         return 0.0

@@ -579,6 +579,8 @@ class TestConfigResolution:
             ("t_round_s", Fraction(5, 2)),
             ("local_accuracy", Fraction(1, 3)),
             ("indoor_fraction", Fraction(1)),
+            # Compared with the bounds cast to float32, it raised a RuntimeWarning.
+            ("t_round_s", np.float32(1.0)),
         ],
     )
     def test_interval_edges_accepted(self, field, value):
@@ -596,6 +598,10 @@ class TestConfigResolution:
             ("local_accuracy", 1.0),
             ("n_users", 0),
             ("test_size", -1),
+            # Compared with the bounds cast to float32, it built.
+            ("t_round_s", np.float32("inf")),
+            # Too large for a float, it compares as nan.
+            ("t_round_s", Fraction(10**400)),
         ]
         + [(field, bad) for field in KINDS for bad in (math.nan, math.inf, -math.inf, True, "1")],
     )
@@ -827,6 +833,7 @@ class TestConfigResolution:
             None, (), (0.5,), (0.1, 0.2, 0.3), "0.1 0.2", np.array([0.1, 0.2]), 0.5,
             (0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1, 0.999), (0.1, math.nan), (math.inf, math.inf),
             (True, 2.0), (0.1, "1"), (0.1, None), (0.1, complex(1, 0)), (0.1, 10**400), (10**400, 10**401),
+            (np.float32(0.1), np.float32("inf")),
         ]
     ] + [
         (field, value)
@@ -842,7 +849,7 @@ class TestConfigResolution:
         for field in ("tx_power_range_w", "cycles_per_sample_range", "cpu_freq_range_hz")
         for value in [
             (0.2, 0.2), [0.1, 0.9], (1, 3), (np.float64(0.7), 10**300), (Fraction(1, 3), np.int64(2)),
-            (5e-324, sys.float_info.max), (np.int32(1), 2.0),
+            (5e-324, sys.float_info.max), (np.int32(1), 2.0), (np.float32(0.1), np.float32(0.9)),
         ]
     ] + [
         (field, value)
