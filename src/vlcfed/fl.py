@@ -115,11 +115,10 @@ def _loss_cleared(flat: np.ndarray, x_max: float, y_max: float) -> bool:
 class _Descent:
     """Full-batch gradient descent for K models on K equal-size shards at once.
 
-    x is (K, n, 13) and y is (K, n). The (K, _N_PARAMS) ``params`` and
-    ``grads`` stacks, their views and every intermediate of an epoch are
-    allocated here once. Batched matmul runs each slice through the same BLAS
-    call as the 2-D product, and every reduction runs along the same axis as
-    for one shard, so row k equals training model k alone bit for bit.
+    x is (K, n, 13) and y is (K, n); the (K, _N_PARAMS) ``params`` and
+    ``grads`` stacks and every epoch intermediate are allocated once. Batched
+    matmul runs each slice through the 2-D product's BLAS call and every
+    reduction along one shard's axis: row k is model k trained alone, bit for bit.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -127,24 +126,22 @@ class _Descent:
         self.x, self.y, self.x_t, self.n = x, y, x.transpose(0, 2, 1), n
         self.params, self.grads = np.empty((k, _N_PARAMS)), np.empty((k, _N_PARAMS))
         self.p, self.g = _from_flat(self.params), _from_flat(self.grads)
-        self.b1, self.w2_row, self.g_b2 = self.p.b1[:, None, :], self.p.w2[:, :, 0], self.g.b2[:, 0]
         self.hidden, self.ez, self.dz = (np.empty((k, n, N_HIDDEN)) for _ in range(3))
-        self.positive, self.hidden_t = np.empty((k, n, N_HIDDEN), dtype=bool), self.hidden.transpose(0, 2, 1)
+        self.positive = np.empty((k, n, N_HIDDEN), dtype=bool)
         self.pred, self.err = np.empty((k, n, 1)), np.empty((k, n))
-        self.err_col = self.err[:, :, None]
 
     def gradients(self) -> None:
         """Writes into ``grads`` the gradients of mse_loss at each row of ``params``."""
         p, g, hidden, err = self.p, self.g, self.hidden, self.err
         np.matmul(self.x, p.w1, out=hidden)
-        hidden += self.b1
+        hidden += p.b1[:, None, :]
         _sigmoid(hidden, hidden, self.ez, self.positive)
         np.add(np.matmul(hidden, p.w2, out=self.pred)[:, :, 0], p.b2, out=err)
         err -= self.y
         err /= self.n  # dJ/dpred_i
-        np.matmul(self.hidden_t, self.err_col, out=g.w2)
-        np.add.reduce(err, axis=1, out=self.g_b2)
-        dz = np.einsum("kn,kh->knh", err, self.w2_row, out=self.dz)  # not np.multiply, which keeps -0.0 products
+        np.matmul(hidden.transpose(0, 2, 1), err[:, :, None], out=g.w2)
+        np.add.reduce(err, axis=1, out=g.b2[:, 0])
+        dz = np.einsum("kn,kh->knh", err, p.w2[:, :, 0], out=self.dz)  # not np.multiply, which keeps -0.0 products
         dz *= hidden                                # sigmoid derivative, (dh * h) * (1 - h)
         dz *= np.subtract(1.0, hidden, out=hidden)
         np.matmul(self.x_t, dz, out=g.w1)
