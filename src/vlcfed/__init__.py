@@ -39,7 +39,6 @@ from .dataset import (
 from .fl import (
     MlpModel,
     NoParticipantsError,
-    Standardizer,
     TrainingReport,
     UndefinedMetricError,
     forward_batch,

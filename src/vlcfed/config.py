@@ -20,6 +20,7 @@ tuples, so a check of some fields names the same first error as a check of all.
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 import numbers
@@ -245,6 +246,22 @@ def read_field(name: str, text: str):
     return value
 
 
+def read_text(path: str, error: type[ValueError]) -> tuple[bytes, str]:
+    """The bytes of the file at ``path`` and their text as UTF-8, without a
+    leading byte order mark. Bytes that are not UTF-8 raise ``error`` naming
+    the path, the line and the byte's offset in the file, the mark counted.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return raw, raw[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = start + exc.start
+        lineno = raw.count(b"\n", 0, at) + 1
+        raise error(f"{path}: line {lineno}: byte {at}: not UTF-8 ({exc.reason})") from exc
+
+
 def build_config(file_path: Optional[str] = None) -> SimConfig:
     """Resolve a config: the compiled defaults, overridden by the config file if one is given.
 
@@ -258,13 +275,7 @@ def build_config(file_path: Optional[str] = None) -> SimConfig:
     if not file_path:
         return SimConfig()
     overrides: dict = {}
-    with open(file_path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{file_path}: line {lineno}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
+    _, text = read_text(file_path, ConfigError)
     # Universal newlines, as reading the file in text mode splits it.
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.strip()

@@ -17,6 +17,8 @@ from importlib import resources
 
 import numpy as np
 
+from .config import read_text
+
 N_FEATURES = 13
 
 BUNDLED_DATASET = "housing_synthetic.csv"
@@ -77,13 +79,7 @@ def _is_number(cell: str) -> bool:
 
 def load_dataset(path: str, name: str | None = None) -> Dataset:
     """Read a 14-column numeric CSV into a Dataset, validating every cell."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise DatasetParseError(f"{path}: line {lineno}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
+    raw, text = read_text(path, DatasetParseError)
     rows = list(csv.reader(io.StringIO(text, newline="")))
     rows = [(i + 1, r) for i, r in enumerate(rows) if r]  # keep original line numbers
     # A header has no number in it, so a typo in a first data row fails as a bad cell.

@@ -149,8 +149,6 @@ class _Descent:
 
     def run(self, flat: np.ndarray, epochs: int, lr: float) -> np.ndarray:
         """``epochs`` steps of size ``lr`` from ``flat`` on every shard; returns ``params``, reused by the next run."""
-        if lr < 0:
-            raise ValueError(f"learning rate must be >= 0, got {lr!r}")
         self.params[:] = flat
         for _ in range(epochs):
             self.gradients()
@@ -165,13 +163,6 @@ def loss_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.nd
     descent.params[:] = _flatten(model)
     descent.gradients()
     return _from_flat(descent.grads[0]).params()
-
-
-def _shard_weights(shard_sizes) -> np.ndarray:
-    total = float(sum(shard_sizes))
-    if total <= 0:
-        raise ValueError("total sample count must be > 0")
-    return (np.asarray(shard_sizes) / total)[:, None]
 
 
 def _sum_rows(stack: np.ndarray) -> np.ndarray:
@@ -198,30 +189,6 @@ def required_global_rounds(local_accuracy: float) -> int:
         raise ValueError(f"local_accuracy must lie in (0, 1), got {local_accuracy!r}")
     q = 1.0 / (1.0 - local_accuracy)
     return int(math.ceil(q - 1e-9))  # absorb float noise so 1/0.1 stays 10
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    x_mean: np.ndarray
-    x_std: np.ndarray
-    y_mean: float
-    y_std: float
-
-    @classmethod
-    def fit(cls, x: np.ndarray, y: np.ndarray) -> "Standardizer":
-        x_std = x.std(axis=0)
-        x_std = np.where(x_std > 0, x_std, 1.0)  # constant features pass through
-        y_std = float(y.std())
-        return cls(x.mean(axis=0), x_std, float(y.mean()), y_std if y_std > 0 else 1.0)
-
-    def transform_x(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.x_mean) / self.x_std
-
-    def transform_y(self, y: np.ndarray) -> np.ndarray:
-        return (y - self.y_mean) / self.y_std
-
-    def inverse_y(self, y: np.ndarray) -> np.ndarray:
-        return y * self.y_std + self.y_mean
 
 
 @dataclass
@@ -264,16 +231,18 @@ def run_federated_training(
     if empty:
         raise ValueError(f"users {empty}: cannot train on an empty shard")
 
-    scaler = Standardizer.fit(
-        np.concatenate([s.x for s in shards], axis=0),
-        np.concatenate([s.y for s in shards]),
-    )
-    xs = [scaler.transform_x(by_owner[n].x) for n in participants]
-    ys = [scaler.transform_y(by_owner[n].y) for n in participants]
+    all_x = np.concatenate([s.x for s in shards], axis=0)
+    all_y = np.concatenate([s.y for s in shards])
+    x_mean, x_std = all_x.mean(axis=0), all_x.std(axis=0)
+    x_std = np.where(x_std > 0, x_std, 1.0)  # constant features pass through
+    y_mean, y_std = float(all_y.mean()), float(all_y.std())
+    y_std = y_std if y_std > 0 else 1.0
+    xs = [(by_owner[n].x - x_mean) / x_std for n in participants]
+    ys = [(by_owner[n].y - y_mean) / y_std for n in participants]
     sizes = [len(y) for y in ys]
     train_x = np.concatenate(xs, axis=0)
     train_y = np.concatenate(ys)
-    test_x = scaler.transform_x(test_set.features)
+    test_x = (test_set.features - x_mean) / x_std
     test_r_squared = _r_squared_against(test_set.targets)
 
     # One descent per shard size (a single one for an equal partition); rows
@@ -286,7 +255,7 @@ def run_federated_training(
         for rows in by_size.values()
     ]
     trained = np.empty((len(participants), _N_PARAMS))
-    weights = _shard_weights(sizes)
+    weights = (np.asarray(sizes) / float(sum(sizes)))[:, None]
     x_max, y_max = float(np.abs(train_x).max()), float(np.abs(train_y).max())
 
     flat = _flatten(MlpModel.init_random(seed))
@@ -301,7 +270,7 @@ def run_federated_training(
         trained *= weights
         flat = _sum_rows(trained)
         model = _from_flat(flat)
-        r2 = test_r_squared(scaler.inverse_y(forward_batch(model, test_x)))
+        r2 = test_r_squared(forward_batch(model, test_x) * y_std + y_mean)
         if not (_loss_cleared(flat, x_max, y_max) and math.isfinite(r2)):
             loss = mse_loss(model, train_x, train_y)
             if not (np.isfinite(flat).all() and loss <= DIVERGED_LOSS and math.isfinite(r2)):  # a nan loss fails too

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .allocation import MODES, UsbaResult, usba
+from .allocation import MODES, UsbaResult, _check_mode, usba
 from .config import DERIVED_FIELD, ConfigError, SimConfig
 from .dataset import Dataset, shard_size, split_and_partition
 from .fl import TrainingReport, required_global_rounds, run_federated_training
@@ -113,10 +113,12 @@ def run_experiment(
     point's values set; with no axis the one point is ``config`` itself.
 
     A repeated seed, mode or axis value, an axis without values, a varied
-    ``DERIVED_FIELD`` or a field varied twice raises ConfigError. Each point
-    runs with the shard size its user count gives on ``data``. Every point's
-    config, that size included, is derived before the first run, and a point
-    the dataset cannot serve raises ConfigError naming its varied values.
+    ``DERIVED_FIELD`` or a field varied twice raises ConfigError, and an
+    unknown mode raises allocation's ValueError. Each point runs with the
+    shard size its user count gives on ``data``. Every point's config, that
+    size included, is derived before the first run, and a point the dataset
+    cannot serve, or with ``train`` one whose test split is too small for
+    R^2 (``test_size`` below 2), raises ConfigError naming its varied values.
     Each seed's one topology draw and one shard partition serve every mode.
     Only training reads the rows, so the first mode that trains makes the
     partition, and selection-only seeds make none. A failure in a run, the
@@ -127,6 +129,8 @@ def run_experiment(
         raise ValueError("need at least one seed")
     _check_distinct(seeds, lambda seed: f"seed {seed} is repeated")
     _check_distinct(modes, lambda mode: f"mode {mode!r} is repeated")
+    for mode in modes:
+        _check_mode(mode)
     points, varied = [{}], ()
     for names, values in grid:
         if not values:
@@ -142,6 +146,8 @@ def run_experiment(
     run_configs = []
     for point in points:
         base = config.replace(**point) if point else config
+        if train and base.test_size < 2:
+            raise ConfigError(_located(f"training needs test_size >= 2 to score R^2, got {base.test_size}", point))
         try:
             size = shard_size(data.n_rows, base.n_users, base.test_size)
         except ValueError as exc:

@@ -178,16 +178,43 @@ def test_bad_input_is_a_located_usage_error(argv, files, problem, tmp_path, caps
         else:
             (tmp_path / name).write_text(content)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
+    # The case's own options come last, so its --seeds overrides the default 0.
+    assert_usage_error([argv[0], "--no-train", "--seeds", "0", *argv[1:]], problem.format(tmp=tmp_path), tmp_path, capsys)
+
+
+def assert_usage_error(argv, problem, tmp_path, capsys):
+    """``main(argv)`` exits 2 with one ``vlcfed: error:`` line naming
+    ``problem``, without a traceback and without writing its output."""
     with pytest.raises(SystemExit) as exc:
-        # The case's own options come last, so its --seeds overrides the default 0.
-        main([argv[0], "--no-train", "--seeds", "0", "--out", str(tmp_path / "out"), *argv[1:]])
+        main([argv[0], "--out", str(tmp_path / "out"), *argv[1:]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum(line.startswith("vlcfed: error: ") for line in err.splitlines()) == 1
     last = err.splitlines()[-1]
-    assert last.startswith("vlcfed: error: ") and problem.format(tmp=tmp_path) in last
+    assert last.startswith("vlcfed: error: ") and problem in last
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, files, problem",
+    [
+        (["--vary", "test_size=1"], {}, "test_size=1: training needs test_size >= 2 to score R^2, got 1"),
+        (["--vary", "test_size=0"], {}, "test_size=0: training needs test_size >= 2 to score R^2, got 0"),
+        (["--config", "{tmp}/tiny.cfg"], {"tiny.cfg": "test_size = 1\n"}, "training needs test_size >= 2 to score R^2, got 1"),
+    ],
+    ids=["grid-point", "grid-point-empty", "config"],
+)
+def test_a_test_split_too_small_to_train_on_is_a_usage_error(argv, files, problem, tmp_path, capsys):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    assert_usage_error(["run", "--seeds", "0", *(arg.format(tmp=tmp_path) for arg in argv)], problem, tmp_path, capsys)
+
+
+def test_selection_alone_runs_any_test_size(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--no-train", "--seeds", "0", "--vary", "test_size=0,1", "--out", str(out)]) == 0
+    assert [r["test_size"] for r in read_records(out)] == ["0", "0", "1", "1"]
 
 
 def test_other_failures_keep_their_traceback(tmp_path, monkeypatch):

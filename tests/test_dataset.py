@@ -1,3 +1,5 @@
+import codecs
+import hashlib
 import re
 
 import numpy as np
@@ -80,6 +82,21 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError, match=rf"latin1.csv: line 2: byte {offset}: not UTF-8"):
             load_dataset(str(later))
 
+    @pytest.mark.parametrize("header", ["", ",".join(f"x{i}" for i in range(13)) + ",y\n"], ids=["headerless", "header"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, header):
+        text = (header + GOOD_ROW + "\n" + GOOD_ROW.replace("7.5", "2.25") + "\n").encode()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        a, b = load_dataset(str(plain)), load_dataset(str(marked))
+        assert np.array_equal(a.features, b.features) and a.targets.tolist() == b.targets.tolist() == [7.5, 2.25]
+        assert b.sha256 == hashlib.sha256(codecs.BOM_UTF8 + text).hexdigest()  # the file's bytes, mark included
+        # An offset is the byte's in the file, the mark counted.
+        marked.write_bytes(codecs.BOM_UTF8 + text.replace(b"2.25", b"2\xe9"))
+        line, offset = header.count("\n") + 2, len(codecs.BOM_UTF8) + text.index(b"2.25") + 1
+        with pytest.raises(DatasetParseError, match=rf"marked.csv: line {line}: byte {offset}: not UTF-8"):
+            load_dataset(str(marked))
+
     def test_roundtrip_is_exact(self, tmp_path):
         data = make_synthetic(50, seed=9)
         path = str(tmp_path / "round.csv")
@@ -104,10 +121,20 @@ class TestMakeSynthetic:
         assert d.targets.shape == (73,)
 
     def test_regenerates_the_bundled_corpus(self):
-        # The corpus was written under numpy's AVX-512 dispatch, whose power
-        # loop differs from libm's in the last bit for one of the 13 feature
-        # scales. At the AVX2 level, 58 values of that feature column and one
-        # target therefore differ by one ulp; under AVX-512 all are equal.
+        """make_synthetic(506, seed=2024) gives the bundled rows within one ulp.
+
+        The corpus was written under numpy's AVX-512 dispatch, whose power
+        loop differs from libm's in the last bit for one of the 13 feature
+        scales. At the AVX2 level, 58 values of that feature column and one
+        target therefore differ by one ulp; under AVX-512 all are equal.
+
+        This assumes that the BLAS kernel rounds the generator's
+        ``x_std @ weights`` as OpenBLAS's SkylakeX and Haswell kernels do.
+        Its Sandybridge and Prescott kernels give targets 2 ulp from the
+        corpus, so under OPENBLAS_CORETYPE=Sandybridge or Prescott this test
+        fails. A fixed-order sum in place of the product would not regenerate
+        the corpus: for seed 2024 it differs on 347 of the 506 rows.
+        """
         built, bundled = make_synthetic(506, seed=2024), load_bundled_dataset()
         np.testing.assert_array_max_ulp(built.features, bundled.features, maxulp=1)
         np.testing.assert_array_max_ulp(built.targets, bundled.targets, maxulp=1)

@@ -87,7 +87,19 @@ def stack_of(models):
 
 def average(stack, sizes):
     """The FedAvg average of a (K, _N_PARAMS) stack, formed as training forms it."""
-    return fl._from_flat(fl._sum_rows(fl._shard_weights(sizes) * stack))
+    weights = np.asarray(sizes) / float(sum(sizes))
+    return fl._from_flat(fl._sum_rows(weights[:, None] * stack))
+
+
+def standardizing(x, y):
+    """The maps that standardize features and targets with the statistics of
+    the training partition (x, y), a zero std read as 1, and the one that
+    returns predictions to the target scale."""
+    x_mean, x_std = x.mean(axis=0), x.std(axis=0)
+    x_std = np.where(x_std > 0, x_std, 1.0)
+    y_mean, y_std = float(y.mean()), float(y.std())
+    y_std = y_std if y_std > 0 else 1.0
+    return lambda a: (a - x_mean) / x_std, lambda b: (b - y_mean) / y_std, lambda pred: pred * y_std + y_mean
 
 
 class TestRequiredGlobalRounds:
@@ -205,15 +217,6 @@ class TestAggregate:
         out = average(stack_of([a, b]), [1, 3])
         assert out.b2[0] == pytest.approx(3.0)
 
-    def test_zero_total_weight_rejected(self):
-        with pytest.raises(ValueError, match="total sample count must be > 0"):
-            fl._shard_weights([0])
-
-    def test_weights_are_shard_fractions(self):
-        weights = fl._shard_weights([1, 3, 4])
-        assert weights.shape == (3, 1)
-        assert weights[:, 0].tolist() == [1 / 8, 3 / 8, 4 / 8]
-
     def test_a_negative_zero_total_comes_out_positive(self):
         total = fl._sum_rows(np.array([[-0.0, 1.0], [-0.0, -1.0]]))
         assert total.tolist() == [0.0, 0.0]
@@ -328,12 +331,10 @@ class TestRunFederatedTraining:
         selection = Selection(frozenset(), frozenset([0]))
         rep = run_federated_training(selection, shards, test, cfg, seed=3)
 
-        from vlcfed.fl import Standardizer
-
-        scaler = Standardizer.fit(shards[0].x, shards[0].y)
-        shard_std = DataShard(0, scaler.transform_x(shards[0].x), scaler.transform_y(shards[0].y))
+        to_x, to_y, from_y = standardizing(shards[0].x, shards[0].y)
+        shard_std = DataShard(0, to_x(shards[0].x), to_y(shards[0].y))
         model = descend(MlpModel.init_random(3), shard_std, epochs=4, lr=0.2)
-        pred = scaler.inverse_y(forward_batch(model, scaler.transform_x(test.features)))
+        pred = from_y(forward_batch(model, to_x(test.features)))
         assert rep.final_r2 == pytest.approx(r_squared(pred, test.targets), rel=1e-12)
 
     def test_more_participants_do_not_hurt_on_average(self):
@@ -392,11 +393,9 @@ def sequential_average(models, sizes):
 
 def reference_fedavg(shards, test, cfg, seed):
     """Per-user FedAvg loop: the loss and R^2 trace run_federated_training must match."""
-    scaler = fl.Standardizer.fit(
-        np.concatenate([s.x for s in shards]), np.concatenate([s.y for s in shards])
-    )
-    xs = [scaler.transform_x(s.x) for s in shards]
-    ys = [scaler.transform_y(s.y) for s in shards]
+    to_x, to_y, from_y = standardizing(np.concatenate([s.x for s in shards]), np.concatenate([s.y for s in shards]))
+    xs = [to_x(s.x) for s in shards]
+    ys = [to_y(s.y) for s in shards]
     sizes = [len(y) for y in ys]
     model = MlpModel.init_random(seed)
     losses, r2s = [], []
@@ -407,7 +406,7 @@ def reference_fedavg(shards, test, cfg, seed):
         ]
         model = sequential_average(trained, sizes)
         losses.append(mse_loss(model, np.concatenate(xs), np.concatenate(ys)))
-        pred = scaler.inverse_y(forward_batch(model, scaler.transform_x(test.features)))
+        pred = from_y(forward_batch(model, to_x(test.features)))
         r2s.append(r_squared(pred, test.targets))
     return losses, r2s
 
@@ -561,6 +560,19 @@ class TestBatchedKernel:
         checks.clears = False
         assert run_federated_training(selection, shards, test, cfg, seed=7).r2_per_round == r2s
         assert [loss for _, loss in checks] == reference_losses
+
+    def test_a_constant_column_reads_its_zero_std_as_one(self):
+        # A feature and the target that never vary over the training partition
+        # standardize to zeros, and R^2 is still scored on the varied test rows.
+        data = make_synthetic(45, seed=3)
+        x = data.features[:30].copy()
+        x[:, 4] = 2.5
+        shards = [DataShard(i, x[10 * i:10 * (i + 1)], np.full(10, 3.0)) for i in range(3)]
+        test = Dataset(data.features[30:], data.targets[30:], "test")
+        cfg = SimConfig(global_rounds=3, learning_rate=0.6, local_epochs=2)
+        report = run_federated_training(Selection(frozenset(), frozenset(range(3))), shards, test, cfg, seed=7)
+        assert report.r2_per_round == reference_fedavg(shards, test, cfg, seed=7)[1]
+        assert all(math.isfinite(r2) for r2 in report.r2_per_round)
 
     @pytest.mark.parametrize("sizes", [[9] * 7, [9, 12, 9, 7, 12, 9, 10]], ids=["equal7", "mixed7"])
     def test_a_descent_keeps_nothing_between_runs(self, sizes):

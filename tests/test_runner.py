@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import hashlib
@@ -177,6 +178,29 @@ class TestRunExperiment:
         monkeypatch.setattr(runner, "generate_topology", None)  # no draw may run
         with pytest.raises(ConfigError, match=message):
             run_experiment(cfg, seeds, data, modes, train=False)
+
+    @pytest.mark.parametrize("modes", [("hybrid", "bogus"), ("bogus",)])
+    def test_an_unknown_mode_is_rejected_before_any_run(self, small_setup, monkeypatch, modes):
+        cfg, data = small_setup
+        monkeypatch.setattr(runner, "generate_topology", None)  # no draw may run
+        with pytest.raises(ValueError, match=r"^mode must be one of \('hybrid', 'rf_only'\), got 'bogus'$"):
+            run_experiment(cfg, [0], data, modes)
+
+    @pytest.mark.parametrize("test_size", [0, 1])
+    def test_a_test_split_too_small_for_r2_is_rejected_before_any_run(self, small_setup, monkeypatch, test_size):
+        cfg, data = small_setup
+        monkeypatch.setattr(runner, "generate_topology", None)  # no draw may run
+        message = rf"training needs test_size >= 2 to score R\^2, got {test_size}$"
+        with pytest.raises(ConfigError, match="^" + message):
+            run_experiment(cfg.replace(test_size=test_size), [0], data)
+        with pytest.raises(ConfigError, match=rf"^n_users=4, test_size={test_size}: {message}"):
+            run_experiment(cfg, [0], data, grid=[(("n_users", "test_size"), ((4, 5), (4, test_size)))])
+
+    def test_a_constant_two_row_test_split_fails_in_its_run(self, small_setup):
+        cfg, data = small_setup
+        flat = vlcfed.Dataset(data.features, np.full(data.n_rows, 3.0), "flat")
+        with pytest.raises(ExperimentError, match=r"^seed 0, mode hybrid: R\^2 is undefined"):
+            run_experiment(cfg.replace(test_size=2), [0], flat)
 
     def test_divergence_names_seed_mode_and_round(self, small_setup):
         cfg, data = small_setup
@@ -773,6 +797,7 @@ class TestConfigResolution:
         [
             (b"\xff\xfen\x00_\x00u\x00", 1, 0),  # UTF-16 with its byte-order mark
             (b"# ok\nn_users = 12\nt_round_s = 2\xe9\n", 3, 31),  # a Latin-1 byte
+            (codecs.BOM_UTF8 + b"# ok\nn_users = 12\nt_round_s = 2\xe9\n", 3, 34),  # the mark is counted
         ],
     )
     def test_a_file_that_is_not_utf8_names_path_line_and_byte(self, tmp_path, content, line, byte):
@@ -780,6 +805,13 @@ class TestConfigResolution:
         path.write_bytes(content)
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line {line}: byte {byte}: not UTF-8 "):
             build_config(str(path))
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        text = b"n_users = 12\nt_round_s = 2\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        assert build_config(str(marked)) == build_config(str(plain)) == SimConfig(n_users=12, t_round_s=2.0)
 
     def test_line_numbers_follow_universal_newlines(self, tmp_path):
         path = tmp_path / "bad.cfg"
