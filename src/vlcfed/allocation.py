@@ -61,11 +61,9 @@ from .channel import (
     _rf_channel_gain,
     _rf_rate,
     _vlc_rate,
-    _vlc_signal_powers,
+    _vlc_terms,
     best_ap_sinr,
-    best_ap_terms,
 )
-from .compute import _computation_energy, _computation_time, _round_costs
 from .config import SimConfig
 from .topology import Topology
 
@@ -135,10 +133,15 @@ class _LinkTable:
     and squares are libm calls on Python floats, since numpy's can differ in
     the last bit, and sums, products and quotients run on the arrays, where
     IEEE arithmetic gives the same bits. The RF gains come from the
-    unchecked kernel, user by user, and the computation terms from the
-    kernels on the columns; ``SimConfig`` guarantees the accuracy and ``nu``
-    they take. It raises ValueError for a user at the BS and ``rf_rate``'s
-    ValueError on an RF gain that underflows to 0 far enough from the BS.
+    unchecked kernel, user by user. The computation time and energy of a
+    round of local training are
+        t_cmp = nu * cycles * samples * ln(1/accuracy) / f
+        e_cmp = nu * (coeff / 2) * cycles * samples * f^2 * ln(1/accuracy)
+    on the columns, with ln(1/accuracy) taken once; ``SimConfig``
+    guarantees the accuracy and ``nu``. It raises ValueError for a user at
+    the BS, ``rf_rate``'s ValueError on an RF gain that underflows to 0 far
+    enough from the BS, and a ValueError naming the user whose CPU frequency
+    overflows a float when squared.
 
     Uplink is always RF. A pass sends the downlink of its first ``n_vlc``
     users over VLC and every other link over RF, so its RF links are the
@@ -146,11 +149,11 @@ class _LinkTable:
     optical terms, ``signals`` and ``interference``, are None until
     ``_links`` sets them on the first hybrid call. A link without rate (no
     AP in view, or an RF SINR below 2**-53) costs inf seconds and joules, so
-    its user fails. A pass calls the unchecked rate and cost kernels, whose
-    formulas live in ``channel`` and ``compute``. It only adds, multiplies,
-    divides, compares, takes maxima and takes ``np.log2``, the ufunc the
-    scalar rate functions run on one value, so the mask holds the per-user
-    answers.
+    its user fails. A pass calls the unchecked rate kernels of ``channel``
+    and sums a round's costs itself (see ``feasible``). It only adds,
+    multiplies, divides, compares, takes maxima and takes ``np.log2``, the
+    ufunc the scalar rate functions run on one value, so the mask holds the
+    per-user answers.
 
     The user terms are checked by ``UserNode`` or, for a drawn topology, by
     its draw, the widths by ``BandwidthAllocation`` or the count rule that
@@ -172,8 +175,18 @@ class _LinkTable:
                 raise ValueError(f"user {users.id[dist.index(0.0)]}: distance must be > 0, got 0.0")
             gain = np.array(list(map(_rf_channel_gain, dist, users.indoor.tolist(), itertools.repeat(config))))
             log_inv_accuracy = math.log(1.0 / config.local_accuracy)
-            self.t_cmp = _computation_time(users, log_inv_accuracy, config.nu)
-            self.e_cmp = _computation_energy(users, log_inv_accuracy, config.nu)
+            nu, cycles, samples = config.nu, users.cycles_per_sample, users.shard_size
+            self.t_cmp = nu * cycles * samples * log_inv_accuracy / users.cpu_freq_hz
+            # CPython's float power squares each frequency: numpy squares an
+            # array by multiplying, which rounds some values differently.
+            freqs = users.cpu_freq_hz.tolist()
+            try:
+                squared = np.array([f**2 for f in freqs])
+            except OverflowError:  # a UserNode allows any finite f; only ** raises, products give inf
+                i = next(i for i, f in enumerate(freqs) if abs(f) >= 2.0**512)  # (2**512)**2 = 2**1024
+                msg = f"user {users.id[i]}: cpu_freq_hz={freqs[i]!r} overflows a float when squared"
+                raise ValueError(msg) from None
+            self.e_cmp = nu * users.capacitance_coeff * (cycles * samples) / 2.0 * squared * log_inv_accuracy
             if (gain <= 0.0).any():
                 raise ValueError(_RF_RATE_ARGS_ERROR)
             up_power = users.tx_power_w * gain
@@ -198,9 +211,12 @@ class _LinkTable:
         ufuncs as at float widths, and row p equals the mask at the p-th
         widths bit for bit.
 
-        A link without rate takes payload / 0 = inf seconds and joules, so it
-        fails both tests like any slow link. The caller holds
-        ``np.errstate(divide="ignore")`` for that division.
+        A round costs t_down + t_up + t_cmp (+ the backhaul delay for a
+        VLC-served downlink) seconds and e_cmp + t_up * P_n joules, where each
+        transfer takes payload / rate seconds; a user passes when both are
+        within its budgets. A link without rate takes payload / 0 = inf
+        seconds and joules, so it fails both tests like any slow link. The
+        caller holds ``np.errstate(divide="ignore")`` for that division.
         """
         config = self.config
         n = len(self.ids)
@@ -215,9 +231,10 @@ class _LinkTable:
             sinr = best_ap_sinr(self.signals, self.interference, b_vlc, config.vlc_noise_psd)
             rates = np.concatenate((_vlc_rate(sinr, b_vlc), rates), axis=-1)
             backhaul = self.backhaul
-        up, down = rates[..., n:], rates[..., :n]
-        round_time, energy = _round_costs(self.t_cmp, self.e_cmp, self.tx_power, up, down, backhaul, config)
-        return (round_time <= config.t_round_s) & (energy <= self.budget)
+        t_link = config.payload_bits / rates  # one transfer time per rate
+        t_down, t_up = t_link[..., :n], t_link[..., n:]
+        round_time = t_down + t_up + self.t_cmp + backhaul
+        return (round_time <= config.t_round_s) & (self.e_cmp + t_up * self.tx_power <= self.budget)
 
     def selection(self, mask: np.ndarray) -> Selection:
         """The users a mask marks."""
@@ -245,8 +262,7 @@ def _links(topology: Topology, config: SimConfig, mode: str) -> tuple[_LinkTable
     n_vlc = topology.n_indoor
     if links.signals is None:
         # Optical terms that fail to build are not kept, so rf_only stays usable.
-        signals = _vlc_signal_powers(topology.users.position[:n_vlc], topology, config)
-        links.signals, links.interference = best_ap_terms(signals)
+        links.signals, links.interference = _vlc_terms(topology.users.position[:n_vlc], topology, config)
     return links, n_vlc
 
 

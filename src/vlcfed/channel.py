@@ -16,14 +16,15 @@ and the Shannon rate B * log2(1 + P h / (I + B N0)). Co-channel interference
 from other cells enters as a constant power I.
 
 Gains and signal powers do not depend on bandwidth, so a caller that tests
-many block widths computes them once per user. The rate and SINR functions
-also take arrays over users. On one value or many, each logarithm and power
-is one numpy ufunc (``np.log2``, ``np.power``), so an array result holds the
-same bits as the scalar calls, which return a Python float.
+many block widths computes them once per user. The public rate and SINR
+functions take one value and return a Python float; the kernels and
+``best_ap_sinr`` also take arrays over users. On one value or many, each
+logarithm and power is one numpy ufunc (``np.log2``, ``np.power``), so an
+array result holds the same bits as the scalar calls.
 
 The public rate, RF-gain and SINR functions check their arguments,
 then call a private kernel (``_rf_rate``, ``_vlc_rate``, ``_rf_channel_gain``,
-``_vlc_signal_powers``) that holds the formula and checks nothing. A caller
+``_vlc_terms``) that holds the formula and checks nothing. A caller
 that already guarantees the arguments calls the kernel directly: the link
 table's build on each user's distance and on the indoor users' positions,
 its feasibility pass on the rates, both RF directions in one ``_rf_rate``
@@ -160,32 +161,24 @@ def vlc_channel_gain(ap, user, config: SimConfig) -> float:
     return float(vlc_channel_gains([ap], [user], config)[0, 0])
 
 
-def _vlc_signal_powers(receivers, topology: Topology, config: SimConfig) -> np.ndarray:
-    """Electrical signal power (gamma u_k P_v)^2 of each AP k at each of n
-    receiver positions, as an (n, APs) array.
+def _vlc_terms(receivers, topology: Topology, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The width-free terms of ``best_ap_sinr`` at n receiver positions.
 
-    It does not depend on bandwidth, and it does not check that the
-    receivers belong to indoor users.
+    Returns the electrical signal power (gamma u_k P_v)^2 of each AP k at
+    each receiver, AP-major as an (APs, n) array, and each one's
+    interference: its receiver's total over all APs, summed in AP order (so
+    never below one of its terms), minus the signal itself. Neither depends
+    on bandwidth, and the receivers are not checked to belong to indoor users.
     """
     if len(receivers) and not topology.vlc_aps:
         raise ValueError("topology has no VLC APs")
     gains = vlc_channel_gains(topology.vlc_aps, receivers, config)
-    return np.power(config.conversion_efficiency * gains * config.optical_power_w, 2)
-
-
-def best_ap_terms(signals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The width-free terms of ``best_ap_sinr`` from a (users, APs) array of signal powers.
-
-    Returns the signals AP-major, as an (APs, users) array, and each one's
-    interference: its user's total over all APs, summed in AP order (so
-    never below one of its terms), minus the signal itself.
-    """
-    signals = np.ascontiguousarray(signals.T)
+    signals = np.ascontiguousarray(np.power(config.conversion_efficiency * gains * config.optical_power_w, 2).T)
     return signals, np.cumsum(signals, axis=0)[-1:] - signals  # sequential, unlike a pairwise np.sum
 
 
 def best_ap_sinr(signals: np.ndarray, interference: np.ndarray, rb_bandwidth_hz, noise_psd: float) -> np.ndarray:
-    """Best-AP SINR of each user from the AP-major terms of ``best_ap_terms``.
+    """Best-AP SINR of each user from the AP-major terms of ``_vlc_terms``.
 
     Each AP k is scored as s_k / (N0 B + sum_{l != k} s_l) >= 0 and the best
     score is returned: 0 when no AP is in view. The serving AP is the best one.
@@ -207,25 +200,17 @@ def vlc_sinr(user: UserNode, topology: Topology, rb_bandwidth_hz: float, config:
         raise ValueError("rb_bandwidth_hz must be > 0")
     if not user.indoor:
         raise ValueError(f"user {user.id} is outdoor; VLC serves indoor users only")
-    terms = best_ap_terms(_vlc_signal_powers([user.position], topology, config))
+    terms = _vlc_terms([user.position], topology, config)
     return float(best_ap_sinr(*terms, rb_bandwidth_hz, config.vlc_noise_psd)[0])
 
 
-def _float_or_array(x):
-    """A ufunc's 0-d result as a Python float; an array as it is."""
-    return x if isinstance(x, np.ndarray) else float(x)
-
-
-def vlc_rate(sinr, rb_bandwidth_hz: float):
-    """Achievable-rate lower bound (bits/s) on one VLC resource block.
-
-    ``sinr`` may be an array over users.
-    """
-    if np.less(sinr, 0).any():
+def vlc_rate(sinr: float, rb_bandwidth_hz: float) -> float:
+    """Achievable-rate lower bound (bits/s) on one VLC resource block."""
+    if sinr < 0:
         raise ValueError("sinr must be >= 0")
     if rb_bandwidth_hz <= 0:
         raise ValueError("rb_bandwidth_hz must be > 0")
-    return _float_or_array(_vlc_rate(sinr, rb_bandwidth_hz))
+    return float(_vlc_rate(sinr, rb_bandwidth_hz))
 
 
 def _vlc_rate(sinr, rb_bandwidth_hz: float):
@@ -249,26 +234,18 @@ def _rf_channel_gain(dist_m: float, indoor: bool, config: SimConfig) -> float:
 
 
 def rf_rate(
-    tx_power_w,
-    channel_gain,
+    tx_power_w: float,
+    channel_gain: float,
     interference_w: float,
     rb_bandwidth_hz: float,
     noise_psd: float,
-):
-    """Shannon rate (bits/s) on one RF resource block.
-
-    ``tx_power_w`` and ``channel_gain`` may be arrays over users.
-    """
-    if (
-        np.less_equal(tx_power_w, 0).any()
-        or np.less_equal(channel_gain, 0).any()
-        or rb_bandwidth_hz <= 0
-        or noise_psd <= 0
-    ):
+) -> float:
+    """Shannon rate (bits/s) on one RF resource block."""
+    if tx_power_w <= 0 or channel_gain <= 0 or rb_bandwidth_hz <= 0 or noise_psd <= 0:
         raise ValueError(_RF_RATE_ARGS_ERROR)
     if interference_w < 0:
         raise ValueError("interference must be >= 0")
-    return _float_or_array(_rf_rate(tx_power_w * channel_gain, interference_w, rb_bandwidth_hz, noise_psd))
+    return float(_rf_rate(tx_power_w * channel_gain, interference_w, rb_bandwidth_hz, noise_psd))
 
 
 def _rf_rate(received_w, interference_w: float, rb_bandwidth_hz: float, noise_psd: float):

@@ -27,6 +27,7 @@ import numbers
 import sys
 import typing
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Annotated, Optional
 
 
@@ -217,10 +218,10 @@ def _check_fields(values: dict) -> None:
 def read_field(name: str, text: str):
     """The value of field ``name`` that ``text`` spells, checked by the field's rule.
 
-    ``text`` is a number (an int field also takes ``1e1``), a tuple's numbers
-    separated by commas or spaces, or, for an optional field, ``none`` or
-    nothing. An unknown name, a text the type cannot read and a rejected value
-    each raise ConfigError naming the field.
+    ``text`` is a number (an int field reads an integral one exactly, ``1e1``
+    included), a tuple's numbers separated by commas or spaces, or, for an
+    optional field, ``none`` or nothing. An unknown name, a text the type
+    cannot read and a rejected value each raise ConfigError naming the field.
     """
     if name not in _HINTS:
         raise ConfigError(f"unknown config key {name!r}")
@@ -234,10 +235,12 @@ def read_field(name: str, text: str):
         if typing.get_origin(hint) is tuple:
             value = tuple(float(p) for p in text.replace(",", " ").split())
         elif hint is int:
-            value = float(text)  # accepts "1e1"
-            if not value.is_integer():
+            # The float checks the spelling and the range ("1e1" included);
+            # the Decimal holds the exact value, which a float rounds past 2**53.
+            value, exact = float(text), Decimal(text)
+            if not (math.isfinite(value) and exact == exact.to_integral_value()):
                 raise ValueError(f"expected an integer, got {text!r}")
-            value = int(value)
+            value = int(exact)
         else:
             value = float(text)
     except ValueError as exc:

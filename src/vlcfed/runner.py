@@ -21,7 +21,7 @@ from .allocation import MODES, UsbaResult, _check_mode, usba
 from .config import DERIVED_FIELD, ConfigError, SimConfig
 from .dataset import Dataset, shard_size, split_and_partition
 from .fl import TrainingReport, required_global_rounds, run_federated_training
-from .topology import Topology, generate_topology
+from .topology import generate_topology
 
 
 class ExperimentError(RuntimeError):
@@ -301,27 +301,3 @@ def emit_report(report: ExperimentReport, out_dir: str) -> dict[str, str]:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return {k: p for k, (p, _) in outputs.items()}
-
-
-def random_instance(rng: np.random.Generator, n_range=(4, 12)) -> tuple[Topology, SimConfig]:
-    """Small randomized scenario for property checks and the oracle suite.
-
-    Parameters are drawn wide enough to produce a mix of all-feasible,
-    partially feasible, and contended instances.
-    """
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
-    cfg = SimConfig(
-        n_users=n,
-        indoor_fraction=float(rng.uniform(0.0, 1.0)),
-        t_round_s=float(rng.uniform(0.2, 3.0)),
-        payload_bits=float(rng.uniform(2e5, 2e6)),
-        rf_total_bandwidth_hz=float(rng.uniform(2e6, 20e6)),
-        vlc_total_bandwidth_hz=float(rng.uniform(5e6, 40e6)),
-        uplink_interference_w=float(rng.uniform(0.0, 6e-10)),
-        downlink_interference_w=float(rng.uniform(0.0, 6e-10)),
-        energy_budget_j=float(rng.uniform(0.005, 2.0)),
-        samples_per_user=int(rng.integers(1, 30)),
-        max_iterations=50,
-    )
-    topology = generate_topology(cfg, int(rng.integers(0, 2**31)))
-    return topology, cfg

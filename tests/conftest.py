@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vlcfed import Dataset, SimConfig, Topology, UserNode
+from vlcfed import Dataset, SimConfig, Topology, UserNode, generate_topology
 from vlcfed.dataset import N_FEATURES
 
 SYNTHETIC_NOISE_STD = 0.35  # of make_synthetic's target, in units of its signal std
@@ -83,3 +83,27 @@ def make_topology(users, aps=((0.0, 0.0, 3.35),), cell_radius=50.0):
         vlc_aps=tuple(aps),
         users=tuple(users),
     )
+
+
+def random_instance(rng: np.random.Generator, n_range=(4, 12)) -> tuple[Topology, SimConfig]:
+    """Small randomized scenario for property checks and the oracle suite.
+
+    Parameters are drawn wide enough to produce a mix of all-feasible,
+    partially feasible, and contended instances.
+    """
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    cfg = SimConfig(
+        n_users=n,
+        indoor_fraction=float(rng.uniform(0.0, 1.0)),
+        t_round_s=float(rng.uniform(0.2, 3.0)),
+        payload_bits=float(rng.uniform(2e5, 2e6)),
+        rf_total_bandwidth_hz=float(rng.uniform(2e6, 20e6)),
+        vlc_total_bandwidth_hz=float(rng.uniform(5e6, 40e6)),
+        uplink_interference_w=float(rng.uniform(0.0, 6e-10)),
+        downlink_interference_w=float(rng.uniform(0.0, 6e-10)),
+        energy_budget_j=float(rng.uniform(0.005, 2.0)),
+        samples_per_user=int(rng.integers(1, 30)),
+        max_iterations=50,
+    )
+    topology = generate_topology(cfg, int(rng.integers(0, 2**31)))
+    return topology, cfg

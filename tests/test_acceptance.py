@@ -29,8 +29,8 @@ from vlcfed import (
     vlc_sinr,
     MlpModel,
 )
-from vlcfed.runner import emit_report, random_instance, run_experiment
-from tests.conftest import make_topology, make_user
+from vlcfed.runner import emit_report, run_experiment
+from tests.conftest import make_topology, make_user, random_instance
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

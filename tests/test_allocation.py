@@ -38,9 +38,9 @@ from vlcfed.allocation import (
     block_widths,
     default_initial_bandwidth,
 )
-from vlcfed.channel import _vlc_signal_powers, best_ap_sinr
-from vlcfed.runner import random_instance, run_experiment, shard_size
-from tests.conftest import make_topology, make_user
+from vlcfed.channel import _vlc_terms, best_ap_sinr
+from vlcfed.runner import run_experiment, shard_size
+from tests.conftest import make_topology, make_user, random_instance
 from tests.test_channel import _row_wise_sinr
 
 
@@ -672,7 +672,7 @@ class TestOracle:
         if mode == "hybrid" and topo.n_indoor:
             # The table's AP-major SINRs equal the user-major form bit for bit.
             got = best_ap_sinr(links.signals, links.interference, b_vlc, cfg.vlc_noise_psd)
-            signals = _vlc_signal_powers(topo.users.position[topo.users.indoor], topo, cfg)
+            signals = _vlc_terms(topo.users.position[topo.users.indoor], topo, cfg)[0].T  # user-major
             for p, width in enumerate(b_vlc[:, 0].tolist()):
                 assert got[p].tolist() == _row_wise_sinr(signals, width, cfg.vlc_noise_psd).tolist()
         b_vlc = np.broadcast_to(b_vlc, b_rf.shape)  # a float in rf_only mode

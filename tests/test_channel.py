@@ -25,9 +25,8 @@ from vlcfed.channel import (
     _rf_rate,
     _sin_deg,
     _vlc_rate,
-    _vlc_signal_powers,
+    _vlc_terms,
     best_ap_sinr,
-    best_ap_terms,
     vlc_channel_gains,
 )
 from tests.conftest import make_topology, make_user
@@ -363,17 +362,19 @@ class TestBatchedEqualsScalar:
         users = [make_user(id=i, indoor=True, xy=xy) for i, xy in enumerate(receivers)]
         topo = make_topology(users, aps=aps)
         positions = topo.users.position
-        got = _vlc_signal_powers(positions, topo, cfg)
-        sinrs = best_ap_sinr(*best_ap_terms(got), width, cfg.vlc_noise_psd)
+        terms = _vlc_terms(positions, topo, cfg)
+        got = terms[0]  # AP-major: column i holds user i's signals
+        assert got.shape == (len(aps), len(users))
+        sinrs = best_ap_sinr(*terms, width, cfg.vlc_noise_psd)
         for i, user in enumerate(users):
-            assert got[i].tolist() == _vlc_signal_powers(positions[i : i + 1], topo, cfg)[0].tolist()
+            assert got[:, i].tolist() == _vlc_terms(positions[i : i + 1], topo, cfg)[0][:, 0].tolist()
             amplitudes = [cfg.conversion_efficiency * vlc_channel_gain(ap, user.position, cfg) * cfg.optical_power_w for ap in aps]
-            assert got[i].tolist() == [float(np.power(a, 2)) for a in amplitudes]
+            assert got[:, i].tolist() == [float(np.power(a, 2)) for a in amplitudes]
             sinr = vlc_sinr(user, topo, width, cfg)
             assert type(sinr) is float and sinr == sinrs[i]
         # A mode's view takes a subset of the users, in any order.
         rows = list(range(len(users)))[::-2]
-        assert _vlc_signal_powers(positions[rows], topo, cfg).tolist() == got[rows].tolist()
+        assert [t.tolist() for t in _vlc_terms(positions[rows], topo, cfg)] == [t[:, rows].tolist() for t in terms]
 
     def test_signal_powers_of_many_users(self):
         # Python's x ** 2 (libm pow) and numpy's x * x differ on 9 of these
@@ -383,23 +384,22 @@ class TestBatchedEqualsScalar:
         aps = [(x, y, 3.35) for x, y in rng.uniform(-20.0, 20.0, size=(4, 2))]
         positions = np.column_stack((rng.uniform(-25.0, 25.0, (2500, 2)), np.full(2500, 0.85)))
         topo = make_topology([], aps=aps)
-        got = _vlc_signal_powers(positions, topo, cfg)
-        assert got.tolist() == [_vlc_signal_powers(p[None], topo, cfg)[0].tolist() for p in positions]
+        got = _vlc_terms(positions, topo, cfg)[0].T
+        assert got.tolist() == [_vlc_terms(p[None], topo, cfg)[0][:, 0].tolist() for p in positions]
 
     @given(
-        n_aps=st.integers(min_value=1, max_value=12),  # a pairwise sum would reorder from 8 APs on
-        signals=st.lists(
-            st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-30, max_value=1e-8)), min_size=12, max_size=12),
-            min_size=0,
-            max_size=6,
-        ),
+        # a pairwise sum would reorder from 8 APs on
+        aps=st.lists(st.tuples(coord, coord, st.floats(min_value=2.0, max_value=6.0)), min_size=1, max_size=12),
+        receivers=st.lists(st.tuples(coord, coord), min_size=0, max_size=6),
+        fov=st.sampled_from([10.0, 30.0, 60.0, 90.0]),  # narrow views leave signals of 0
         widths=st.lists(st.floats(min_value=1.0, max_value=1e9), min_size=1, max_size=5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_best_ap_sinr(self, n_aps, signals, widths):
-        signals = np.array([row[:n_aps] for row in signals]).reshape(len(signals), n_aps)
-        terms = best_ap_terms(signals)
-        assert [t.shape for t in terms] == [(n_aps, len(signals))] * 2
+    def test_best_ap_sinr(self, aps, receivers, fov, widths):
+        positions = [(x, y, 0.85) for x, y in receivers]
+        terms = _vlc_terms(positions, make_topology([], aps=aps), SimConfig(fov_half_angle_deg=fov))
+        assert [t.shape for t in terms] == [(len(aps), len(receivers))] * 2
+        signals = np.ascontiguousarray(terms[0].T)  # user-major
         for width in widths:
             got = best_ap_sinr(*terms, width, 1e-21)
             assert got.tolist() == _row_wise_sinr(signals, width, 1e-21).tolist()
@@ -417,10 +417,8 @@ class TestBatchedEqualsScalar:
     def test_rates(self, powers, width, interference):
         gains = [rf_channel_gain(5.0 + 4.0 * i, i % 2 == 0, SimConfig()) for i in range(len(powers))]
         rf_rates = [rf_rate(pw, h, interference, width, 1e-21) for pw, h in zip(powers, gains)]
-        assert rf_rate(np.array(powers), np.array(gains), interference, width, 1e-21).tolist() == rf_rates
         sinrs = np.array(powers) * 1e5
         vlc_rates = [vlc_rate(s, width) for s in sinrs.tolist()]
-        assert vlc_rate(sinrs, width).tolist() == vlc_rates
         assert all(type(r) is float for r in rf_rates + vlc_rates)
         # The kernels as a pass calls them, on each layout it may hand them.
         for x, rows in _layouts(np.array(powers) * np.array(gains)):
@@ -443,9 +441,3 @@ class TestBatchedEqualsScalar:
         for x, rows in _layouts(np.full(19, sinr)):
             assert _rf_rate(x, 0.0, 1.0, 1.0).tolist() == [rate] * len(rows)
             assert _vlc_rate(x / scale, 2.0).tolist() == [vlc_rate(sinr / scale, 2.0)] * len(rows)
-
-    def test_array_rates_reject_bad_elements(self):
-        with pytest.raises(ValueError):
-            rf_rate(np.array([0.1, 0.0]), np.array([1e-9, 1e-9]), 0.0, 1e6, 1e-21)
-        with pytest.raises(ValueError):
-            vlc_rate(np.array([1.0, -1.0]), 1e6)

@@ -917,6 +917,9 @@ class TestConfigResolution:
             ("ap_ring_radii_m", "10,20 30", (10.0, 20.0, 30.0)),
             ("initial_bandwidth", "none", None),
             ("initial_bandwidth", "", None),
+            # 2**53 + 1: a float would read it as 2**53
+            ("max_iterations", "9007199254740993", 9007199254740993),
+            ("max_iterations", "9.007199254740993e15", 9007199254740993),
         ],
     )
     def test_a_file_line_reads_its_value_as_read_field_does(self, tmp_path, name, text, value):
@@ -929,6 +932,10 @@ class TestConfigResolution:
         [
             ("n_user", "20", "unknown config key 'n_user'"),
             ("n_users", "3.5", "bad value for 'n_users': expected an integer, got '3.5'"),
+            # a float reads this as 4.0; it is no integer
+            ("n_users", "4.0000000000000001", "bad value for 'n_users': expected an integer, got '4.0000000000000001'"),
+            # beyond a float's range; no integer of a billion digits is built
+            ("n_users", "1e1000000000", "bad value for 'n_users': expected an integer, got '1e1000000000'"),
             ("t_round_s", "fast", "bad value for 't_round_s': could not convert string to float: 'fast'"),
             ("t_round_s", "-1", "t_round_s must be finite and > 0, got -1.0"),
             ("tx_power_range_w", "0.9 0.1", r"tx_power_range_w must ascend, got \(0.9, 0.1\)"),
